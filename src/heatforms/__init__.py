@@ -15,7 +15,6 @@ from .errors import (
     AccuracyError,
     CapError,
     FFLDError,
-    NumericalError,
     SearchError,
     StatisticalPowerError,
 )

@@ -1,9 +1,21 @@
 """Command-line surface.
 
-Exit codes: 0 all checks passed, 1 usage or I/O error, 2 a numeric check
-failed. Reports go to stdout as JSON lines (default) or CSV; identical
-inputs including the seed produce byte-identical reports. --threads is
-accepted for interface compatibility and never changes results.
+Exit codes:
+
+* 0: all checks passed.
+* 1: usage or I/O error: a bad argument or value (ValueError, CapError),
+  a malformed field file (FFLDError), or a file that cannot be read or
+  written (OSError).
+* 2: a numeric check failed; the report's status line says "fail".
+* 3: the computation could not decide the check: a quadrature missed its
+  error target (AccuracyError), every search candidate was degenerate
+  (SearchError), or a Monte Carlo interval was too wide
+  (StatisticalPowerError).
+
+Errors print one line to stderr and no report. Reports go to stdout as
+JSON lines (default) or CSV; identical inputs including the seed produce
+byte-identical reports. --threads is accepted for interface
+compatibility and never changes results.
 """
 
 from __future__ import annotations
@@ -18,7 +30,7 @@ from . import heatmatrix as hm
 from . import multipliers as mult
 from . import normsearch as ns
 from . import stochastic as st
-from .errors import CapError, FFLDError
+from .errors import AccuracyError, CapError, FFLDError, SearchError, StatisticalPowerError
 from .fields import cosine_field, lp_norm, random_band_limited, read_ffld, write_ffld
 from .fourier import apply_beurling_ahlfors, psw_integral
 from .reporting import Report
@@ -26,6 +38,7 @@ from .reporting import Report
 EXIT_PASS = 0
 EXIT_USAGE = 1
 EXIT_CHECK_FAILED = 2
+EXIT_UNDECIDED = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -307,6 +320,9 @@ def main(argv=None) -> int:
     except (FFLDError, CapError, OSError, ValueError) as exc:
         print(f"heatforms: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (AccuracyError, SearchError, StatisticalPowerError) as exc:
+        print(f"heatforms: undecided: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_UNDECIDED
     sys.stdout.write(report.render(args.format))
     return EXIT_PASS if report.status == "pass" else EXIT_CHECK_FAILED
 

@@ -1,14 +1,6 @@
 """Exception types shared across the package."""
 
 
-class NumericalError(RuntimeError):
-    """An iterative numeric routine failed to converge."""
-
-    def __init__(self, message, iterations=None):
-        super().__init__(message)
-        self.iterations = iterations
-
-
 class AccuracyError(RuntimeError):
     """A quadrature could not reach its error target within the node cap."""
 

@@ -146,24 +146,34 @@ def cosine_field(n, dims, L, kvec, mask, amplitude=1.0, phase=0.0) -> FormField:
 def random_band_limited(
     n, dims, L, rng, kmax=3, grades=None, mean_zero=True
 ) -> FormField:
-    """Gaussian field filtered to lattice frequencies |k_a| <= kmax."""
+    """Gaussian field filtered to lattice frequencies |k_a| <= kmax.
+
+    One normal draw fills every component, in ascending-mask order. The
+    real FFT runs axis by axis in rfftn's order (last axis first), and
+    after each pass only the band |k_a| <= kmax is kept; the inverse runs
+    irfftn's passes on the band alone. Lines outside the band would
+    transform to exact zeros, so this gives the numbers of a full
+    rfftn, filter and irfftn. The components are views of one array.
+    """
+    if kmax < 0:
+        raise ValueError("kmax must be nonnegative")
     if grades is None:
         grades = range(n + 1)
     dims = tuple(dims)
-    keep = np.ones(dims, dtype=bool)
-    for a, d in enumerate(dims):
-        k = np.fft.fftfreq(d) * d
-        shape = [1] * n
-        shape[a] = d
-        keep &= np.abs(k.reshape(shape)) <= kmax
-    comps = {}
-    for m in masks_for_grades(n, grades):
-        spectrum = np.fft.fftn(rng.standard_normal(dims))
-        spectrum[~keep] = 0.0
-        if mean_zero:
-            spectrum[(0,) * n] = 0.0
-        comps[m] = np.fft.ifftn(spectrum).real
-    return FormField(n, dims, L, comps)
+    masks = masks_for_grades(n, grades)
+    band = [np.flatnonzero(np.abs(np.fft.fftfreq(d) * d) <= kmax) for d in dims[:-1]]
+    spectrum = np.fft.rfft(rng.standard_normal((len(masks),) + dims))
+    spectrum = spectrum[..., : min(kmax, dims[-1] // 2) + 1]
+    for a in reversed(range(n - 1)):
+        spectrum = np.fft.fft(spectrum, axis=a + 1).take(band[a], axis=a + 1)
+    if mean_zero:
+        spectrum[(slice(None),) + (0,) * n] = 0.0
+    for a in range(n - 1):
+        padded = np.zeros(spectrum.shape[: a + 1] + (dims[a],) + spectrum.shape[a + 2 :], complex)
+        padded[(slice(None),) * (a + 1) + (band[a],)] = spectrum
+        spectrum = np.fft.ifft(padded, axis=a + 1)
+    comps = np.fft.irfft(spectrum, n=dims[-1])
+    return FormField(n, dims, L, dict(zip(masks, comps)))
 
 
 def write_ffld(field: FormField, path) -> None:

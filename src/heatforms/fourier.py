@@ -4,12 +4,25 @@ Heat extensions, spectral gradients, the frequency-domain matrix of the
 Beurling-Ahlfors operator, its application to fields, and the bilinear
 gradient integral that pairs two heat extensions.
 
-The operator acts per frequency by a real symmetric matrix M(xi) indexed
-by subsets: diagonal (sum_{l not in K} xi_l^2 - sum_{k in K} xi_k^2)/|xi|^2
-and, for each substitution K -> K\\k+l, the entry -2 xi_k xi_l / |xi|^2
-times the reordering sign. M depends only on the direction of xi; the zero
-frequency is annihilated by convention (a homogeneous symbol has no value
-at the origin, and constants carry no L^p content on the plane anyway).
+The operator acts per frequency xi by the reflection
+
+    M(xi) = I - 2 (u ^)(u _|),    u = xi / |xi|,
+
+on the coefficient vector indexed by subsets: u _| lowers the grade by
+contracting with u, u ^ raises it again by wedging with u. Since
+u _| u ^ + u ^ u _| = |u|^2 = 1, P = (u ^)(u _|) is an orthogonal
+projection, so M is a symmetric involution: T^2 = id and T is an L^2
+isometry on mean-zero fields. Written out, M has the diagonal
+(sum_{l not in K} xi_l^2 - sum_{k in K} xi_k^2)/|xi|^2 and, for each
+substitution K -> K\\k+l, the entry -2 xi_k xi_l / |xi|^2 times the
+reordering sign; beurling_ahlfors_symbol builds that form entry by entry
+and serves as the independent check of the reflection path. M depends
+only on the direction of xi; the zero frequency is annihilated by
+convention (a homogeneous symbol has no value at the origin, and
+constants carry no L^p content on the plane anyway). On the grid, a
+point with a Nyquist coordinate also stands for the lattice vector with
+that coordinate negated, and a real field sees the mean of the two
+symbols there, which is a contraction rather than a reflection.
 """
 
 from __future__ import annotations
@@ -74,13 +87,6 @@ class FieldGradient:
     dims: tuple
     L: float
     components: dict
-
-    def pointwise_norm(self) -> np.ndarray:
-        """Grid of the Euclidean length over all (component, axis) slots."""
-        sq = np.zeros(self.dims)
-        for g in self.components.values():
-            sq += np.sum(np.abs(g) ** 2, axis=0)
-        return np.sqrt(sq)
 
     def l2_norm(self) -> float:
         cell = prod(self.L / d for d in self.dims)
@@ -186,48 +192,112 @@ def _quadratic_grids(dims, L):
     return q
 
 
-def _transformed_spectra(field: FormField) -> dict:
-    """FFT of every component of the operator image, via the symbol skeleton."""
-    n = field.n
-    diag_signs, offdiag = _symbol_structure(n)
-    q = _quadratic_grids(field.dims, field.L)
-    hats = {m: np.fft.fftn(c) for m, c in field.components.items()}
-    out_hats = {}
-    for m in hats:
-        diag = sum(diag_signs[m, a] * q[(a, a)] for a in range(n))
-        out_hats[m] = diag * hats[m]
-    for row, col, a, b, sign in offdiag:
-        if row in out_hats and col in hats:
-            key = (a, b) if a <= b else (b, a)
-            out_hats[row] += -2.0 * sign * q[key] * hats[col]
-    return out_hats
+@lru_cache(maxsize=32)
+def _half_lattice(dims: tuple):
+    """Unit directions u = xi/|xi| = k/|k| on the real-FFT half lattice of dims.
+
+    The last axis keeps the indices 0..N/2 that rfftn stores, the others
+    all N; every axis labels its Nyquist index k = -N/2, as fftfreq does.
+    Returns (u, nyquist, u_alias): n direction grids (zero at the
+    origin); the flat half-lattice indices of points with a Nyquist
+    coordinate on any axis; and at those points the direction of the
+    other lattice vector the point stands for, with every Nyquist
+    coordinate negated.
+    """
+    n = len(dims)
+    half = dims[:-1] + (dims[-1] // 2 + 1,)
+    ks = []
+    for a, d in enumerate(dims):
+        shape = [1] * n
+        shape[a] = half[a]
+        ks.append((np.fft.fftfreq(d)[: half[a]] * d).reshape(shape))
+    norm = np.sqrt(sum(k**2 for k in ks))
+    norm[(0,) * n] = 1.0
+    u = tuple(np.broadcast_to(k / norm, half).copy() for k in ks)
+    at_nyquist = [np.broadcast_to(np.abs(k) == d // 2, half) for k, d in zip(ks, dims)]
+    nyquist = np.flatnonzero(np.logical_or.reduce(at_nyquist))
+    u_alias = tuple(
+        np.where(nyq.reshape(-1)[nyquist], -1.0, 1.0) * ua.reshape(-1)[nyquist]
+        for ua, nyq in zip(u, at_nyquist)
+    )
+    for arr in u + u_alias + (nyquist,):
+        arr.flags.writeable = False
+    return u, nyquist, u_alias
+
+
+@lru_cache(maxsize=64)
+def _reflection_plan(n: int, masks: tuple):
+    """Index plan of the contraction u _| on a stack of components.
+
+    One entry (a, row, lowered_row, sign) per stack row K containing the
+    element a+1: (u _| f)[K minus a+1] gets sign * u_a * f[K], where sign
+    is (-1)^(number of elements of K below a+1). The wedge u ^ is the
+    transpose: f[K] gets sign * u_a * (lowered)[K minus a+1]. Returns the
+    number of grade-lowered rows and the entries.
+    """
+    lowered = sorted({m & ~(1 << a) for m in masks for a in range(n) if m >> a & 1})
+    pos = {m: i for i, m in enumerate(lowered)}
+    plan = tuple(
+        (a, row, pos[m ^ (1 << a)], -1 if (m & ((1 << a) - 1)).bit_count() & 1 else 1)
+        for a in range(n)
+        for row, m in enumerate(masks)
+        if m >> a & 1
+    )
+    return len(lowered), plan
+
+
+def _reflect(spectra: np.ndarray, u, plan, lowered: int) -> np.ndarray:
+    """Overwrite a (batch, component, *points) stack with spectra - 2 u^(u _| spectra)."""
+    contracted = np.zeros(spectra.shape[:1] + (lowered,) + spectra.shape[2:], spectra.dtype)
+    term = np.empty(spectra.shape[:1] + spectra.shape[2:], spectra.dtype)
+    for a, row, low, sign in plan:
+        np.multiply(spectra[:, row], u[a], out=term)
+        (np.add if sign > 0 else np.subtract)(contracted[:, low], term, out=contracted[:, low])
+    contracted *= -2.0
+    for a, row, low, sign in plan:
+        np.multiply(contracted[:, low], u[a], out=term)
+        (np.add if sign > 0 else np.subtract)(spectra[:, row], term, out=spectra[:, row])
+    return spectra
 
 
 def apply_beurling_ahlfors(field: FormField) -> FormField:
-    """Apply the operator: FFT, per-frequency matrix multiply, inverse FFT.
+    """Apply the operator as the reflection f^ - 2 u^(u _| f^) per frequency.
 
-    The symbol couples only components of equal grade, so a single-grade
+    One real FFT of the stacked components, n contractions and n wedge
+    products with the unit-direction grids, one inverse real FFT; the
+    output components are views of one array. Complex fields go through
+    the same path, real and imaginary parts as two batch entries. The
+    symbol couples only components of equal grade, so a single-grade
     field stays single-grade. The mean of every component is annihilated.
     """
     if not field.is_finite():
         raise ValueError("field has non-finite samples")
-    complex_in = any(np.iscomplexobj(c) for c in field.components.values())
-    comps = {}
-    for m, h in _transformed_spectra(field).items():
-        out = np.fft.ifftn(h)
-        comps[m] = out if complex_in else out.real
-    return FormField(field.n, field.dims, field.L, comps)
-
-
-def _apply_with_residual(field: FormField):
-    """apply_beurling_ahlfors on a real field plus the max imaginary residue."""
-    residual = 0.0
-    comps = {}
-    for m, h in _transformed_spectra(field).items():
-        z = np.fft.ifftn(h)
-        residual = max(residual, float(np.max(np.abs(z.imag))))
-        comps[m] = z.real
-    return FormField(field.n, field.dims, field.L, comps), residual
+    n, dims, masks = field.n, field.dims, field.masks
+    if not masks:
+        return field.copy()
+    stack = np.stack([field.components[m] for m in masks])
+    complex_in = np.iscomplexobj(stack)
+    batch = np.stack([stack.real, stack.imag]) if complex_in else stack[None]
+    # Every pass of both transforms runs in place on one half-spectrum
+    # buffer: numpy's rfftn does so when given out=, its irfftn would
+    # allocate a new array per pass, so its passes are spelled out below.
+    axes = tuple(range(2, n + 2))
+    spectra = np.empty(batch.shape[:-1] + (dims[-1] // 2 + 1,), complex)
+    np.fft.rfftn(batch, axes=axes, out=spectra)
+    u, nyquist, u_alias = _half_lattice(dims)
+    lowered, plan = _reflection_plan(n, tuple(masks))
+    # A Nyquist point also stands for the lattice vector with its Nyquist
+    # coordinates negated; a real field sees the mean of both symbols.
+    flat = spectra.reshape(spectra.shape[:2] + (-1,))
+    aliased = _reflect(flat[..., nyquist], u_alias, plan, lowered)
+    _reflect(spectra, u, plan, lowered)
+    flat[..., nyquist] = 0.5 * (flat[..., nyquist] + aliased)
+    spectra[(Ellipsis,) + (0,) * n] = 0.0
+    for axis in axes[:-1]:
+        np.fft.ifft(spectra, axis=axis, out=spectra)
+    result = np.fft.irfft(spectra, n=dims[-1])
+    result = result[0] + 1j * result[1] if complex_in else result[0]
+    return FormField(n, dims, field.L, dict(zip(masks, result)))
 
 
 def symbol_norms_on_grid(n, dims, L, chunk=65536) -> np.ndarray:

@@ -22,7 +22,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import CapError, NumericalError
+from .errors import CapError
 from .exterior import MultiIndex, enumerate_grade, interval_count, substitute_with_sign
 
 GRADE_BLOCK_CAP = 10_000  # max rows of one grade block
@@ -220,43 +220,22 @@ def grade_norm_closed_form(n: int, r: int, alpha: float) -> float:
     return max(vals)
 
 
-def spectral_norm(matrix, tol: float = 1e-12, max_iter: int = 100_000) -> float:
-    """Largest singular value, deterministic.
+def spectral_norm(matrix) -> float:
+    """Largest singular value, exact to rounding.
 
     Symmetric matrices (within 1e-12 entrywise) go through a symmetric
-    eigensolve. Otherwise: power iteration on the smaller Gram matrix with
-    the normalized all-ones start vector, relative tolerance tol, cap
-    max_iter. The fixed start keeps results reproducible; if it happens to
-    be orthogonal to the top eigenspace the iteration converges to a lower
-    singular value, which no caller in this package triggers.
+    eigensolve, every other matrix through an SVD.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2:
         raise ValueError("expected a 2-d matrix")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    if m.shape[0] == m.shape[1] and np.max(np.abs(m - m.T), initial=0.0) <= 1e-12:
-        return float(np.max(np.abs(np.linalg.eigvalsh(m)), initial=0.0))
-    gram = m @ m.T if m.shape[0] <= m.shape[1] else m.T @ m
-    dim = gram.shape[0]
-    v = np.ones(dim) / np.sqrt(dim)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = gram @ v
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            return 0.0
-        v = w / norm_w
-        lam_new = float(v @ (gram @ v))
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
-            return float(np.sqrt(max(lam_new, 0.0)))
-        lam = lam_new
-    raise NumericalError(
-        f"power iteration did not converge within {max_iter} iterations",
-        iterations=max_iter,
-    )
+    if m.size == 0:
+        return 0.0
+    if m.shape[0] == m.shape[1] and np.max(np.abs(m - m.T)) <= 1e-12:
+        return float(np.max(np.abs(np.linalg.eigvalsh(m))))
+    return float(np.linalg.norm(m, 2))
 
 
 @dataclass(frozen=True)
@@ -295,16 +274,16 @@ def bound_constants(n: int, p: float) -> BoundReport:
     if not p > 1.0 or not np.isfinite(p):
         raise ValueError("exponent must lie in (1, inf)")
     p_star = max(p, p / (p - 1.0))
-    assert p_star >= 2.0
+    if not p_star >= 2.0:
+        raise RuntimeError(f"conjugate exponent {p_star} below 2 for p={p}")
     per_grade = tuple(
         GradeBound(r, Fraction(n - r, n), Fraction(2 * r * (n - r), n) + 1)
         for r in range(n + 1)
     )
     overall = max(g.constant for g in per_grade)
-    if n % 2 == 0:
-        assert overall == Fraction(n, 2) + 1
-    else:
-        assert overall == Fraction(n, 2) + 1 - Fraction(1, 2 * n)
+    closed = Fraction(n, 2) + 1 - (Fraction(1, 2 * n) if n % 2 else 0)
+    if overall != closed:
+        raise RuntimeError(f"overall constant {overall} differs from the closed form {closed}")
     return BoundReport(
         n=n,
         p=p,

@@ -139,6 +139,10 @@ def ito_terminal_check(field: FormField, tau, ensemble: PathEnsemble) -> float:
 
 def ito_convergence_study(field, tau, step_counts, paths, seed, seeds_per_h=10):
     """Pooled RMS per step size and the log-log slope across them."""
+    if len(set(step_counts)) < 2:
+        raise ValueError("a slope needs at least two distinct step counts")
+    if min(step_counts) < 1:
+        raise ValueError("step counts must be positive")
     hs, rmss = [], []
     for idx, steps in enumerate(step_counts):
         h = tau / steps

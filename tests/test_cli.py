@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from heatforms import errors
 from heatforms.cli import main
 from heatforms.fields import lp_norm, random_band_limited, read_ffld, write_ffld
 from heatforms.fourier import apply_beurling_ahlfors
@@ -126,6 +127,53 @@ class TestChecksAndExitCodes:
         byname = {r["label"]: r["value"] for r in parse_jsonl(out)[1]}
         assert byname["c_asym"] == pytest.approx(np.sqrt(2.0))
         assert abs(byname["bound_over_p_minus_1"] - np.sqrt(2.0)) < 0.03 * np.sqrt(2.0)
+
+
+class TestErrorExitCodes:
+    def test_wide_interval_exit_3_without_traceback(self, capsys):
+        code = main(["simulate", "transform", "--trials", "50"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.count("\n") == 1 and "StatisticalPowerError" in captured.err
+
+    @pytest.mark.parametrize("counts", ["32", "64,64"])
+    def test_ito_needs_two_step_counts(self, capsys, counts):
+        code = main(["simulate", "ito", "--step-counts", counts, "--paths", "10"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+    def test_negative_kmax_exit_1(self, capsys):
+        code = main(["norm-search", "--n", "2", "--p", "4", "--grid", "16", "--kmax", "-1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert "kmax" in captured.err
+
+    @pytest.mark.parametrize(
+        "exc, expected",
+        [
+            (errors.AccuracyError("quadrature"), 3),
+            (errors.SearchError("degenerate"), 3),
+            (errors.StatisticalPowerError("wide"), 3),
+            (errors.FFLDError("bad file"), 1),
+            (errors.CapError("too big"), 1),
+        ],
+    )
+    def test_every_package_error_has_an_exit_code(self, capsys, monkeypatch, exc, expected):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr("heatforms.cli.hm.bound_constants", fail)
+        code = main(["bounds", "--n", "3", "--p", "4"])
+        captured = capsys.readouterr()
+        assert code == expected
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and str(exc) in captured.err
 
 
 class TestReportFormatting:

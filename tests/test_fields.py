@@ -44,6 +44,31 @@ class TestFormField:
             assert np.allclose(h.components[m], f.components[m] + g.components[m])
 
 
+class TestRandomBandLimited:
+    def test_matches_per_component_full_fft_filter(self):
+        # reference: one draw per component in ascending-mask order, full
+        # complex FFT, filter |k_a| <= kmax, real part of the inverse
+        for n, dims, kmax, grades, mean_zero in [
+            (2, (16, 8), 3, None, True),
+            (3, (8, 8, 4), 2, [1, 3], False),
+            (2, (8, 8), 4, [1], True),
+        ]:
+            f = random_band_limited(n, dims, 1.0, np.random.default_rng(5), kmax, grades, mean_zero)
+            rng = np.random.default_rng(5)
+            ks = np.meshgrid(*[np.fft.fftfreq(d) * d for d in dims], indexing="ij")
+            keep = np.all([np.abs(k) <= kmax for k in ks], axis=0)
+            for m in f.masks:
+                spectrum = np.fft.fftn(rng.standard_normal(dims)) * keep
+                if mean_zero:
+                    spectrum[(0,) * n] = 0.0
+                want = np.fft.ifftn(spectrum).real
+                assert np.max(np.abs(f.components[m] - want)) < 1e-14
+
+    def test_rejects_negative_kmax(self):
+        with pytest.raises(ValueError, match="kmax"):
+            random_band_limited(2, (8, 8), 1.0, np.random.default_rng(0), kmax=-1)
+
+
 class TestLpNorm:
     def test_zero_field(self):
         assert lp_norm(FormField.zeros(2, (8, 8)), 3.0) == 0.0

@@ -3,7 +3,6 @@ import pytest
 
 from heatforms.fields import FormField, cosine_field, lp_norm, random_band_limited
 from heatforms.fourier import (
-    _apply_with_residual,
     apply_beurling_ahlfors,
     beurling_ahlfors_symbol,
     heat_extension,
@@ -13,6 +12,26 @@ from heatforms.fourier import (
     symbol_norms_on_grid,
 )
 from heatforms.heatmatrix import HeatMatrixSpec
+
+
+def dense_route(f):
+    """Complex ifftn of M(xi) f^(xi) with M assembled at every lattice frequency.
+
+    Independent of the operator's reflection path: full complex FFTs and
+    beurling_ahlfors_symbol, one dense matrix-vector product per frequency.
+    """
+    n, dims = f.n, f.dims
+    hats = np.stack([np.fft.fftn(f.components[m]) for m in f.masks])
+    out = np.zeros_like(hats)
+    axes = [np.fft.fftfreq(d) * d for d in dims]
+    rows = np.ix_(f.masks, f.masks)
+    for idx in np.ndindex(*dims):
+        xi = np.array([axes[a][idx[a]] for a in range(n)]) / f.L
+        if not xi.any():
+            continue
+        m = beurling_ahlfors_symbol(xi, n).matrix[rows]
+        out[(slice(None),) + idx] = m @ hats[(slice(None),) + idx]
+    return np.stack([np.fft.ifftn(o) for o in out])
 
 
 class TestHeatExtension:
@@ -129,6 +148,14 @@ class TestSymbolMatrix:
                 ).matrix - beurling_ahlfors_symbol(xi, n).matrix
                 assert np.max(np.abs(diff)) < 1e-13
 
+    def test_involution(self):
+        # M(xi) = I - 2 (u^)(u_|) is a reflection: M^2 = I
+        rng = np.random.default_rng(12)
+        for n in (2, 3, 4, 5):
+            for _ in range(200):
+                m = beurling_ahlfors_symbol(rng.standard_normal(n), n).matrix
+                assert np.max(np.abs(m @ m - np.eye(1 << n))) < 1e-14
+
     def test_coordinate_symmetry(self):
         m10 = beurling_ahlfors_symbol([1.0, 0.0], 2).matrix
         m01 = beurling_ahlfors_symbol([0.0, 1.0], 2).matrix
@@ -155,11 +182,37 @@ class TestApply:
         assert np.allclose(out.components[0], f.components[0], atol=1e-12)
 
     def test_real_output(self):
+        # the full-lattice symbol maps real fields to real fields, and the
+        # operator returns that real part
         rng = np.random.default_rng(5)
         for n in (2, 3):
             f = random_band_limited(n, (16,) * n, 1.0, rng)
-            _, residual = _apply_with_residual(f)
-            assert residual < 1e-10
+            dense = dense_route(f)
+            assert np.max(np.abs(dense.imag)) < 1e-10
+            got = apply_beurling_ahlfors(f)
+            for c, mask in enumerate(f.masks):
+                assert got.components[mask].dtype == np.float64
+                assert np.allclose(got.components[mask], dense[c].real, atol=1e-12)
+
+    @pytest.mark.parametrize("kmax", [5, 8])
+    def test_complex_field_splits_into_real_and_imaginary_parts(self, kmax):
+        # T is real-linear: T(f + ig) = Tf + i Tg. Without Nyquist content
+        # (kmax < N/2) that is the complex dense route; with it (kmax = N/2)
+        # each part sees the mean of the two aliased symbols there, i.e.
+        # the real part of the dense route applied to f and to g.
+        rng = np.random.default_rng(13)
+        f = random_band_limited(2, (16, 16), 1.0, rng, kmax=kmax)
+        g = random_band_limited(2, (16, 16), 1.0, rng, kmax=kmax)
+        h = FormField(2, (16, 16), 1.0, {m: f.components[m] + 1j * g.components[m] for m in f.masks})
+        th, tf, tg = (apply_beurling_ahlfors(x) for x in (h, f, g))
+        if kmax < 8:
+            want = dense_route(h)
+        else:
+            want = dense_route(f).real + 1j * dense_route(g).real
+        for c, m in enumerate(h.masks):
+            assert np.iscomplexobj(th.components[m])
+            assert np.allclose(th.components[m], tf.components[m] + 1j * tg.components[m], atol=1e-14)
+            assert np.allclose(th.components[m], want[c], atol=1e-12)
 
     def test_single_grade_field_stays_single_grade(self):
         rng = np.random.default_rng(6)
@@ -175,23 +228,36 @@ class TestApply:
 
     def test_matches_per_frequency_dense_multiply(self):
         # independent route: assemble M(xi) at every lattice frequency and
-        # multiply the stacked coefficient vector directly
+        # multiply the stacked coefficient vector directly; kmax >= N/2 puts
+        # content on the Nyquist planes, where a real field sees the mean of
+        # the two aliased symbols
         rng = np.random.default_rng(11)
-        for n, dims in [(2, (8, 8)), (3, (4, 4, 4))]:
-            f = random_band_limited(n, dims, 1.5, rng, kmax=2, mean_zero=False)
+        cases = [
+            (2, (8, 8), 1.5, 2, None),
+            (3, (4, 4, 4), 1.5, 2, None),
+            (2, (4, 8), 0.7, 4, [1]),
+            (3, (4, 2, 4), 0.7, 4, [1, 2]),
+            (4, (2, 4, 2, 4), 0.7, 4, [2]),
+        ]
+        for n, dims, L, kmax, grades in cases:
+            f = random_band_limited(n, dims, L, rng, kmax=kmax, grades=grades, mean_zero=False)
             got = apply_beurling_ahlfors(f)
-            hats = np.stack([np.fft.fftn(f.components[m]) for m in f.masks])
-            out = np.zeros_like(hats)
-            axes = [np.fft.fftfreq(d) * d for d in dims]
-            for idx in np.ndindex(*dims):
-                xi = np.array([axes[a][idx[a]] for a in range(n)]) / 1.5
-                if not xi.any():
-                    continue
-                m = beurling_ahlfors_symbol(xi, n).matrix
-                out[(slice(None),) + idx] = m @ hats[(slice(None),) + idx]
+            want = dense_route(f).real
             for c, mask in enumerate(f.masks):
-                want = np.fft.ifftn(out[c]).real
-                assert np.allclose(got.components[mask], want, atol=1e-12)
+                assert np.allclose(got.components[mask], want[c], atol=1e-12)
+
+    @pytest.mark.parametrize("n, dims, kmax", [(2, (32, 32), 6), (3, (16, 16, 16), 3), (4, (8, 8, 8, 8), 3)])
+    def test_involution_and_l2_isometry(self, n, dims, kmax):
+        # off the Nyquist planes T is a reflection per frequency: T(Tf) = f
+        # and ||Tf||_2 = ||f||_2 for mean-zero f
+        rng = np.random.default_rng(15)
+        for grades in (None, [1], [0, n]):
+            f = random_band_limited(n, dims, 1.3, rng, kmax=kmax, grades=grades)
+            tf = apply_beurling_ahlfors(f)
+            ttf = apply_beurling_ahlfors(tf)
+            for m in f.masks:
+                assert np.max(np.abs(ttf.components[m] - f.components[m])) < 1e-12
+            assert abs(lp_norm(tf, 2) / lp_norm(f, 2) - 1.0) < 1e-12
 
     def test_l2_contraction_for_n2(self):
         rng = np.random.default_rng(7)
