@@ -36,7 +36,6 @@ from .fields import (
     write_ffld,
 )
 from .fourier import (
-    FieldGradient,
     PswResult,
     SymbolMatrix,
     apply_beurling_ahlfors,

@@ -116,7 +116,7 @@ def cmd_apply(args, report: Report):
     field = read_ffld(args.input)
     out = apply_beurling_ahlfors(field)
     write_ffld(out, args.output)
-    report.add("components", len(field.components))
+    report.add("components", len(field.masks))
     report.add("l2_in", lp_norm(field, 2))
     report.add("l2_out", lp_norm(out, 2))
 
@@ -141,6 +141,8 @@ def cmd_norm_search(args, report: Report):
 
 
 def cmd_psw(args, report: Report):
+    if args.cases < 1:
+        raise ValueError("--cases must be at least 1")
     tol = args.tol if args.tol is not None else 1e-6
     rng = np.random.default_rng(args.seed)
     dims = (args.grid,) * args.n

@@ -5,9 +5,12 @@ Conventions used package-wide:
 * The domain is the torus [0, L)^n sampled on a regular grid with dims[a]
   points along axis a (powers of two). Grid point j has coordinate
   j * L / dims[a].
-* A field carries one real scalar grid per subset of {1, ..., n}; the set
-  of subsets present is determined by the grades of the field (all grades,
-  one grade, or any subset of grades).
+* A field takes values in the exterior algebra: one scalar grid per subset
+  of {1, ..., n}, the subset written as a bit mask. It is stored as one
+  array `data` of shape (len(masks), *dims) with the ascending `masks`
+  naming its rows; the set of subsets present is determined by the grades
+  of the field (all grades, one grade, or any subset of grades).
+  `components` is a read-only mask -> row view of `data`.
 * Fourier coefficients follow f(x) = sum_k c_k exp(i 2 pi k.x / L) with
   c_k = fftn(samples) / prod(dims), so the frequency of lattice index k is
   xi = k / L.
@@ -18,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import prod
+from types import MappingProxyType
 
 import numpy as np
 
@@ -41,12 +45,13 @@ def masks_for_grades(n: int, grades) -> list[int]:
 
 @dataclass
 class FormField:
-    """Periodic grid field with one scalar component per subset."""
+    """Periodic grid field stored as one stack of components, a row per mask."""
 
     n: int
     dims: tuple[int, ...]
     L: float
-    components: dict[int, np.ndarray]
+    masks: list[int]
+    data: np.ndarray
 
     def __post_init__(self):
         if self.n < 1:
@@ -58,38 +63,42 @@ class FormField:
             raise ValueError("grid sizes must be powers of two (>= 2)")
         if not self.L > 0:
             raise ValueError("period length must be positive")
-        for mask, comp in self.components.items():
+        self.masks = [int(m) for m in self.masks]
+        for mask in self.masks:
             if mask < 0 or mask >> self.n:
                 raise ValueError(f"component mask {mask} invalid for n={self.n}")
-            if comp.shape != self.dims:
-                raise ValueError("component grid shape does not match dims")
+        if any(a >= b for a, b in zip(self.masks, self.masks[1:])):
+            raise ValueError("component masks must be strictly ascending")
+        self.data = np.asarray(self.data)
+        if self.data.shape != (len(self.masks),) + self.dims:
+            raise ValueError("data shape does not match (len(masks), *dims)")
 
     @classmethod
     def zeros(cls, n, dims, L=1.0, grades=None) -> "FormField":
         if grades is None:
             grades = range(n + 1)
-        comps = {m: np.zeros(tuple(dims)) for m in masks_for_grades(n, grades)}
-        return cls(n, tuple(dims), L, comps)
+        masks = masks_for_grades(n, grades)
+        return cls(n, tuple(dims), L, masks, np.zeros((len(masks),) + tuple(dims)))
 
     @property
-    def masks(self) -> list[int]:
-        return sorted(self.components)
+    def components(self) -> MappingProxyType:
+        """Read-only mapping from mask to that component's row view of data."""
+        return MappingProxyType(dict(zip(self.masks, self.data)))
 
     @property
     def grades(self) -> frozenset:
-        return frozenset(m.bit_count() for m in self.components)
+        return frozenset(m.bit_count() for m in self.masks)
 
     @property
     def cell_volume(self) -> float:
         return prod(self.L / d for d in self.dims)
 
-    def copy(self) -> "FormField":
-        return FormField(
-            self.n, self.dims, self.L, {m: c.copy() for m, c in self.components.items()}
-        )
+    def like(self, data) -> "FormField":
+        """Field on the same grid and masks holding the given data."""
+        return FormField(self.n, self.dims, self.L, self.masks, data)
 
-    def _like(self, comps) -> "FormField":
-        return FormField(self.n, self.dims, self.L, comps)
+    def copy(self) -> "FormField":
+        return self.like(self.data.copy())
 
     def _check_compatible(self, other):
         if (self.n, self.dims, self.masks) != (other.n, other.dims, other.masks) or (
@@ -99,30 +108,26 @@ class FormField:
 
     def __add__(self, other):
         self._check_compatible(other)
-        return self._like(
-            {m: self.components[m] + other.components[m] for m in self.components}
-        )
+        return self.like(self.data + other.data)
 
     def __sub__(self, other):
         self._check_compatible(other)
-        return self._like(
-            {m: self.components[m] - other.components[m] for m in self.components}
-        )
+        return self.like(self.data - other.data)
 
     def __mul__(self, scalar):
-        return self._like({m: c * scalar for m, c in self.components.items()})
+        return self.like(self.data * scalar)
 
     __rmul__ = __mul__
 
     def pointwise_square(self) -> np.ndarray:
         """Grid of sum_I f_I(x)^2 (|.|^2 for complex components)."""
         out = np.zeros(self.dims)
-        for comp in self.components.values():
-            out += np.abs(comp) ** 2 if np.iscomplexobj(comp) else comp**2
+        for row in self.data:
+            out += np.abs(row) ** 2 if np.iscomplexobj(row) else row**2
         return out
 
     def is_finite(self) -> bool:
-        return all(np.all(np.isfinite(c)) for c in self.components.values())
+        return bool(np.all(np.isfinite(self.data)))
 
 
 def lp_norm(field: FormField, p: float) -> float:
@@ -140,7 +145,7 @@ def cosine_field(n, dims, L, kvec, mask, amplitude=1.0, phase=0.0) -> FormField:
     )
     arg = sum(2.0 * np.pi * kvec[a] / L * grids[a] for a in range(n))
     comp = amplitude * np.cos(arg + phase)
-    return FormField(n, tuple(dims), L, {mask: np.broadcast_to(comp, tuple(dims)).copy()})
+    return FormField(n, tuple(dims), L, [mask], np.broadcast_to(comp, (1,) + tuple(dims)).copy())
 
 
 def random_band_limited(
@@ -153,7 +158,7 @@ def random_band_limited(
     after each pass only the band |k_a| <= kmax is kept; the inverse runs
     irfftn's passes on the band alone. Lines outside the band would
     transform to exact zeros, so this gives the numbers of a full
-    rfftn, filter and irfftn. The components are views of one array.
+    rfftn, filter and irfftn.
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
@@ -172,8 +177,7 @@ def random_band_limited(
         padded = np.zeros(spectrum.shape[: a + 1] + (dims[a],) + spectrum.shape[a + 2 :], complex)
         padded[(slice(None),) * (a + 1) + (band[a],)] = spectrum
         spectrum = np.fft.ifft(padded, axis=a + 1)
-    comps = np.fft.irfft(spectrum, n=dims[-1])
-    return FormField(n, dims, L, dict(zip(masks, comps)))
+    return FormField(n, dims, L, masks, np.fft.irfft(spectrum, n=dims[-1]))
 
 
 def write_ffld(field: FormField, path) -> None:
@@ -182,9 +186,8 @@ def write_ffld(field: FormField, path) -> None:
     expected = masks_for_grades(field.n, grades)
     if expected != field.masks:
         raise FFLDError("component set is not a full union of grades")
-    for comp in field.components.values():
-        if np.iscomplexobj(comp):
-            raise FFLDError("FFLD stores real fields only")
+    if np.iscomplexobj(field.data):
+        raise FFLDError("FFLD stores real fields only")
     header = {
         "n": field.n,
         "dims": list(field.dims),
@@ -198,8 +201,7 @@ def write_ffld(field: FormField, path) -> None:
         fh.write(FFLD_MAGIC.encode("ascii"))
         fh.write(json.dumps(header).encode("ascii"))
         fh.write(b"\n")
-        for mask in field.masks:
-            fh.write(np.ascontiguousarray(field.components[mask], dtype="<f8").tobytes())
+        fh.write(field.data.astype("<f8", copy=False).tobytes())
 
 
 def read_ffld(path) -> FormField:
@@ -233,19 +235,14 @@ def read_ffld(path) -> FormField:
     if any(not 0 <= g <= n for g in grades) or len(set(grades)) != len(grades):
         raise FFLDError("invalid grade list")
     masks = masks_for_grades(n, grades)
-    points = prod(dims)
-    expected_bytes = len(masks) * points * 8
+    expected_bytes = len(masks) * prod(dims) * 8
     if len(payload) != expected_bytes:
         raise FFLDError(
             f"payload length {len(payload)} != expected {expected_bytes}"
         )
-    raw = np.frombuffer(payload, dtype="<f8")
-    comps = {
-        mask: raw[idx * points : (idx + 1) * points].reshape(dims).astype(float)
-        for idx, mask in enumerate(masks)
-    }
     try:
-        return FormField(n, dims, length, comps)
+        data = np.frombuffer(payload, dtype="<f8").reshape((len(masks),) + dims)
+        return FormField(n, dims, length, masks, data.astype(float))
     except ValueError as exc:
         raise FFLDError(str(exc)) from exc
 

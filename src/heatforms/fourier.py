@@ -44,8 +44,9 @@ GL_ORDER = 16  # Gauss-Legendre nodes per time panel
 def _lattice(dims: tuple, L: float):
     """Integer frequencies per axis, |xi|^2 grid, and gradient multipliers.
 
-    The gradient multiplier i*2*pi*k_a/L is zeroed at the Nyquist index
-    (k = -N/2) so that real fields keep real derivatives.
+    The gradient multipliers i*2*pi*k_a/L form one (n, *dims) array; each
+    is zeroed at the Nyquist index (k = -N/2) so that real fields keep
+    real derivatives.
     """
     n = len(dims)
     axes = [np.fft.fftfreq(d) * d for d in dims]
@@ -60,8 +61,10 @@ def _lattice(dims: tuple, L: float):
         if d % 2 == 0:
             mult = np.where(np.abs(k) == d // 2, 0.0, mult)
         grad_mult.append(np.broadcast_to(mult, dims))
+    grad_mult = np.stack(grad_mult)
     xi_sq.flags.writeable = False
-    return axes, xi_sq, tuple(grad_mult)
+    grad_mult.flags.writeable = False
+    return axes, xi_sq, grad_mult
 
 
 def heat_extension(field: FormField, t: float) -> FormField:
@@ -72,37 +75,21 @@ def heat_extension(field: FormField, t: float) -> FormField:
         return field.copy()
     _, xi_sq, _ = _lattice(field.dims, field.L)
     damp = np.exp(-2.0 * np.pi**2 * xi_sq * t)
-    comps = {}
-    for m, c in field.components.items():
-        out = np.fft.ifftn(np.fft.fftn(c) * damp)
-        comps[m] = out if np.iscomplexobj(c) else out.real
-    return FormField(field.n, field.dims, field.L, comps)
+    axes = tuple(range(1, field.n + 1))
+    out = np.fft.ifftn(np.fft.fftn(field.data, axes=axes) * damp, axes=axes)
+    return field.like(out if np.iscomplexobj(field.data) else out.real)
 
 
-@dataclass
-class FieldGradient:
-    """Per-component spatial gradients; arrays of shape (n, *dims)."""
+def spectral_gradient(field: FormField) -> np.ndarray:
+    """Exact spectral derivative along every axis of every component.
 
-    n: int
-    dims: tuple
-    L: float
-    components: dict
-
-    def l2_norm(self) -> float:
-        cell = prod(self.L / d for d in self.dims)
-        total = sum(float(np.sum(np.abs(g) ** 2)) for g in self.components.values())
-        return float(np.sqrt(cell * total))
-
-
-def spectral_gradient(field: FormField) -> FieldGradient:
-    """Exact spectral derivative along every axis of every component."""
+    Returns an array of shape (len(field.masks), n, *dims): entry [c, a]
+    is the derivative of component row c along axis a.
+    """
     _, _, grad_mult = _lattice(field.dims, field.L)
-    comps = {}
-    for m, c in field.components.items():
-        chat = np.fft.fftn(c)
-        stacked = np.stack([np.fft.ifftn(chat * grad_mult[a]) for a in range(field.n)])
-        comps[m] = stacked if np.iscomplexobj(c) else stacked.real
-    return FieldGradient(field.n, field.dims, field.L, comps)
+    hats = np.fft.fftn(field.data, axes=tuple(range(1, field.n + 1)))
+    grads = np.fft.ifftn(hats[:, None] * grad_mult, axes=tuple(range(2, field.n + 2)))
+    return grads if np.iscomplexobj(field.data) else grads.real
 
 
 @dataclass(frozen=True)
@@ -194,15 +181,16 @@ def _quadratic_grids(dims, L):
 
 @lru_cache(maxsize=32)
 def _half_lattice(dims: tuple):
-    """Unit directions u = xi/|xi| = k/|k| on the real-FFT half lattice of dims.
+    """Frequencies and unit directions u = k/|k| on the real-FFT half lattice.
 
     The last axis keeps the indices 0..N/2 that rfftn stores, the others
     all N; every axis labels its Nyquist index k = -N/2, as fftfreq does.
-    Returns (u, nyquist, u_alias): n direction grids (zero at the
-    origin); the flat half-lattice indices of points with a Nyquist
-    coordinate on any axis; and at those points the direction of the
-    other lattice vector the point stands for, with every Nyquist
-    coordinate negated.
+    Returns (ks, u, nyquist, u_alias): the integer frequencies k_a, one
+    array per axis shaped to broadcast over the half lattice; n direction
+    grids (zero at the origin); the flat half-lattice indices of points
+    with a Nyquist coordinate on any axis; and at those points the
+    direction of the other lattice vector the point stands for, with
+    every Nyquist coordinate negated.
     """
     n = len(dims)
     half = dims[:-1] + (dims[-1] // 2 + 1,)
@@ -220,9 +208,9 @@ def _half_lattice(dims: tuple):
         np.where(nyq.reshape(-1)[nyquist], -1.0, 1.0) * ua.reshape(-1)[nyquist]
         for ua, nyq in zip(u, at_nyquist)
     )
-    for arr in u + u_alias + (nyquist,):
+    for arr in tuple(ks) + u + u_alias + (nyquist,):
         arr.flags.writeable = False
-    return u, nyquist, u_alias
+    return tuple(ks), u, nyquist, u_alias
 
 
 @lru_cache(maxsize=64)
@@ -263,28 +251,27 @@ def _reflect(spectra: np.ndarray, u, plan, lowered: int) -> np.ndarray:
 def apply_beurling_ahlfors(field: FormField) -> FormField:
     """Apply the operator as the reflection f^ - 2 u^(u _| f^) per frequency.
 
-    One real FFT of the stacked components, n contractions and n wedge
-    products with the unit-direction grids, one inverse real FFT; the
-    output components are views of one array. Complex fields go through
-    the same path, real and imaginary parts as two batch entries. The
-    symbol couples only components of equal grade, so a single-grade
-    field stays single-grade. The mean of every component is annihilated.
+    One real FFT of the component stack, n contractions and n wedge
+    products with the unit-direction grids, one inverse real FFT. Complex
+    fields go through the same path, real and imaginary parts as two
+    batch entries. The symbol couples only components of equal grade, so
+    a single-grade field stays single-grade. The mean of every component
+    is annihilated.
     """
     if not field.is_finite():
         raise ValueError("field has non-finite samples")
     n, dims, masks = field.n, field.dims, field.masks
     if not masks:
         return field.copy()
-    stack = np.stack([field.components[m] for m in masks])
-    complex_in = np.iscomplexobj(stack)
-    batch = np.stack([stack.real, stack.imag]) if complex_in else stack[None]
+    complex_in = np.iscomplexobj(field.data)
+    batch = np.stack([field.data.real, field.data.imag]) if complex_in else field.data[None]
     # Every pass of both transforms runs in place on one half-spectrum
     # buffer: numpy's rfftn does so when given out=, its irfftn would
     # allocate a new array per pass, so its passes are spelled out below.
     axes = tuple(range(2, n + 2))
     spectra = np.empty(batch.shape[:-1] + (dims[-1] // 2 + 1,), complex)
     np.fft.rfftn(batch, axes=axes, out=spectra)
-    u, nyquist, u_alias = _half_lattice(dims)
+    _, u, nyquist, u_alias = _half_lattice(dims)
     lowered, plan = _reflection_plan(n, tuple(masks))
     # A Nyquist point also stands for the lattice vector with its Nyquist
     # coordinates negated; a real field sees the mean of both symbols.
@@ -296,8 +283,7 @@ def apply_beurling_ahlfors(field: FormField) -> FormField:
     for axis in axes[:-1]:
         np.fft.ifft(spectra, axis=axis, out=spectra)
     result = np.fft.irfft(spectra, n=dims[-1])
-    result = result[0] + 1j * result[1] if complex_in else result[0]
-    return FormField(n, dims, field.L, dict(zip(masks, result)))
+    return field.like(result[0] + 1j * result[1] if complex_in else result[0])
 
 
 def symbol_norms_on_grid(n, dims, L, chunk=65536) -> np.ndarray:
@@ -346,6 +332,9 @@ def psw_integral(
     rhs = (p* - 1) ||f||_p ||g||_p'. The discarded (t_max, inf) part is
     bounded by Cauchy-Schwarz and the slowest nonzero mode decay:
     exp(-r t_max)/r * ||grad f||_2 ||grad g||_2 with r = 4 pi^2 / L^2.
+    Both fields must be real: one real FFT of their stacked components,
+    then one inverse real FFT of all damped gradients per time node, and
+    one more at t = 0 for the tail.
     """
     if (field_f.n, field_f.dims, field_f.L) != (field_g.n, field_g.dims, field_g.L):
         raise ValueError("fields live on different grids")
@@ -356,24 +345,33 @@ def psw_integral(
         raise ValueError("exponent must lie in (1, inf)")
     if not (field_f.is_finite() and field_g.is_finite()):
         raise ValueError("field has non-finite samples")
+    if np.iscomplexobj(field_f.data) or np.iscomplexobj(field_g.data):
+        raise ValueError("psw_integral takes real fields only")
     n, dims, L = field_f.n, field_f.dims, field_f.L
-    _, xi_sq, grad_mult = _lattice(dims, L)
     cell = field_f.cell_volume
+    # Half-lattice |xi|^2 and derivative multipliers i 2 pi k_a / L, the
+    # latter zeroed at the Nyquist index as in _lattice.
+    ks = _half_lattice(dims)[0]
+    xi_sq = sum((k / L) ** 2 for k in ks)
+    grad_mult = np.stack(
+        np.broadcast_arrays(
+            *(np.where(np.abs(k) == d // 2, 0.0, 1j * 2.0 * np.pi / L * k) for k, d in zip(ks, dims))
+        )
+    )
+    stack = np.concatenate([field_f.data, field_g.data])
+    spectra = np.fft.rfftn(stack, axes=tuple(range(1, n + 1)))
+    split = len(field_f.masks)
 
-    hats_f = {m: np.fft.fftn(c) for m, c in field_f.components.items()}
-    hats_g = {m: np.fft.fftn(c) for m, c in field_g.components.items()}
-
-    def grad_norm_at(hats, t):
-        damp = np.exp(-2.0 * np.pi**2 * xi_sq * t)
-        sq = np.zeros(dims)
-        for h in hats.values():
-            hd = h * damp
-            for a in range(n):
-                sq += np.fft.ifftn(hd * grad_mult[a]).real ** 2
-        return np.sqrt(sq)
+    def grad_norms_at(t):
+        """Pointwise gradient lengths of the heat extensions of f and of g."""
+        damped = spectra * np.exp(-2.0 * np.pi**2 * xi_sq * t)
+        grads = np.fft.irfftn(damped[:, None] * grad_mult, dims, axes=tuple(range(2, n + 2)))
+        sq = grads**2
+        return np.sqrt(sq[:split].sum(axis=(0, 1))), np.sqrt(sq[split:].sum(axis=(0, 1)))
 
     def integrand(t):
-        return cell * float(np.sum(grad_norm_at(hats_f, t) * grad_norm_at(hats_g, t)))
+        norm_f, norm_g = grad_norms_at(t)
+        return cell * float(np.sum(norm_f * norm_g))
 
     rate_max = 4.0 * np.pi**2 * float(np.max(xi_sq))
     n_panels = int(np.clip(np.ceil(np.log2(max(rate_max * t_max, 4.0))), min_panels, max_panels))
@@ -386,7 +384,8 @@ def psw_integral(
         lhs += half * sum(w * integrand(mid + half * x) for x, w in zip(nodes, weights))
 
     rate_min = 4.0 * np.pi**2 / L**2
-    energy = spectral_gradient(field_f).l2_norm() * spectral_gradient(field_g).l2_norm()
+    norm_f, norm_g = grad_norms_at(0.0)
+    energy = cell * np.sqrt(np.sum(norm_f**2) * np.sum(norm_g**2))
     tail = float(np.exp(-rate_min * t_max) / rate_min * energy)
 
     p_star = max(p, p / (p - 1.0))

@@ -138,11 +138,9 @@ def apply_spectral_multiplier(sym: SpectralSymbol, field: FormField, target: flo
     mult[positive] = values[inverse]
     mult[~positive] = 0.0 if sym.zero_limit is None else sym.zero_limit
     mult = mult.reshape(field.dims)
-    comps = {}
-    for m, c in field.components.items():
-        out = np.fft.ifftn(np.fft.fftn(c) * mult)
-        comps[m] = out.real if sym.real_valued else out
-    return FormField(field.n, field.dims, field.L, comps)
+    axes = tuple(range(1, field.n + 1))
+    out = np.fft.ifftn(np.fft.fftn(field.data, axes=axes) * mult, axes=axes)
+    return field.like(out.real if sym.real_valued else out)
 
 
 def imaginary_power_constant(s: float, p: float) -> float:

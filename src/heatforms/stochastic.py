@@ -91,15 +91,21 @@ class MarkovCheck:
 
 
 def markov_identity_check(grid, L, t, ensemble: PathEnsemble) -> MarkovCheck:
-    """Space-averaged path expectation of g versus the grid mean of g."""
+    """Space-averaged path expectation of g versus the grid mean of g.
+
+    Raises StatisticalPowerError for fewer than two paths, which leave the
+    standard error undefined.
+    """
     k = round(t / ensemble.h)
     if abs(k * ensemble.h - t) > 1e-9 * max(t, ensemble.h):
         raise ValueError("t must be an integer multiple of the step size")
     if k > ensemble.steps:
         raise ValueError("t exceeds the simulated horizon")
+    if ensemble.paths < 2:
+        raise StatisticalPowerError("a standard error needs at least two paths")
     series = TrigSeries.from_grid(grid, L)
     values = series.value(ensemble.positions(k))
-    se = float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
+    se = float(values.std(ddof=1) / np.sqrt(len(values)))
     return MarkovCheck(
         mc_value=float(values.mean()), exact_value=series.mean(), std_error=se
     )
@@ -114,24 +120,17 @@ def ito_terminal_check(field: FormField, tau, ensemble: PathEnsemble) -> float:
     """
     if abs(ensemble.steps * ensemble.h - tau) > 1e-9 * max(tau, ensemble.h):
         raise ValueError("tau must equal steps * h")
-    series = {m: TrigSeries.from_grid(c, field.L) for m, c in field.components.items()}
-    masks = sorted(series)
-    paths = ensemble.paths
-    accum = np.zeros((paths, len(masks)))
+    series = [TrigSeries.from_grid(row, field.L) for row in field.data]
+    accum = np.zeros((ensemble.paths, len(series)))
     pos = ensemble.starts.copy()
     for k in range(ensemble.steps):
         remaining = tau - k * ensemble.h
         step = ensemble.increments[:, k, :]
-        for idx, m in enumerate(masks):
-            grad = series[m].gradient(pos, t=remaining)
-            accum[:, idx] += np.einsum("pa,pa->p", grad, step)
+        for idx, s in enumerate(series):
+            accum[:, idx] += np.einsum("pa,pa->p", s.gradient(pos, t=remaining), step)
         pos = np.mod(pos + step, field.L)
     closed = np.stack(
-        [
-            series[m].value(pos) - series[m].value(ensemble.starts, t=tau)
-            for m in masks
-        ],
-        axis=1,
+        [s.value(pos) - s.value(ensemble.starts, t=tau) for s in series], axis=1
     )
     gap_sq = np.sum((accum - closed) ** 2, axis=1)
     return float(np.sqrt(gap_sq.mean()))

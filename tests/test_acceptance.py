@@ -144,7 +144,7 @@ def _extremal_ratio(n, dims, L, norms):
     top = int(np.argmax(np.abs(eigvals)))
     f = FormField.zeros(n, dims, L)
     for mask in f.masks:
-        f.components[mask] = cosine_field(
+        f.components[mask][:] = cosine_field(
             n, dims, L, k, mask, amplitude=float(eigvecs[mask, top])
         ).components[mask]
     return lp_norm(apply_beurling_ahlfors(f), 2) / lp_norm(f, 2)

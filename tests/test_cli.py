@@ -176,6 +176,53 @@ class TestErrorExitCodes:
         assert captured.err.count("\n") == 1 and str(exc) in captured.err
 
 
+SMALL_RUNS = {
+    "bounds": ["bounds", "--n", "3", "--p", "4"],
+    "matrix-verify": ["matrix-verify", "--n", "2", "--alpha-grid", "3"],
+    "apply": ["apply"],  # files are added by the test
+    "norm-search": ["norm-search", "--n", "2", "--p", "4", "--grid", "8", "--budget", "4"],
+    "psw": ["psw", "--cases", "1", "--grid", "8"],
+    "impow": ["impow", "--s", "1", "--p", "2"],
+    "asymptotics": ["asymptotics", "--n", "2", "--p", "4", "--sigma-samples", "3"],
+    "simulate-markov": ["simulate", "markov", "--grid", "8", "--steps", "5", "--paths", "200"],
+    "simulate-ito": ["simulate", "ito", "--grid", "8", "--step-counts", "8,16", "--paths", "50", "--reps", "1"],
+    "simulate-transform": ["simulate", "transform", "--p", "2", "--trials", "5000", "--steps", "16"],
+}
+
+
+class TestStrictJsonReports:
+    @pytest.mark.parametrize("name", sorted(SMALL_RUNS))
+    def test_every_line_is_strict_json(self, capsys, tmp_path, name):
+        def reject(token):
+            raise ValueError(f"non-finite number {token} in report")
+
+        argv = list(SMALL_RUNS[name])
+        if name == "apply":
+            src = tmp_path / "in.ffld"
+            write_ffld(random_band_limited(2, (8, 8), 1.0, np.random.default_rng(0)), src)
+            argv += ["--input", str(src), "--output", str(tmp_path / "out.ffld")]
+        code, out = run_cli(capsys, *argv)
+        assert code in (0, 2)
+        lines = out.splitlines()
+        assert len(lines) >= 3
+        parsed = [json.loads(line, parse_constant=reject) for line in lines]
+        assert "status" in parsed[-1]
+
+    def test_psw_needs_a_case(self, capsys):
+        code = main(["psw", "--cases", "0", "--grid", "8"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "--cases" in captured.err
+
+    def test_markov_needs_two_paths(self, capsys):
+        code = main(["simulate", "markov", "--grid", "8", "--steps", "5", "--paths", "1"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "StatisticalPowerError" in captured.err
+
+
 class TestReportFormatting:
     def test_fmt_17_digits(self):
         assert fmt_number(1 / 3) == "0.33333333333333331"

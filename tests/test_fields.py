@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,8 +35,26 @@ class TestFormField:
             FormField.zeros(2, (4,))
 
     def test_rejects_bad_mask(self):
-        with pytest.raises(ValueError):
-            FormField(2, (4, 4), 1.0, {5: np.zeros((4, 4))})
+        with pytest.raises(ValueError, match="mask 5"):
+            FormField(2, (4, 4), 1.0, [5], np.zeros((1, 4, 4)))
+
+    def test_rejects_unordered_masks(self):
+        for masks in ([2, 1], [1, 1]):
+            with pytest.raises(ValueError, match="ascending"):
+                FormField(2, (4, 4), 1.0, masks, np.zeros((2, 4, 4)))
+
+    def test_rejects_data_shape_mismatch(self):
+        for shape in ((2, 4, 4), (1, 4, 2), (4, 4)):
+            with pytest.raises(ValueError, match="data shape"):
+                FormField(2, (4, 4), 1.0, [1], np.zeros(shape))
+
+    def test_components_are_read_only_row_views(self):
+        f = FormField.zeros(2, (4, 4), grades=[1])
+        with pytest.raises(TypeError):
+            f.components[1] = np.ones((4, 4))
+        f.components[2][:] = 7.0  # a view: writes land in data
+        assert np.array_equal(f.data[1], np.full((4, 4), 7.0))
+        assert list(f.components) == f.masks == [1, 2]
 
     def test_arithmetic(self):
         rng = np.random.default_rng(0)
@@ -95,7 +116,32 @@ class TestLpNorm:
         assert np.isclose(lp_norm(scale * f, p), scale * lp_norm(f, p), rtol=1e-10)
 
 
+@st.composite
+def form_fields(draw):
+    """Random real fields: n in 1..3, any grade subset, power-of-two dims."""
+    n = draw(st.integers(1, 3))
+    grades = draw(st.sets(st.integers(0, n)))
+    dims = tuple(draw(st.sampled_from([2, 4, 8])) for _ in range(n))
+    L = draw(st.floats(0.1, 10.0))
+    masks = masks_for_grades(n, grades)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return FormField(n, dims, L, masks, rng.standard_normal((len(masks),) + dims))
+
+
 class TestFFLD:
+    @given(form_fields())
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_property(self, f):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "f.ffld"
+            write_ffld(f, path)
+            payload = path.read_bytes().split(b"\n", 1)[1]
+            g = read_ffld(path)
+        assert payload == f.data.astype("<f8").tobytes()
+        assert (g.n, g.dims, g.L, g.masks) == (f.n, f.dims, f.L, f.masks)
+        assert g.data.shape == f.data.shape
+        assert g.data.tobytes() == f.data.tobytes()
+
     def test_round_trip_full(self, tmp_path):
         rng = np.random.default_rng(1)
         f = random_band_limited(2, (8, 4), 2.0, rng)

@@ -3,6 +3,7 @@ import pytest
 
 from heatforms.fields import FormField, cosine_field, lp_norm, random_band_limited
 from heatforms.fourier import (
+    GL_ORDER,
     apply_beurling_ahlfors,
     beurling_ahlfors_symbol,
     heat_extension,
@@ -77,14 +78,15 @@ class TestSpectralGradient:
         g = spectral_gradient(f)
         x = np.arange(32) / 32
         want = -2 * np.pi * np.sin(2 * np.pi * x)[:, None] * np.ones((1, 32))
-        assert np.allclose(g.components[1][0], want, atol=1e-10)
-        assert np.allclose(g.components[1][1], 0.0, atol=1e-12)
+        assert g.shape == (1, 2, 32, 32)
+        assert np.allclose(g[0, 0], want, atol=1e-10)
+        assert np.allclose(g[0, 1], 0.0, atol=1e-12)
 
     def test_constant_zero_gradient(self):
         f = FormField.zeros(2, (8, 8), grades=[0])
         f.components[0][:] = 3.0
         g = spectral_gradient(f)
-        assert np.allclose(g.components[0], 0.0, atol=1e-13)
+        assert np.allclose(g, 0.0, atol=1e-13)
 
     def test_discrete_plancherel(self):
         # independent oracle: energy of i 2 pi xi f_hat summed in frequency
@@ -92,7 +94,7 @@ class TestSpectralGradient:
         L = 1.5
         f = random_band_limited(2, (16, 16), L, rng, kmax=5)
         g = spectral_gradient(f)
-        lhs = sum(float(np.sum(arr**2)) for arr in g.components.values())
+        lhs = float(np.sum(g**2))
         rhs = 0.0
         k1 = np.fft.fftfreq(16) * 16
         ksq = (k1[:, None] ** 2 + k1[None, :] ** 2) / L**2
@@ -203,7 +205,7 @@ class TestApply:
         rng = np.random.default_rng(13)
         f = random_band_limited(2, (16, 16), 1.0, rng, kmax=kmax)
         g = random_band_limited(2, (16, 16), 1.0, rng, kmax=kmax)
-        h = FormField(2, (16, 16), 1.0, {m: f.components[m] + 1j * g.components[m] for m in f.masks})
+        h = FormField(2, (16, 16), 1.0, f.masks, f.data + 1j * g.data)
         th, tf, tg = (apply_beurling_ahlfors(x) for x in (h, f, g))
         if kmax < 8:
             want = dense_route(h)
@@ -277,7 +279,7 @@ class TestApply:
         top = np.argmax(np.abs(eigvals))
         f = FormField.zeros(n, dims, L)
         for mask in f.masks:
-            f.components[mask] = (
+            f.components[mask][:] = (
                 cosine_field(n, dims, L, k, mask, amplitude=eigvecs[mask, top]).components[mask]
             )
         ratio = lp_norm(apply_beurling_ahlfors(f), 2) / lp_norm(f, 2)
@@ -313,6 +315,33 @@ class TestPsw:
         short = psw_integral(f, f, 2.0, t_max=0.02)
         long = psw_integral(f, f, 2.0, t_max=1.0)
         assert long.lhs - short.lhs <= short.tail_bound + 1e-9
+
+    def test_rejects_complex_fields(self):
+        # lhs would integrate only the real part's gradients while rhs uses |f|
+        rng = np.random.default_rng(9)
+        f = random_band_limited(2, (16, 16), 1.0, rng, kmax=2)
+        g = random_band_limited(2, (16, 16), 1.0, rng, kmax=2)
+        h = f.like(f.data + 1j * g.data)
+        for pair in ((h, f), (f, h), (h, h)):
+            with pytest.raises(ValueError, match="real fields"):
+                psw_integral(*pair, 2.0, t_max=1.0)
+
+    def test_one_inverse_transform_per_node(self, monkeypatch):
+        # two all-grade 32^2 fields, t_max 1: 15 panels of GL_ORDER nodes,
+        # plus the t = 0 gradients of the tail bound
+        calls = {}
+        for name in ("fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft", "rfft", "irfft"):
+            def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        rng = np.random.default_rng(10)
+        f = random_band_limited(2, (32, 32), 1.0, rng, kmax=2)
+        g = random_band_limited(2, (32, 32), 1.0, rng, kmax=2)
+        calls.clear()
+        psw_integral(f, g, 2.5, t_max=1.0)
+        assert calls == {"rfftn": 1, "irfftn": 15 * GL_ORDER + 1}
 
     def test_grid_mismatch_rejected(self):
         f = FormField.zeros(2, (8, 8))

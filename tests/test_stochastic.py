@@ -73,6 +73,14 @@ class TestMarkovIdentity:
         assert chk.mc_value == chk.exact_value == 1.0
         assert chk.std_error == 0.0
 
+    def test_single_path_has_no_standard_error(self):
+        # one path would give std_error 0 and so z_score 0: a pass that checked nothing
+        ens = simulate_paths(2, 0.02, 10, 1, seed=0)
+        x = np.arange(8) / 8
+        g = np.cos(2 * np.pi * x)[:, None] * np.ones((1, 8))
+        with pytest.raises(StatisticalPowerError, match="two paths"):
+            markov_identity_check(g, 1.0, 0.2, ens)
+
     def test_mean_zero_mode(self):
         ens = simulate_paths(2, 0.02, 25, 20000, seed=1)
         x = np.arange(16) / 16
