@@ -43,7 +43,7 @@ def masks_for_grades(n: int, grades) -> list[int]:
     return [m for m in range(1 << n) if m.bit_count() in gset]
 
 
-@dataclass
+@dataclass(eq=False)
 class FormField:
     """Periodic grid field stored as one stack of components, a row per mask."""
 

@@ -4,6 +4,17 @@ Heat extensions, spectral gradients, the frequency-domain matrix of the
 Beurling-Ahlfors operator, its application to fields, and the bilinear
 gradient integral that pairs two heat extensions.
 
+Every grid multiplier (heat damping, gradients, the operator, and the
+Laplace-type multipliers in multipliers.py) takes one path: a real FFT
+of the field's component stack onto the half lattice that rfftn stores,
+the multiplier applied to those half spectra, and the inverse passes of
+_inverse. Half spectra determine a real field only under a Hermitian
+multiplier, m(-k) = conj(m(k)) on the full lattice; real even symbols
+and i times real odd ones are, and a complex even symbol is applied as
+its real and imaginary parts. Complex fields go through as a batch of
+their real and imaginary parts, so every multiplier acts on them
+complex-linearly.
+
 The operator acts per frequency xi by the reflection
 
     M(xi) = I - 2 (u ^)(u _|),    u = xi / |xi|,
@@ -29,7 +40,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import prod
 
 import numpy as np
 
@@ -38,145 +48,8 @@ from .fields import FormField, lp_norm
 from .heatmatrix import HeatMatrixSpec, build_full_matrix
 
 GL_ORDER = 16  # Gauss-Legendre nodes per time panel
-
-
-@lru_cache(maxsize=32)
-def _lattice(dims: tuple, L: float):
-    """Integer frequencies per axis, |xi|^2 grid, and gradient multipliers.
-
-    The gradient multipliers i*2*pi*k_a/L form one (n, *dims) array; each
-    is zeroed at the Nyquist index (k = -N/2) so that real fields keep
-    real derivatives.
-    """
-    n = len(dims)
-    axes = [np.fft.fftfreq(d) * d for d in dims]
-    xi_sq = np.zeros(dims)
-    grad_mult = []
-    for a, d in enumerate(dims):
-        shape = [1] * n
-        shape[a] = d
-        k = axes[a].reshape(shape)
-        xi_sq = xi_sq + (k / L) ** 2
-        mult = 1j * 2.0 * np.pi / L * k
-        if d % 2 == 0:
-            mult = np.where(np.abs(k) == d // 2, 0.0, mult)
-        grad_mult.append(np.broadcast_to(mult, dims))
-    grad_mult = np.stack(grad_mult)
-    xi_sq.flags.writeable = False
-    grad_mult.flags.writeable = False
-    return axes, xi_sq, grad_mult
-
-
-def heat_extension(field: FormField, t: float) -> FormField:
-    """Damp every Fourier mode by exp(-2 pi^2 |xi|^2 t)."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    if t == 0.0:
-        return field.copy()
-    _, xi_sq, _ = _lattice(field.dims, field.L)
-    damp = np.exp(-2.0 * np.pi**2 * xi_sq * t)
-    axes = tuple(range(1, field.n + 1))
-    out = np.fft.ifftn(np.fft.fftn(field.data, axes=axes) * damp, axes=axes)
-    return field.like(out if np.iscomplexobj(field.data) else out.real)
-
-
-def spectral_gradient(field: FormField) -> np.ndarray:
-    """Exact spectral derivative along every axis of every component.
-
-    Returns an array of shape (len(field.masks), n, *dims): entry [c, a]
-    is the derivative of component row c along axis a.
-    """
-    _, _, grad_mult = _lattice(field.dims, field.L)
-    hats = np.fft.fftn(field.data, axes=tuple(range(1, field.n + 1)))
-    grads = np.fft.ifftn(hats[:, None] * grad_mult, axes=tuple(range(2, field.n + 2)))
-    return grads if np.iscomplexobj(field.data) else grads.real
-
-
-@dataclass(frozen=True)
-class SymbolMatrix:
-    """Frequency-domain matrix of the operator at one frequency."""
-
-    xi: np.ndarray
-    matrix: np.ndarray
-
-
-@lru_cache(maxsize=16)
-def _symbol_structure(n: int):
-    """Frequency-independent skeleton of the symbol matrix.
-
-    Returns (diag_signs, offdiag) where diag_signs[K][a] is the sign of
-    xi_{a+1}^2 in the diagonal entry of subset K, and offdiag is a list of
-    (row_mask, col_mask, a, b, sign) standing for the entry
-    -2 * sign * xi_{a+1} xi_{b+1} / |xi|^2.
-    """
-    diag_signs = np.empty((1 << n, n))
-    offdiag = []
-    for mask in range(1 << n):
-        K = MultiIndex(mask, n)
-        for a in range(n):
-            diag_signs[mask, a] = -1.0 if (a + 1) in K else 1.0
-        for k in K.elements():
-            for l in range(1, n + 1):
-                if l in K:
-                    continue
-                target, sign = substitute_with_sign(K, k, l)
-                offdiag.append((target.mask, mask, k - 1, l - 1, float(sign)))
-    diag_signs.flags.writeable = False
-    return diag_signs, tuple(offdiag)
-
-
-def beurling_ahlfors_symbol(xi, n: int) -> SymbolMatrix:
-    """Dense 2^n x 2^n multiplier matrix at a single nonzero frequency."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (n,):
-        raise ValueError("frequency vector has wrong length")
-    norm_sq = float(xi @ xi)
-    if norm_sq == 0.0:
-        raise ValueError("symbol is undefined at the zero frequency")
-    diag_signs, offdiag = _symbol_structure(n)
-    m = np.zeros((1 << n, 1 << n))
-    np.fill_diagonal(m, diag_signs @ (xi**2) / norm_sq)
-    for row, col, a, b, sign in offdiag:
-        m[row, col] += -2.0 * sign * xi[a] * xi[b] / norm_sq
-    return SymbolMatrix(xi=xi, matrix=m)
-
-
-def symbol_from_heat_matrix(spec: HeatMatrixSpec, xi) -> SymbolMatrix:
-    """Multiplier matrix obtained by contracting the heat matrix with xi.
-
-    M[I, J] = -sum_{i,j} A[(I,i),(J,j)] xi_i xi_j / |xi|^2. The symmetric
-    contraction cancels the alpha split, so the result agrees with
-    beurling_ahlfors_symbol for every weight choice.
-    """
-    xi = np.asarray(xi, dtype=float)
-    n = spec.n
-    if xi.shape != (n,):
-        raise ValueError("frequency vector has wrong length")
-    norm_sq = float(xi @ xi)
-    if norm_sq == 0.0:
-        raise ValueError("symbol is undefined at the zero frequency")
-    full = build_full_matrix(spec).reshape(1 << n, n, 1 << n, n)
-    m = -np.einsum("aibj,i,j->ab", full, xi, xi) / norm_sq
-    return SymbolMatrix(xi=xi, matrix=m)
-
-
-def _quadratic_grids(dims, L):
-    """xi_a xi_b / |xi|^2 arrays over the lattice, zeroed at the origin."""
-    n = len(dims)
-    axes, xi_sq, _ = _lattice(dims, L)
-    safe = xi_sq.copy()
-    safe[(0,) * n] = 1.0
-    q = {}
-    for a in range(n):
-        sa = [1] * n
-        sa[a] = dims[a]
-        ka = (axes[a] / L).reshape(sa)
-        for b in range(a, n):
-            sb = [1] * n
-            sb[b] = dims[b]
-            kb = (axes[b] / L).reshape(sb)
-            q[(a, b)] = ka * kb / safe
-    return q
+_MIN_PANELS, _MAX_PANELS = 4, 48  # bounds on psw_integral's time panels
+_EIG_CHUNK = 65536  # symbol matrices per batched eigensolve
 
 
 @lru_cache(maxsize=32)
@@ -211,6 +84,155 @@ def _half_lattice(dims: tuple):
     for arr in tuple(ks) + u + u_alias + (nyquist,):
         arr.flags.writeable = False
     return tuple(ks), u, nyquist, u_alias
+
+
+@lru_cache(maxsize=32)
+def _multipliers(dims: tuple, L: float):
+    """|xi|^2 and the gradient multipliers i 2 pi k_a / L on the half lattice.
+
+    The gradient multipliers form one (n, *half) array; each is zeroed at
+    the Nyquist index (k = -N/2), where i 2 pi k_a / L has no Hermitian
+    partner, so that real fields keep real derivatives.
+    """
+    ks = _half_lattice(dims)[0]
+    xi_sq = sum((k / L) ** 2 for k in ks)
+    grad_mult = np.stack(
+        np.broadcast_arrays(
+            *(np.where(np.abs(k) == d // 2, 0.0, 1j * 2.0 * np.pi / L * k) for k, d in zip(ks, dims))
+        )
+    )
+    xi_sq.flags.writeable = False
+    grad_mult.flags.writeable = False
+    return xi_sq, grad_mult
+
+
+def _inverse(spectra: np.ndarray, dims: tuple) -> np.ndarray:
+    """Inverse real FFT of half spectra over the trailing len(dims) axes.
+
+    These are numpy irfftn's passes in its order, but the ifft passes run
+    in place: irfftn would allocate a new array for each of them.
+    """
+    for axis in range(spectra.ndim - len(dims), spectra.ndim - 1):
+        np.fft.ifft(spectra, axis=axis, out=spectra)
+    return np.fft.irfft(spectra, n=dims[-1])
+
+
+def _through_spectrum(data: np.ndarray, dims: tuple, act) -> np.ndarray:
+    """Hermitian Fourier multiplier act over the trailing len(dims) axes of a stack.
+
+    One rfftn into a new (batch, *rows, *half) buffer, act on it, one
+    _inverse. The batch axis holds real data alone, or the real and
+    imaginary parts of complex data. act may work in place and may insert
+    axes after the batch axis.
+    """
+    complex_in = np.iscomplexobj(data)
+    batch = np.stack([data.real, data.imag]) if complex_in else data[None]
+    spectra = np.empty(batch.shape[:-1] + (dims[-1] // 2 + 1,), complex)
+    np.fft.rfftn(batch, axes=tuple(range(batch.ndim - len(dims), batch.ndim)), out=spectra)
+    out = _inverse(act(spectra), dims)
+    return out[0] + 1j * out[1] if complex_in else out[0]
+
+
+def heat_extension(field: FormField, t: float) -> FormField:
+    """Damp every Fourier mode by exp(-2 pi^2 |xi|^2 t)."""
+    if t < 0:
+        raise ValueError("time must be nonnegative")
+    if t == 0.0:
+        return field.copy()
+    xi_sq, _ = _multipliers(field.dims, field.L)
+    damp = np.exp(-2.0 * np.pi**2 * xi_sq * t)
+    return field.like(_through_spectrum(field.data, field.dims, lambda s: s * damp))
+
+
+def spectral_gradient(field: FormField) -> np.ndarray:
+    """Exact spectral derivative along every axis of every component.
+
+    Returns an array of shape (len(field.masks), n, *dims): entry [c, a]
+    is the derivative of component row c along axis a.
+    """
+    _, grad_mult = _multipliers(field.dims, field.L)
+    return _through_spectrum(field.data, field.dims, lambda s: s[:, :, None] * grad_mult)
+
+
+@dataclass(frozen=True)
+class SymbolMatrix:
+    """Frequency-domain matrix of the operator at one frequency."""
+
+    xi: np.ndarray
+    matrix: np.ndarray
+
+
+@lru_cache(maxsize=16)
+def _symbol_structure(n: int):
+    """Frequency-independent skeleton of the symbol matrix.
+
+    Returns (diag_signs, entries, a, b, signs): diag_signs[K][a] is the
+    sign of xi_{a+1}^2 in the diagonal entry of subset K; for each
+    substitution, entries holds the flat index row * 2^n + col of the
+    entry -2 * signs * xi_{a+1} xi_{b+1} / |xi|^2.
+    """
+    diag_signs = np.empty((1 << n, n))
+    offdiag = []
+    for mask in range(1 << n):
+        K = MultiIndex(mask, n)
+        for a in range(n):
+            diag_signs[mask, a] = -1.0 if (a + 1) in K else 1.0
+        for k in K.elements():
+            for l in range(1, n + 1):
+                if l in K:
+                    continue
+                target, sign = substitute_with_sign(K, k, l)
+                offdiag.append(((target.mask << n) + mask, k - 1, l - 1, float(sign)))
+    entries, a, b = (np.array([e[i] for e in offdiag], dtype=int) for i in range(3))
+    signs = np.array([e[3] for e in offdiag])
+    for arr in (diag_signs, entries, a, b, signs):
+        arr.flags.writeable = False
+    return diag_signs, entries, a, b, signs
+
+
+def _dense_symbols(xi: np.ndarray) -> np.ndarray:
+    """Dense 2^n x 2^n matrices M(xi) at the rows of a (points, n) array.
+
+    Built from _symbol_structure; a zero row gets the zero matrix.
+    """
+    n = xi.shape[1]
+    norm_sq = np.vecdot(xi, xi)
+    norm_sq[norm_sq == 0.0] = 1.0
+    diag_signs, entries, a, b, signs = _symbol_structure(n)
+    m = np.zeros((len(xi), 1 << 2 * n))
+    m[:, :: (1 << n) + 1] = xi**2 @ diag_signs.T / norm_sq[:, None]
+    cols = xi.T
+    m.T[entries] = -2.0 * signs[:, None] * cols[a] * cols[b] / norm_sq
+    return m.reshape(len(xi), 1 << n, 1 << n)
+
+
+def beurling_ahlfors_symbol(xi, n: int) -> SymbolMatrix:
+    """Dense 2^n x 2^n multiplier matrix at a single nonzero frequency."""
+    xi = np.asarray(xi, dtype=float)
+    if xi.shape != (n,):
+        raise ValueError("frequency vector has wrong length")
+    if float(xi @ xi) == 0.0:
+        raise ValueError("symbol is undefined at the zero frequency")
+    return SymbolMatrix(xi=xi, matrix=_dense_symbols(xi[None])[0])
+
+
+def symbol_from_heat_matrix(spec: HeatMatrixSpec, xi) -> SymbolMatrix:
+    """Multiplier matrix obtained by contracting the heat matrix with xi.
+
+    M[I, J] = -sum_{i,j} A[(I,i),(J,j)] xi_i xi_j / |xi|^2. The symmetric
+    contraction cancels the alpha split, so the result agrees with
+    beurling_ahlfors_symbol for every weight choice.
+    """
+    xi = np.asarray(xi, dtype=float)
+    n = spec.n
+    if xi.shape != (n,):
+        raise ValueError("frequency vector has wrong length")
+    norm_sq = float(xi @ xi)
+    if norm_sq == 0.0:
+        raise ValueError("symbol is undefined at the zero frequency")
+    full = build_full_matrix(spec).reshape(1 << n, n, 1 << n, n)
+    m = -np.einsum("aibj,i,j->ab", full, xi, xi) / norm_sq
+    return SymbolMatrix(xi=xi, matrix=m)
 
 
 @lru_cache(maxsize=64)
@@ -252,58 +274,43 @@ def apply_beurling_ahlfors(field: FormField) -> FormField:
     """Apply the operator as the reflection f^ - 2 u^(u _| f^) per frequency.
 
     One real FFT of the component stack, n contractions and n wedge
-    products with the unit-direction grids, one inverse real FFT. Complex
-    fields go through the same path, real and imaginary parts as two
-    batch entries. The symbol couples only components of equal grade, so
-    a single-grade field stays single-grade. The mean of every component
-    is annihilated.
+    products with the unit-direction grids, one inverse real FFT. The
+    symbol couples only components of equal grade, so a single-grade
+    field stays single-grade. The mean of every component is annihilated.
     """
     if not field.is_finite():
         raise ValueError("field has non-finite samples")
     n, dims, masks = field.n, field.dims, field.masks
     if not masks:
         return field.copy()
-    complex_in = np.iscomplexobj(field.data)
-    batch = np.stack([field.data.real, field.data.imag]) if complex_in else field.data[None]
-    # Every pass of both transforms runs in place on one half-spectrum
-    # buffer: numpy's rfftn does so when given out=, its irfftn would
-    # allocate a new array per pass, so its passes are spelled out below.
-    axes = tuple(range(2, n + 2))
-    spectra = np.empty(batch.shape[:-1] + (dims[-1] // 2 + 1,), complex)
-    np.fft.rfftn(batch, axes=axes, out=spectra)
-    _, u, nyquist, u_alias = _half_lattice(dims)
-    lowered, plan = _reflection_plan(n, tuple(masks))
-    # A Nyquist point also stands for the lattice vector with its Nyquist
-    # coordinates negated; a real field sees the mean of both symbols.
-    flat = spectra.reshape(spectra.shape[:2] + (-1,))
-    aliased = _reflect(flat[..., nyquist], u_alias, plan, lowered)
-    _reflect(spectra, u, plan, lowered)
-    flat[..., nyquist] = 0.5 * (flat[..., nyquist] + aliased)
-    spectra[(Ellipsis,) + (0,) * n] = 0.0
-    for axis in axes[:-1]:
-        np.fft.ifft(spectra, axis=axis, out=spectra)
-    result = np.fft.irfft(spectra, n=dims[-1])
-    return field.like(result[0] + 1j * result[1] if complex_in else result[0])
+    def reflect(spectra):
+        # Cached after the spectra buffer: grids cached before it pinned the
+        # heap and raised peak RSS by ~2 MB over repeated 256^2 applies.
+        _, u, nyquist, u_alias = _half_lattice(dims)
+        lowered, plan = _reflection_plan(n, tuple(masks))
+        # A Nyquist point also stands for the lattice vector with its Nyquist
+        # coordinates negated; a real field sees the mean of both symbols.
+        flat = spectra.reshape(spectra.shape[:2] + (-1,))
+        aliased = _reflect(flat[..., nyquist], u_alias, plan, lowered)
+        _reflect(spectra, u, plan, lowered)
+        flat[..., nyquist] = 0.5 * (flat[..., nyquist] + aliased)
+        spectra[(Ellipsis,) + (0,) * n] = 0.0
+        return spectra
+
+    return field.like(_through_spectrum(field.data, dims, reflect))
 
 
-def symbol_norms_on_grid(n, dims, L, chunk=65536) -> np.ndarray:
+def symbol_norms_on_grid(n, dims, L) -> np.ndarray:
     """Spectral norm of M(xi) at every lattice frequency (0 at the origin)."""
     dims = tuple(dims)
-    diag_signs, offdiag = _symbol_structure(n)
-    q = _quadratic_grids(dims, L)
-    points = prod(dims)
-    size = 1 << n
-    mats = np.zeros((points, size, size))
-    for m in range(size):
-        diag = sum(diag_signs[m, a] * q[(a, a)] for a in range(n))
-        mats[:, m, m] = diag.reshape(-1)
-    for row, col, a, b, sign in offdiag:
-        key = (a, b) if a <= b else (b, a)
-        mats[:, row, col] += -2.0 * sign * q[key].reshape(-1)
-    norms = np.empty(points)
-    for start in range(0, points, chunk):
-        block = mats[start : start + chunk]
-        norms[start : start + chunk] = np.max(np.abs(np.linalg.eigvalsh(block)), axis=1)
+    if len(dims) != n:
+        raise ValueError("need one grid size per axis")
+    grids = np.meshgrid(*(np.fft.fftfreq(d) * d / L for d in dims), indexing="ij")
+    xi = np.stack([g.reshape(-1) for g in grids], axis=1)
+    norms = np.empty(len(xi))
+    for start in range(0, len(xi), _EIG_CHUNK):
+        mats = _dense_symbols(xi[start : start + _EIG_CHUNK])
+        norms[start : start + _EIG_CHUNK] = np.max(np.abs(np.linalg.eigvalsh(mats)), axis=1)
     return norms.reshape(dims)
 
 
@@ -321,8 +328,6 @@ def psw_integral(
     field_g: FormField,
     p: float,
     t_max: float,
-    min_panels: int = 4,
-    max_panels: int = 48,
 ) -> PswResult:
     """Bilinear integral of gradient lengths of two heat extensions.
 
@@ -349,15 +354,7 @@ def psw_integral(
         raise ValueError("psw_integral takes real fields only")
     n, dims, L = field_f.n, field_f.dims, field_f.L
     cell = field_f.cell_volume
-    # Half-lattice |xi|^2 and derivative multipliers i 2 pi k_a / L, the
-    # latter zeroed at the Nyquist index as in _lattice.
-    ks = _half_lattice(dims)[0]
-    xi_sq = sum((k / L) ** 2 for k in ks)
-    grad_mult = np.stack(
-        np.broadcast_arrays(
-            *(np.where(np.abs(k) == d // 2, 0.0, 1j * 2.0 * np.pi / L * k) for k, d in zip(ks, dims))
-        )
-    )
+    xi_sq, grad_mult = _multipliers(dims, L)
     stack = np.concatenate([field_f.data, field_g.data])
     spectra = np.fft.rfftn(stack, axes=tuple(range(1, n + 1)))
     split = len(field_f.masks)
@@ -365,7 +362,7 @@ def psw_integral(
     def grad_norms_at(t):
         """Pointwise gradient lengths of the heat extensions of f and of g."""
         damped = spectra * np.exp(-2.0 * np.pi**2 * xi_sq * t)
-        grads = np.fft.irfftn(damped[:, None] * grad_mult, dims, axes=tuple(range(2, n + 2)))
+        grads = _inverse(damped[:, None] * grad_mult, dims)
         sq = grads**2
         return np.sqrt(sq[:split].sum(axis=(0, 1))), np.sqrt(sq[split:].sum(axis=(0, 1)))
 
@@ -374,7 +371,7 @@ def psw_integral(
         return cell * float(np.sum(norm_f * norm_g))
 
     rate_max = 4.0 * np.pi**2 * float(np.max(xi_sq))
-    n_panels = int(np.clip(np.ceil(np.log2(max(rate_max * t_max, 4.0))), min_panels, max_panels))
+    n_panels = int(np.clip(np.ceil(np.log2(max(rate_max * t_max, 4.0))), _MIN_PANELS, _MAX_PANELS))
     breaks = [0.0] + [t_max * 2.0 ** (j - n_panels + 1) for j in range(n_panels)]
     nodes, weights = np.polynomial.legendre.leggauss(GL_ORDER)
     lhs = 0.0

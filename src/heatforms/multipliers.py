@@ -17,7 +17,7 @@ from scipy.special import gamma as complex_gamma
 
 from .errors import AccuracyError
 from .fields import FormField
-from .fourier import _lattice
+from .fourier import _multipliers, _through_spectrum
 
 # Substituting t = e^v / lambda turns the defining integral into
 #   a(lambda) = integral_R A(e^v / lambda) exp(v - e^v) dv
@@ -28,6 +28,7 @@ _V_LO = -23.0
 _V_HI = 3.4
 _H_START = 0.25
 _MAX_HALVINGS = 8
+_CHUNK = 2048  # lambdas per vectorized quadrature block
 
 
 @dataclass(frozen=True)
@@ -39,9 +40,6 @@ class SpectralSymbol:
     zero_limit: complex | None = None  # value used at the zero frequency
     real_valued: bool = False
     name: str = ""
-
-    def multiplier(self, lam: float, target: float = 1e-8) -> complex:
-        return laplace_symbol_eval(self, lam, target)
 
 
 def identity_symbol() -> SpectralSymbol:
@@ -76,7 +74,7 @@ def _trapezoid_values(profile, lams, h):
     return profile(t_nodes) @ weight.astype(complex)
 
 
-def laplace_symbol_eval_many(sym: SpectralSymbol, lams, target: float = 1e-8, chunk: int = 2048):
+def laplace_symbol_eval_many(sym: SpectralSymbol, lams, target: float = 1e-8):
     """Vectorized quadrature of the multiplier at many positive lambdas.
 
     Trapezoid in v = log(lambda t), halving the step until the change is
@@ -89,8 +87,8 @@ def laplace_symbol_eval_many(sym: SpectralSymbol, lams, target: float = 1e-8, ch
     flat = lams.reshape(-1)
     out = np.empty(flat.shape, dtype=complex)
     errs = np.empty(flat.shape)
-    for start in range(0, flat.size, chunk):
-        block = flat[start : start + chunk]
+    for start in range(0, flat.size, _CHUNK):
+        block = flat[start : start + _CHUNK]
         h = _H_START
         prev = _trapezoid_values(sym.profile, block, h)
         for _ in range(_MAX_HALVINGS):
@@ -106,8 +104,8 @@ def laplace_symbol_eval_many(sym: SpectralSymbol, lams, target: float = 1e-8, ch
                 f"quadrature stalled at relative error {np.max(err):.3e}",
                 achieved=float(np.max(err)),
             )
-        out[start : start + chunk] = cur
-        errs[start : start + chunk] = err
+        out[start : start + _CHUNK] = cur
+        errs[start : start + _CHUNK] = err
     return out.reshape(lams.shape), errs.reshape(lams.shape)
 
 
@@ -123,24 +121,27 @@ def apply_spectral_multiplier(sym: SpectralSymbol, field: FormField, target: flo
     """Multiply every Fourier mode by a(4 pi^2 |xi|^2).
 
     The zero frequency is scaled by the symbol's declared zero limit, or
-    annihilated when none is declared. Output components are real when
-    the symbol declares itself real-valued, complex otherwise.
+    annihilated when none is declared. a is even in xi but may be complex,
+    so its real and imaginary parts go through the real-FFT path as two
+    real multipliers; a symbol that declares itself real-valued skips the
+    imaginary part. The output is real for a real field and a real-valued
+    symbol, complex otherwise; a complex field keeps its imaginary part.
     """
     if not field.is_finite():
         raise ValueError("field has non-finite samples")
-    _, xi_sq, _ = _lattice(field.dims, field.L)
-    lam_grid = 4.0 * np.pi**2 * xi_sq
-    flat = lam_grid.reshape(-1)
+    xi_sq, _ = _multipliers(field.dims, field.L)
+    flat = (4.0 * np.pi**2 * xi_sq).reshape(-1)
     positive = flat > 0.0
     unique, inverse = np.unique(flat[positive], return_inverse=True)
     values, _ = laplace_symbol_eval_many(sym, unique, target)
     mult = np.empty(flat.shape, dtype=complex)
     mult[positive] = values[inverse]
     mult[~positive] = 0.0 if sym.zero_limit is None else sym.zero_limit
-    mult = mult.reshape(field.dims)
-    axes = tuple(range(1, field.n + 1))
-    out = np.fft.ifftn(np.fft.fftn(field.data, axes=axes) * mult, axes=axes)
-    return field.like(out.real if sym.real_valued else out)
+    mult = mult.reshape(xi_sq.shape)
+    out = _through_spectrum(field.data, field.dims, lambda s: s * mult.real)
+    if not sym.real_valued:
+        out = out + 1j * _through_spectrum(field.data, field.dims, lambda s: s * mult.imag)
+    return field.like(out)
 
 
 def imaginary_power_constant(s: float, p: float) -> float:

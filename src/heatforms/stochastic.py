@@ -23,6 +23,7 @@ from .errors import StatisticalPowerError
 from .fields import FormField, TrigSeries
 
 PATH_BLOCK = 4096
+_N_BOOT = 200  # bootstrap resamples in martingale_transform_experiment
 
 
 def _philox(seed: int, stream: int) -> np.random.Generator:
@@ -265,7 +266,6 @@ def martingale_transform_experiment(
     transform,
     seed,
     d=1,
-    n_boot=200,
     max_rel_ci=0.05,
 ) -> TransformResult:
     """Moment ratio of a transformed walk against the (p* - 1) ceiling.
@@ -283,8 +283,8 @@ def martingale_transform_experiment(
     y_p = np.sum(pair.transformed**2, axis=1) ** (p / 2.0)
     ratio = float((y_p.mean() / u_p.mean()) ** (1.0 / p))
     boot_rng = _philox(seed, 1)
-    boots = np.empty(n_boot)
-    for b in range(n_boot):
+    boots = np.empty(_N_BOOT)
+    for b in range(_N_BOOT):
         idx = boot_rng.integers(0, trials, trials)
         boots[b] = (y_p[idx].mean() / u_p[idx].mean()) ** (1.0 / p)
     half = float((np.quantile(boots, 0.975) - np.quantile(boots, 0.025)) / 2.0)

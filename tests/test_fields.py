@@ -56,6 +56,13 @@ class TestFormField:
         assert np.array_equal(f.data[1], np.full((4, 4), 7.0))
         assert list(f.components) == f.masks == [1, 2]
 
+    def test_equality_is_identity(self):
+        # fields hold arrays, so == compares identity and never raises
+        f = FormField.zeros(2, (4, 4))
+        assert (f == f) is True
+        assert (f == f.copy()) is False
+        assert (f != f.copy()) is True
+
     def test_arithmetic(self):
         rng = np.random.default_rng(0)
         f = random_band_limited(2, (8, 8), 1.0, rng)

@@ -13,6 +13,12 @@ from heatforms.fourier import (
     symbol_norms_on_grid,
 )
 from heatforms.heatmatrix import HeatMatrixSpec
+from heatforms.multipliers import (
+    apply_spectral_multiplier,
+    identity_symbol,
+    imaginary_power_symbol,
+    laplace_symbol_eval_many,
+)
 
 
 def dense_route(f):
@@ -33,6 +39,95 @@ def dense_route(f):
         m = beurling_ahlfors_symbol(xi, n).matrix[rows]
         out[(slice(None),) + idx] = m @ hats[(slice(None),) + idx]
     return np.stack([np.fft.ifftn(o) for o in out])
+
+
+def full_lattice_route(data, mult, n):
+    """ifftn(mult * fftn(data)) over the trailing n axes, on the full complex lattice."""
+    axes = tuple(range(data.ndim - n, data.ndim))
+    out = np.fft.ifftn(mult * np.fft.fftn(data, axes=axes), axes=axes)
+    return out if np.iscomplexobj(data) else out.real
+
+
+def full_lattice_multipliers(dims, L):
+    """|xi|^2 and the gradient multipliers, zeroed at the Nyquist index, on every lattice point."""
+    ks = np.meshgrid(*(np.fft.fftfreq(d) * d for d in dims), indexing="ij")
+    xi_sq = sum((k / L) ** 2 for k in ks)
+    grad = np.stack([np.where(np.abs(k) == d // 2, 0.0, 1j * 2.0 * np.pi / L * k) for k, d in zip(ks, dims)])
+    return xi_sq, grad
+
+
+def full_lattice_symbol(sym, dims, L):
+    """a(4 pi^2 |xi|^2) on every lattice point, the zero frequency by the symbol's zero limit."""
+    xi_sq, _ = full_lattice_multipliers(dims, L)
+    lam = (4.0 * np.pi**2 * xi_sq).reshape(-1)
+    positive = lam > 0.0
+    unique, inverse = np.unique(lam[positive], return_inverse=True)
+    mult = np.full(lam.shape, 0.0 if sym.zero_limit is None else sym.zero_limit, dtype=complex)
+    mult[positive] = laplace_symbol_eval_many(sym, unique)[0][inverse]
+    return mult.reshape(dims)
+
+
+# Real and complex fields with content on the Nyquist planes (kmax = N/2),
+# uneven grids and L != 1.
+ORACLE_CASES = [
+    (2, (4, 8), 0.7, 4),
+    (2, (16, 16), 1.3, 8),
+    (3, (4, 8, 4), 1.7, 4),
+]
+
+
+def oracle_fields(n, dims, L, kmax, seed):
+    rng = np.random.default_rng(seed)
+    f = random_band_limited(n, dims, L, rng, kmax=kmax, mean_zero=False)
+    g = random_band_limited(n, dims, L, rng, kmax=kmax, mean_zero=False)
+    return f, f.like(f.data + 1j * g.data)
+
+
+def assert_rel_close(got, want, rel=1e-13):
+    assert got.shape == want.shape and np.iscomplexobj(got) == np.iscomplexobj(want)
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+class TestFullLatticeOracle:
+    # the half-spectrum path against full complex fftn/ifftn of the same multipliers
+
+    @pytest.mark.parametrize("n, dims, L, kmax", ORACLE_CASES)
+    def test_heat_extension(self, n, dims, L, kmax):
+        xi_sq, _ = full_lattice_multipliers(dims, L)
+        for field in oracle_fields(n, dims, L, kmax, 21):
+            want = full_lattice_route(field.data, np.exp(-2.0 * np.pi**2 * xi_sq * 0.01), n)
+            assert_rel_close(heat_extension(field, 0.01).data, want)
+
+    @pytest.mark.parametrize("n, dims, L, kmax", ORACLE_CASES)
+    def test_spectral_gradient(self, n, dims, L, kmax):
+        _, grad = full_lattice_multipliers(dims, L)
+        for field in oracle_fields(n, dims, L, kmax, 22):
+            assert_rel_close(spectral_gradient(field), full_lattice_route(field.data[:, None], grad, n))
+
+    @pytest.mark.parametrize("n, dims, L, kmax", ORACLE_CASES)
+    @pytest.mark.parametrize("sym", [identity_symbol(), imaginary_power_symbol(1.0)], ids=["identity", "power"])
+    def test_spectral_multiplier(self, n, dims, L, kmax, sym):
+        mult = full_lattice_symbol(sym, dims, L)
+        for field in oracle_fields(n, dims, L, kmax, 23):
+            want = full_lattice_route(field.data.astype(complex), mult, n)
+            if sym.real_valued and not np.iscomplexobj(field.data):
+                want = want.real
+            assert_rel_close(apply_spectral_multiplier(sym, field).data, want)
+
+    def test_no_full_complex_transforms(self, monkeypatch):
+        f, h = oracle_fields(2, (8, 8), 1.0, 4, 24)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("full complex transform called")
+
+        monkeypatch.setattr(np.fft, "fftn", refuse)
+        monkeypatch.setattr(np.fft, "ifftn", refuse)
+        for field in (f, h):
+            heat_extension(field, 0.1)
+            spectral_gradient(field)
+            apply_beurling_ahlfors(field)
+            apply_spectral_multiplier(imaginary_power_symbol(1.0), field)
+        psw_integral(f, f, 2.0, t_max=0.1)
 
 
 class TestHeatExtension:
@@ -138,6 +233,11 @@ class TestSymbolMatrix:
     def test_zero_frequency_rejected(self):
         with pytest.raises(ValueError):
             beurling_ahlfors_symbol([0.0, 0.0], 2)
+
+    def test_grid_norms_reject_dimension_mismatch(self):
+        for n, dims in ((1, (8, 8)), (3, (8, 8))):
+            with pytest.raises(ValueError, match="one grid size per axis"):
+                symbol_norms_on_grid(n, dims, 1.0)
 
     def test_contraction_identity(self):
         rng = np.random.default_rng(4)
@@ -328,7 +428,8 @@ class TestPsw:
 
     def test_one_inverse_transform_per_node(self, monkeypatch):
         # two all-grade 32^2 fields, t_max 1: 15 panels of GL_ORDER nodes,
-        # plus the t = 0 gradients of the tail bound
+        # plus the t = 0 gradients of the tail bound; each inverse is one
+        # in-place ifft pass and one irfft
         calls = {}
         for name in ("fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft", "rfft", "irfft"):
             def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
@@ -341,7 +442,7 @@ class TestPsw:
         g = random_band_limited(2, (32, 32), 1.0, rng, kmax=2)
         calls.clear()
         psw_integral(f, g, 2.5, t_max=1.0)
-        assert calls == {"rfftn": 1, "irfftn": 15 * GL_ORDER + 1}
+        assert calls == {"rfftn": 1, "ifft": 15 * GL_ORDER + 1, "irfft": 15 * GL_ORDER + 1}
 
     def test_grid_mismatch_rejected(self):
         f = FormField.zeros(2, (8, 8))

@@ -76,6 +76,22 @@ class TestApplyMultiplier:
         for m in f.masks:
             assert np.allclose(g.components[m], f.components[m], atol=1e-8)
 
+    def test_identity_keeps_complex_fields(self):
+        # a(f + ig) = a f + i a g: the imaginary part is not dropped. The
+        # identity's quadrature value is 1 - 1.03e-10 off the origin.
+        rng = np.random.default_rng(4)
+        f = random_band_limited(2, (16, 16), 1.3, rng, kmax=8, mean_zero=False)
+        g = random_band_limited(2, (16, 16), 1.3, rng, kmax=8, mean_zero=False)
+        h = f.like(f.data + 1j * g.data)
+        out = apply_spectral_multiplier(identity_symbol(), h).data
+        split = (
+            apply_spectral_multiplier(identity_symbol(), f).data
+            + 1j * apply_spectral_multiplier(identity_symbol(), g).data
+        )
+        assert np.iscomplexobj(out)
+        assert np.max(np.abs(out - split)) < 1e-14
+        assert np.max(np.abs(out - h.data)) < 1e-9 * np.max(np.abs(h.data))
+
     def test_imaginary_power_single_mode(self):
         s = 1.0
         L = 1.0
