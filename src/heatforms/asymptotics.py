@@ -19,7 +19,7 @@ from math import sqrt
 import numpy as np
 from scipy.special import gammaln
 
-from .exterior import MultiIndex, substitute_with_sign
+from .exterior import MultiIndex, substitutions
 
 
 @dataclass(frozen=True)
@@ -56,31 +56,23 @@ def random_direction(n, rng) -> UnitDirection:
     return UnitDirection.normalized(rng.standard_normal(1 << n), n)
 
 
-def _projected_entry(sigma, n, i, J: MultiIndex, j) -> float:
-    val = 0.0
-    if i == j:
-        val += sigma[J.mask] * (1.0 if i in J else -1.0)
-    if i in J and j not in J:
-        target, sign = substitute_with_sign(J, i, j)
-        val += sigma[target.mask] * sign
-    if i not in J and j in J:
-        target, sign = substitute_with_sign(J, j, i)
-        val += sigma[target.mask] * sign
-    return val
+def _column_group(sigma, J: MultiIndex) -> np.ndarray:
+    """The n x n block of the projection on the columns (J, 1..n).
+
+    sigma_J times +1 (axis in J) or -1 on the diagonal, and for each
+    substitution J -> T = J\\k+l the entry sigma_T * sign at (k, l) and
+    at (l, k).
+    """
+    block = np.diag([sigma[J.mask] * (1.0 if i in J else -1.0) for i in range(1, J.n + 1)])
+    for k, l, T, sign in substitutions(J):
+        block[k - 1, l - 1] = block[l - 1, k - 1] = sigma[T.mask] * sign
+    return block
 
 
 def sigma_dot_matrix(direction: UnitDirection) -> np.ndarray:
     """n x (n 2^n) projection; columns ordered (mask ascending, then axis)."""
     n = direction.n
-    sigma = direction.sigma
-    out = np.empty((n, n << n))
-    for mask in range(1 << n):
-        J = MultiIndex(mask, n)
-        for j in range(1, n + 1):
-            col = mask * n + j - 1
-            for i in range(1, n + 1):
-                out[i - 1, col] = _projected_entry(sigma, n, i, J, j)
-    return out
+    return np.hstack([_column_group(direction.sigma, MultiIndex(mask, n)) for mask in range(1 << n)])
 
 
 def sigma_block(direction: UnitDirection, J: MultiIndex):
@@ -93,10 +85,7 @@ def sigma_block(direction: UnitDirection, J: MultiIndex):
     """
     n = direction.n
     sigma = direction.sigma
-    block = np.empty((n, n))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            block[i - 1, j - 1] = _projected_entry(sigma, n, i, J, j)
+    block = _column_group(sigma, J)
     inside = [e - 1 for e in J.elements()]
     outside = [e for e in range(n) if e + 1 not in J]
     cross = block[np.ix_(inside, outside)]

@@ -89,6 +89,18 @@ def substitute_with_sign(K: MultiIndex, k: int, l: int) -> tuple[MultiIndex, int
     return MultiIndex(new_mask, K.n), sign
 
 
+def substitutions(K: MultiIndex) -> list[tuple[int, int, MultiIndex, int]]:
+    """Every single substitution out of K, as (k, l, K\\k+l, sign).
+
+    One entry per k in K and l outside K, k ascending, then l ascending;
+    target and sign come from substitute_with_sign. Every structured
+    matrix of the package (heat-matrix grade blocks, the dense symbol,
+    the sigma-projection) places its off-diagonal entries from this list.
+    """
+    outside = [l for l in range(1, K.n + 1) if l not in K]
+    return [(k, l, *substitute_with_sign(K, k, l)) for k in K.elements() for l in outside]
+
+
 def wedge_reorder_oracle(seq, n: int) -> tuple[MultiIndex, int]:
     """Sort a wedge of distinct factors; sign is the inversion parity.
 

@@ -131,9 +131,9 @@ class FormField:
 
 
 def lp_norm(field: FormField, p: float) -> float:
-    """Riemann-sum L^p norm of the pointwise Euclidean length."""
-    if p < 1:
-        raise ValueError("exponent must be >= 1")
+    """Riemann-sum L^p norm of the pointwise Euclidean length, finite p >= 1."""
+    if not (np.isfinite(p) and p >= 1):
+        raise ValueError(f"exponent must be finite and >= 1, got {p}")
     density = field.pointwise_square()
     return float((field.cell_volume * np.sum(density ** (p / 2.0))) ** (1.0 / p))
 

@@ -43,7 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exterior import MultiIndex, substitute_with_sign
+from .exterior import MultiIndex, substitutions
 from .fields import FormField, lp_norm
 from .heatmatrix import HeatMatrixSpec, build_full_matrix
 
@@ -171,20 +171,17 @@ def _symbol_structure(n: int):
     substitution, entries holds the flat index row * 2^n + col of the
     entry -2 * signs * xi_{a+1} xi_{b+1} / |xi|^2.
     """
-    diag_signs = np.empty((1 << n, n))
-    offdiag = []
-    for mask in range(1 << n):
-        K = MultiIndex(mask, n)
-        for a in range(n):
-            diag_signs[mask, a] = -1.0 if (a + 1) in K else 1.0
-        for k in K.elements():
-            for l in range(1, n + 1):
-                if l in K:
-                    continue
-                target, sign = substitute_with_sign(K, k, l)
-                offdiag.append(((target.mask << n) + mask, k - 1, l - 1, float(sign)))
-    entries, a, b = (np.array([e[i] for e in offdiag], dtype=int) for i in range(3))
-    signs = np.array([e[3] for e in offdiag])
+    diag_signs = 1.0 - 2.0 * (np.arange(1 << n)[:, None] >> np.arange(n) & 1)
+    offdiag = np.array(
+        [
+            ((T.mask << n) + mask, k - 1, l - 1, sign)
+            for mask in range(1 << n)
+            for k, l, T, sign in substitutions(MultiIndex(mask, n))
+        ],
+        dtype=int,
+    ).reshape(-1, 4)
+    entries, a, b, signs = offdiag.T
+    signs = signs.astype(float)
     for arr in (diag_signs, entries, a, b, signs):
         arr.flags.writeable = False
     return diag_signs, entries, a, b, signs

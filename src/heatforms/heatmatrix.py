@@ -8,9 +8,13 @@ independent blocks per grade r, each block a combination
     A_r(alpha) = D + 2*alpha*P_r + 2*(1 - alpha)*Q_r,
 
 where D is the diagonal (+1 on pairs with i in I, -1 otherwise) and P_r,
-Q_r are signed substitution patterns. The weight alpha in [0, 1] is free:
-every choice represents the same operator. This module builds the blocks,
-knows their closed-form spectra, and derives the p-norm bound constants.
+Q_r are signed substitution patterns: each substitution J -> J\\k+l of
+exterior.substitutions puts its sign into P_r at (J\\k+l, k; J, l) and
+into Q_r at (J\\k+l, l; J, k). A block is cached as those positions and
+signs, a few per row, and only the dense block for a given alpha is
+materialized. The weight alpha in [0, 1] is free: every choice
+represents the same operator. This module builds the blocks, knows their
+closed-form spectra, and derives the p-norm bound constants.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from math import comb
 import numpy as np
 
 from .errors import CapError
-from .exterior import MultiIndex, enumerate_grade, interval_count, substitute_with_sign
+from .exterior import MultiIndex, enumerate_grade, interval_count, substitute_with_sign, substitutions
 
 GRADE_BLOCK_CAP = 10_000  # max rows of one grade block
 FULL_MATRIX_CAP_N = 10  # max dimension for materializing the full matrix
@@ -89,54 +93,53 @@ def grade_pairs(n: int, r: int) -> list[tuple[MultiIndex, int]]:
 
 @lru_cache(maxsize=64)
 def _grade_structure(n: int, r: int):
-    """Diagonal D and patterns P, Q of the grade-r block (alpha-free)."""
+    """Alpha-free skeleton of the grade-r block as index arrays.
+
+    Returns (diag, out_at, in_at, signs): the diagonal D, and for each
+    substitution J -> T = J\\k+l the flat positions in the block of its
+    P entry (row (T, k), column (J, l)) and its Q entry (row (T, l),
+    column (J, k)), both carrying its reordering sign.
+    """
     subsets = enumerate_grade(n, r)
     pos = {I.mask: idx for idx, I in enumerate(subsets)}
     size = len(subsets) * n
-    diag = np.empty(size)
-    pat_out = np.zeros((size, size))  # multiplies 2*alpha
-    pat_in = np.zeros((size, size))  # multiplies 2*(1 - alpha)
-    for col_s, J in enumerate(subsets):
-        for i in range(1, n + 1):
-            diag[col_s * n + i - 1] = 1.0 if i in J else -1.0
-        for i in J.elements():
-            for j in range(1, n + 1):
-                if j in J:
-                    continue
-                target, sign = substitute_with_sign(J, i, j)
-                pat_out[pos[target.mask] * n + i - 1, col_s * n + j - 1] = sign
-        for j in J.elements():
-            for i in range(1, n + 1):
-                if i in J:
-                    continue
-                target, sign = substitute_with_sign(J, j, i)
-                pat_in[pos[target.mask] * n + i - 1, col_s * n + j - 1] = sign
-    diag.flags.writeable = False
-    pat_out.flags.writeable = False
-    pat_in.flags.writeable = False
-    return diag, pat_out, pat_in
+    diag = np.array([1.0 if i in J else -1.0 for J in subsets for i in range(1, n + 1)])
+    subs = np.array(
+        [(pos[T.mask], pos[J.mask], k, l, sign) for J in subsets for k, l, T, sign in substitutions(J)],
+        dtype=int,
+    ).reshape(-1, 5)
+    row_s, col_s, k, l, signs = subs.T
+    out_at = (row_s * n + k - 1) * size + col_s * n + l - 1
+    in_at = (row_s * n + l - 1) * size + col_s * n + k - 1
+    signs = signs.astype(float)
+    for arr in (diag, out_at, in_at, signs):
+        arr.flags.writeable = False
+    return diag, out_at, in_at, signs
 
 
-def build_grade_matrix(spec: HeatMatrixSpec, r: int, cap: int = GRADE_BLOCK_CAP) -> np.ndarray:
+def build_grade_matrix(spec: HeatMatrixSpec, r: int) -> np.ndarray:
     """Dense grade-r block, rows/columns in grade_pairs order."""
     if not 0 <= r <= spec.n:
         raise ValueError(f"grade {r} outside [0, {spec.n}]")
     size = spec.n * comb(spec.n, r)
-    if size > cap:
-        raise CapError(f"grade block of size {size} exceeds cap {cap}")
-    diag, pat_out, pat_in = _grade_structure(spec.n, r)
+    if size > GRADE_BLOCK_CAP:
+        raise CapError(f"grade block of size {size} exceeds cap {GRADE_BLOCK_CAP}")
+    diag, out_at, in_at, signs = _grade_structure(spec.n, r)
     a = spec.alpha[r]
-    return np.diag(diag) + 2.0 * a * pat_out + 2.0 * (1.0 - a) * pat_in
+    block = np.diag(diag)
+    np.put(block, out_at, 2.0 * a * signs)
+    np.put(block, in_at, 2.0 * (1.0 - a) * signs)
+    return block
 
 
-def build_full_matrix(spec: HeatMatrixSpec, cap_n: int = FULL_MATRIX_CAP_N) -> np.ndarray:
+def build_full_matrix(spec: HeatMatrixSpec) -> np.ndarray:
     """Full matrix on all pairs, global index = mask * n + (axis - 1).
 
-    Exponential in n; refuses to materialize past cap_n.
+    Exponential in n; refuses to materialize past FULL_MATRIX_CAP_N.
     """
     n = spec.n
-    if n > cap_n:
-        raise CapError(f"full matrix for n={n} exceeds cap n<={cap_n}")
+    if n > FULL_MATRIX_CAP_N:
+        raise CapError(f"full matrix for n={n} exceeds cap n<={FULL_MATRIX_CAP_N}")
     size = n * (1 << n)
     full = np.zeros((size, size))
     for r in range(n + 1):

@@ -22,8 +22,10 @@ from .fourier import _multipliers, _through_spectrum
 # Substituting t = e^v / lambda turns the defining integral into
 #   a(lambda) = integral_R A(e^v / lambda) exp(v - e^v) dv
 # with a lambda-independent weight, so one trapezoid grid in v serves every
-# lambda at once. The truncation tails are sup|A| * e^{V_LO} on the left
-# and sup|A| * exp(-e^{V_HI}) on the right.
+# lambda at once. The weight integrates to 1 over R; the grid's trapezoid
+# weights miss about e^{V_LO} of it on the left and exp(-e^{V_HI}) on the
+# right, and the profile can turn that missed weight into an error of at
+# most sup|A| times it.
 _V_LO = -23.0
 _V_HI = 3.4
 _H_START = 0.25
@@ -38,8 +40,6 @@ class SpectralSymbol:
     profile: Callable[[np.ndarray], np.ndarray]
     sup_profile: float | None = None
     zero_limit: complex | None = None  # value used at the zero frequency
-    real_valued: bool = False
-    name: str = ""
 
 
 def identity_symbol() -> SpectralSymbol:
@@ -48,8 +48,6 @@ def identity_symbol() -> SpectralSymbol:
         profile=lambda t: np.ones_like(t),
         sup_profile=1.0,
         zero_limit=1.0,
-        real_valued=True,
-        name="identity",
     )
 
 
@@ -60,26 +58,37 @@ def imaginary_power_symbol(s: float) -> SpectralSymbol:
         profile=lambda t: t ** (-1j * s) / g,
         sup_profile=float(1.0 / abs(g)),
         zero_limit=None if s != 0.0 else 1.0,
-        real_valued=(s == 0.0),
-        name=f"imaginary-power s={s}",
     )
 
 
-def _trapezoid_values(profile, lams, h):
+def _grid(h):
+    """Trapezoid nodes v and weights exp(v - e^v) h at step h."""
     v = np.arange(_V_LO, _V_HI + 0.5 * h, h)
     weight = np.exp(v - np.exp(v)) * h
     weight[0] *= 0.5
     weight[-1] *= 0.5
-    t_nodes = np.exp(v)[None, :] / lams[:, None]
-    return profile(t_nodes) @ weight.astype(complex)
+    return v, weight
+
+
+def _profile_at(profile, lams, v):
+    """A(e^v / lambda), one row per lambda."""
+    return profile(np.exp(v)[None, :] / lams[:, None])
+
+
+def _trapezoid_values(profile, lams, h):
+    v, weight = _grid(h)
+    return _profile_at(profile, lams, v) @ weight.astype(complex)
 
 
 def laplace_symbol_eval_many(sym: SpectralSymbol, lams, target: float = 1e-8):
     """Vectorized quadrature of the multiplier at many positive lambdas.
 
     Trapezoid in v = log(lambda t), halving the step until the change is
-    below target (relative); the last change is the error estimate.
-    Raises AccuracyError with the achieved estimate if the cap is hit.
+    below target (relative). The returned relative error estimate is the
+    last change plus the truncation bound sup|A| * (1 - sum of the final
+    trapezoid weights) / |a|, with sup|A| the declared sup_profile or
+    else the largest |A| on the final grid. Raises AccuracyError with the
+    last change if the halving cap is hit.
     """
     lams = np.asarray(lams, dtype=float)
     if np.any(lams <= 0):
@@ -104,8 +113,12 @@ def laplace_symbol_eval_many(sym: SpectralSymbol, lams, target: float = 1e-8):
                 f"quadrature stalled at relative error {np.max(err):.3e}",
                 achieved=float(np.max(err)),
             )
+        v, weight = _grid(h)
+        sup = sym.sup_profile
+        if sup is None:
+            sup = np.max(np.abs(_profile_at(sym.profile, block, v)), axis=1)
         out[start : start + _CHUNK] = cur
-        errs[start : start + _CHUNK] = err
+        errs[start : start + _CHUNK] = err + sup * (1.0 - weight.sum()) / scale
     return out.reshape(lams.shape), errs.reshape(lams.shape)
 
 
@@ -123,9 +136,10 @@ def apply_spectral_multiplier(sym: SpectralSymbol, field: FormField, target: flo
     The zero frequency is scaled by the symbol's declared zero limit, or
     annihilated when none is declared. a is even in xi but may be complex,
     so its real and imaginary parts go through the real-FFT path as two
-    real multipliers; a symbol that declares itself real-valued skips the
-    imaginary part. The output is real for a real field and a real-valued
-    symbol, complex otherwise; a complex field keeps its imaginary part.
+    real multipliers; the imaginary pass runs only when some value has a
+    nonzero imaginary part. The output is real for a real field and
+    real multiplier values, complex otherwise; a complex field keeps its
+    imaginary part.
     """
     if not field.is_finite():
         raise ValueError("field has non-finite samples")
@@ -139,7 +153,7 @@ def apply_spectral_multiplier(sym: SpectralSymbol, field: FormField, target: flo
     mult[~positive] = 0.0 if sym.zero_limit is None else sym.zero_limit
     mult = mult.reshape(xi_sq.shape)
     out = _through_spectrum(field.data, field.dims, lambda s: s * mult.real)
-    if not sym.real_valued:
+    if np.any(mult.imag):
         out = out + 1j * _through_spectrum(field.data, field.dims, lambda s: s * mult.imag)
     return field.like(out)
 

@@ -3,7 +3,8 @@
 Random band-limited fields plus hill climbing give an empirical ratio
 ||Tf||_p / ||f||_p; the bound constants supply the proven ceiling, so the
 probe only brackets the norm from below. Three out of four evaluations
-draw fresh fields, every fourth perturbs the incumbent.
+draw fresh fields on the unit torus, every fourth perturbs the incumbent
+by a fresh field scaled to MUTATION_SCALE of its L^2 norm.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .fourier import apply_beurling_ahlfors
 from .heatmatrix import bound_constants
 
 DEGENERATE_NORM = 1e-12
+MUTATION_SCALE = 0.25
 
 
 @dataclass(frozen=True)
@@ -28,19 +30,9 @@ class SearchResult:
     evaluations: int
     degenerate: int
     ceiling: float
-    inputs: dict
 
 
-def norm_search(
-    n,
-    p,
-    dims,
-    L=1.0,
-    budget=200,
-    seed=0,
-    kmax=3,
-    mutation_scale=0.25,
-) -> SearchResult:
+def norm_search(n, p, dims, budget=200, seed=0, kmax=3) -> SearchResult:
     """Best observed ratio over the candidate schedule, deterministic in seed."""
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -53,14 +45,14 @@ def norm_search(
     degenerate = 0
     for i in range(budget):
         mutate = i % 4 == 3 and best_field is not None
-        fresh = random_band_limited(n, dims, L, rng, kmax=kmax)
+        fresh = random_band_limited(n, dims, 1.0, rng, kmax=kmax)
         if mutate:
             norm_best = lp_norm(best_field, 2)
             norm_fresh = lp_norm(fresh, 2)
             if norm_fresh <= DEGENERATE_NORM:
                 degenerate += 1
                 continue
-            candidate = best_field + (mutation_scale * norm_best / norm_fresh) * fresh
+            candidate = best_field + (MUTATION_SCALE * norm_best / norm_fresh) * fresh
             kind = "mutation"
         else:
             candidate = fresh
@@ -84,14 +76,4 @@ def norm_search(
         evaluations=budget,
         degenerate=degenerate,
         ceiling=report.overall_bound,
-        inputs={
-            "n": n,
-            "p": p,
-            "dims": tuple(dims),
-            "L": L,
-            "budget": budget,
-            "seed": seed,
-            "kmax": kmax,
-            "mutation_scale": mutation_scale,
-        },
     )

@@ -24,6 +24,7 @@ from .fields import FormField, TrigSeries
 
 PATH_BLOCK = 4096
 _N_BOOT = 200  # bootstrap resamples in martingale_transform_experiment
+MAX_REL_CI = 0.05  # widest relative CI half-width a ceiling comparison accepts
 
 
 def _philox(seed: int, stream: int) -> np.random.Generator:
@@ -259,26 +260,19 @@ class TransformResult:
         return self.ratio <= self.ceiling * (1.0 + 3.0 * self.rel_ci_half_width)
 
 
-def martingale_transform_experiment(
-    p,
-    steps,
-    trials,
-    transform,
-    seed,
-    d=1,
-    max_rel_ci=0.05,
-) -> TransformResult:
+def martingale_transform_experiment(p, steps, trials, transform, seed) -> TransformResult:
     """Moment ratio of a transformed walk against the (p* - 1) ceiling.
 
-    Builds the pair via transform_walk (which enforces subordination
+    Builds a scalar pair via transform_walk (which enforces subordination
     pathwise) and bootstraps a confidence interval for
     (E|Y|^p / E|U|^p)^(1/p). Raises StatisticalPowerError when the
-    interval is too wide to support a ceiling comparison.
+    relative half-width exceeds MAX_REL_CI, too wide to support a ceiling
+    comparison.
     """
     p = float(p)
     if not p > 1.0:
         raise ValueError("exponent must lie in (1, inf)")
-    pair = transform_walk(steps, trials, transform, seed, d=d)
+    pair = transform_walk(steps, trials, transform, seed)
     u_p = np.sum(pair.base**2, axis=1) ** (p / 2.0)
     y_p = np.sum(pair.transformed**2, axis=1) ** (p / 2.0)
     ratio = float((y_p.mean() / u_p.mean()) ** (1.0 / p))
@@ -289,9 +283,9 @@ def martingale_transform_experiment(
         boots[b] = (y_p[idx].mean() / u_p[idx].mean()) ** (1.0 / p)
     half = float((np.quantile(boots, 0.975) - np.quantile(boots, 0.025)) / 2.0)
     rel_half = half / ratio if ratio > 0 else np.inf
-    if rel_half > max_rel_ci:
+    if rel_half > MAX_REL_CI:
         raise StatisticalPowerError(
-            f"relative CI half-width {rel_half:.3e} exceeds {max_rel_ci}; raise trials"
+            f"relative CI half-width {rel_half:.3e} exceeds {MAX_REL_CI}; raise trials"
         )
     p_star = max(p, p / (p - 1.0))
     return TransformResult(

@@ -53,7 +53,7 @@ class TestSigmaDotMatrix:
     def test_matches_full_matrix_contraction(self):
         # independent route: contract the symmetric-weight heat matrix
         rng = np.random.default_rng(0)
-        for n in (2, 3):
+        for n in (2, 3, 4):
             full = build_full_matrix(HeatMatrixSpec.symmetric(n))
             full4 = full.reshape(1 << n, n, 1 << n, n)
             for _ in range(10):

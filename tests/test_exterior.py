@@ -7,6 +7,7 @@ from heatforms.exterior import (
     enumerate_grade,
     interval_count,
     substitute_with_sign,
+    substitutions,
     wedge_reorder_oracle,
 )
 
@@ -128,6 +129,18 @@ def test_substitution_properties_random(data):
     assert s in (-1, 1)
     seq = [l if e == k else e for e in K.elements()]
     assert wedge_reorder_oracle(seq, n) == (K2, s)
+
+
+@given(st.integers(0, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))))
+def test_substitutions_list_each_pair_once(n_mask):
+    n, mask = n_mask
+    K = MultiIndex(mask, n)
+    subs = substitutions(K)
+    outside = [e for e in range(1, n + 1) if e not in K]
+    assert [(k, l) for k, l, _, _ in subs] == [(k, l) for k in K.elements() for l in outside]
+    for k, l, target, sign in subs:
+        seq = [l if e == k else e for e in K.elements()]
+        assert wedge_reorder_oracle(seq, n) == (target, sign)
 
 
 class TestMultiIndex:

@@ -115,6 +115,13 @@ class TestLpNorm:
         with pytest.raises(ValueError):
             lp_norm(FormField.zeros(2, (4, 4)), 0.5)
 
+    @pytest.mark.parametrize("p", [np.inf, np.nan])
+    def test_rejects_non_finite_p(self, p):
+        # p = inf used to return 1.0 for every field, p = nan returned nan
+        f = random_band_limited(2, (16, 16), 1.0, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            lp_norm(f, p)
+
     @given(st.floats(0.1, 10.0), st.floats(1.0, 6.0))
     @settings(max_examples=20, deadline=None)
     def test_homogeneous(self, scale, p):

@@ -7,6 +7,7 @@ from heatforms.errors import CapError
 from heatforms.exterior import MultiIndex, enumerate_grade
 from heatforms.heatmatrix import (
     HeatMatrixSpec,
+    _grade_structure,
     bound_constants,
     build_full_matrix,
     build_grade_matrix,
@@ -38,7 +39,7 @@ class TestEntry:
         assert entry(mi([1], 2), 1, mi([1, 2], 2), 1, 0.5) == 0.0
 
     def test_grade_matrix_matches_entry(self):
-        for n in (2, 3):
+        for n in (2, 3, 4, 5):
             for r in range(n + 1):
                 for a in (0.0, 0.37, 1.0):
                     weights = [0.5] * (n + 1)
@@ -84,8 +85,14 @@ class TestGradeMatrix:
                     assert np.array_equal(M, M.T)
 
     def test_cap(self):
+        # n = 14, r = 7 has 48048 rows; the cap refuses before allocating
         with pytest.raises(CapError):
-            build_grade_matrix(HeatMatrixSpec.symmetric(2), 1, cap=3)
+            build_grade_matrix(HeatMatrixSpec.symmetric(14), 7)
+
+    def test_structure_is_sparse(self):
+        # the cached skeleton is index arrays, not dense size x size patterns
+        nbytes = sum(arr.nbytes for arr in _grade_structure(8, 4))
+        assert nbytes < np.zeros((560, 560)).nbytes
 
 
 class TestBlocks:
@@ -260,7 +267,7 @@ class TestNormSweep:
 
     def test_full_matrix_cap(self):
         with pytest.raises(CapError):
-            build_full_matrix(HeatMatrixSpec.symmetric(4), cap_n=3)
+            build_full_matrix(HeatMatrixSpec.symmetric(11))
 
 
 class TestBoundConstants:

@@ -51,6 +51,20 @@ class TestQuadrature:
         values, errs = laplace_symbol_eval_many(sym, lams)
         assert np.all(np.abs(values) <= sym.sup_profile + errs + 1e-9)
 
+    @pytest.mark.parametrize(
+        "sym, lams, exact",
+        [
+            (identity_symbol(), [1e-3, 1.0, 1e6], lambda lam: np.ones_like(lam)),
+            (imaginary_power_symbol(1.0), [0.1, 1.0, 10.0], lambda lam: lam ** 1j),
+        ],
+        ids=["identity", "power"],
+    )
+    def test_error_estimate_covers_truncation(self, sym, lams, exact):
+        # the step-halving change alone was ~3e-14 against a true 1.03e-10
+        lams = np.array(lams)
+        values, errs = laplace_symbol_eval_many(sym, lams)
+        assert np.all(errs >= np.abs(values - exact(lams)) / np.abs(values))
+
     def test_rejects_nonpositive_lambda(self):
         with pytest.raises(ValueError):
             laplace_symbol_eval(identity_symbol(), 0.0)
@@ -111,6 +125,14 @@ class TestApplyMultiplier:
         for s in (0.5, 2.0):
             g = apply_spectral_multiplier(imaginary_power_symbol(s), f)
             assert abs(lp_norm(g, 2) - lp_norm(f, 2)) < 1e-8
+
+    def test_real_profile_gives_real_field(self):
+        # an undeclared real profile has real multiplier values, so the
+        # imaginary pass is skipped and a real field stays real
+        sym = SpectralSymbol(profile=lambda t: np.exp(-t))
+        f = random_band_limited(2, (16, 16), 1.0, np.random.default_rng(5))
+        g = apply_spectral_multiplier(sym, f)
+        assert not np.iscomplexobj(g.data)
 
     def test_zero_limit_convention(self):
         f = cosine_field(2, (8, 8), 1.0, [0, 0], mask=0, amplitude=3.0)  # constant
