@@ -280,18 +280,24 @@ class TrigSeries:
         zero = np.all(self.kvecs == 0.0, axis=1)
         return float(np.sum(self.coeffs[zero]).real)
 
-    def _phases(self, points, t):
+    def _terms(self, points, t):
+        """Weighted modes c_k exp(2 pi i k.x / L - 2 pi^2 |k|^2 t / L^2).
+
+        Shape (*points.shape[:-1], nmodes); t is a scalar or an array that
+        broadcasts to points.shape[:-1] (one time per step, say).
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        phase = pts @ self.kvecs.T * (2.0 * np.pi / self.L)
-        weight = self.coeffs * np.exp(-2.0 * np.pi**2 * self.ksq * t)
-        return np.exp(1j * phase) * weight  # (npoints, nmodes)
+        terms = 1j * (pts @ self.kvecs.T * (2.0 * np.pi / self.L))
+        np.exp(terms, out=terms)  # in place: the largest array is allocated once
+        t = np.asarray(t, dtype=float)[..., None]
+        terms *= self.coeffs * np.exp(-2.0 * np.pi**2 * self.ksq * t)
+        return terms
 
     def value(self, points, t=0.0) -> np.ndarray:
-        """Heat extension at time t evaluated at points of shape (m, n)."""
-        return self._phases(points, t).sum(axis=1).real
+        """Heat extension at time t evaluated at points of shape (..., n)."""
+        return (self._terms(points, t) @ np.ones(len(self.coeffs))).real
 
     def gradient(self, points, t=0.0) -> np.ndarray:
-        """Spatial gradient of the heat extension; shape (m, n)."""
-        terms = self._phases(points, t)
+        """Spatial gradient of the heat extension; shape (..., n)."""
         factors = 1j * 2.0 * np.pi / self.L * self.kvecs  # (nmodes, n)
-        return (terms[:, :, None] * factors[None, :, :]).sum(axis=1).real
+        return (self._terms(points, t) @ factors).real

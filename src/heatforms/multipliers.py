@@ -27,7 +27,7 @@ from .fourier import _multipliers, _through_spectrum
 # right, and the profile can turn that missed weight into an error of at
 # most sup|A| times it.
 _V_LO = -23.0
-_V_HI = 3.4
+_V_HI = 3.5
 _H_START = 0.25
 _MAX_HALVINGS = 8
 _CHUNK = 2048  # lambdas per vectorized quadrature block
@@ -62,8 +62,13 @@ def imaginary_power_symbol(s: float) -> SpectralSymbol:
 
 
 def _grid(h):
-    """Trapezoid nodes v and weights exp(v - e^v) h at step h."""
-    v = np.arange(_V_LO, _V_HI + 0.5 * h, h)
+    """Trapezoid nodes v and weights exp(v - e^v) h at step h.
+
+    The nodes run from _V_LO to _V_HI exactly for every step that divides
+    the interval, and each halving keeps the previous nodes, so successive
+    sums in the halving loop cover the same interval.
+    """
+    v = _V_LO + h * np.arange(round((_V_HI - _V_LO) / h) + 1)
     weight = np.exp(v - np.exp(v)) * h
     weight[0] *= 0.5
     weight[-1] *= 0.5

@@ -10,7 +10,18 @@ martingale transforms.
 
 Randomness comes from counter-based Philox streams keyed by
 (seed, block index) over fixed-size path blocks, so ensembles are
-bit-reproducible no matter how the path loop is scheduled.
+bit-reproducible no matter how the path loop is scheduled. Each block
+draws the uniform starts of all PATH_BLOCK paths and then the normal
+increments of only the paths kept; a normal draw is a bitwise prefix of
+any longer draw from the same stream position, so an ensemble is a prefix
+of every larger one with the same seed.
+
+The increments are stored path-major; the step loops read them through
+step-major contiguous copies of STEP_BLOCK steps at a time. The Ito check
+walks the positions one step at a time and then evaluates the gradient
+once per block, adding the block's terms in step order. The bootstrap
+turns each resample's indices into a count vector and takes both moment
+sums with one product.
 """
 
 from __future__ import annotations
@@ -23,6 +34,8 @@ from .errors import StatisticalPowerError
 from .fields import FormField, TrigSeries
 
 PATH_BLOCK = 4096
+STEP_BLOCK = 8  # steps per step-major copy of the increments
+_COPY_PATHS = 1024  # paths per copy pass: their cache lines serve every step of a block
 _N_BOOT = 200  # bootstrap resamples in martingale_transform_experiment
 MAX_REL_CI = 0.05  # widest relative CI half-width a ceiling comparison accepts
 
@@ -50,12 +63,8 @@ class PathEnsemble:
         """Torus position of every path after `step` increments."""
         if not 0 <= step <= self.steps:
             raise ValueError("step out of range")
-        pos = self.starts + self.increments[:, :step, :].sum(axis=1)
+        pos = self.starts + np.einsum("psa->pa", self.increments[:, :step, :])
         return np.mod(pos, self.L)
-
-    def increment_stats(self):
-        flat = self.increments.reshape(-1, self.n)
-        return flat.mean(axis=0), np.cov(flat, rowvar=False).reshape(self.n, self.n)
 
 
 def simulate_paths(n, h, steps, paths, seed, L=1.0) -> PathEnsemble:
@@ -66,17 +75,34 @@ def simulate_paths(n, h, steps, paths, seed, L=1.0) -> PathEnsemble:
         raise ValueError("counts must be at least 1")
     starts = np.empty((paths, n))
     increments = np.empty((paths, steps, n))
-    scale = np.sqrt(h)
     for block_idx, lo in enumerate(range(0, paths, PATH_BLOCK)):
         hi = min(lo + PATH_BLOCK, paths)
-        # draw the full block even when only part is used, so the ensemble
-        # is a bitwise prefix of any larger one with the same seed
         rng = _philox(seed, block_idx)
+        # draw the starts of the full block even when only part is used, so
+        # the normals start at the same stream position for every path
+        # count; they are then a prefix of the full block's normals, and the
+        # ensemble a bitwise prefix of any larger one with the same seed
         starts[lo:hi] = rng.uniform(0.0, L, size=(PATH_BLOCK, n))[: hi - lo]
-        increments[lo:hi] = (
-            scale * rng.standard_normal((PATH_BLOCK, steps, n))[: hi - lo]
-        )
+        rng.standard_normal(out=increments[lo:hi])
+    increments *= np.sqrt(h)
     return PathEnsemble(n, h, steps, paths, seed, L, starts, increments)
+
+
+def _step_blocks(increments):
+    """Yield (first step, step-major copy) for each STEP_BLOCK of steps.
+
+    increments has shape (paths, steps, d); each copy has shape
+    (block, paths, d) and is contiguous, so one step is one contiguous
+    row. All copies share one buffer, valid until the next is yielded.
+    """
+    paths, steps, d = increments.shape
+    buf = np.empty((STEP_BLOCK, paths, d))
+    for lo in range(0, steps, STEP_BLOCK):
+        block = buf[: min(STEP_BLOCK, steps - lo)]
+        for p0 in range(0, paths, _COPY_PATHS):
+            rows = increments[p0 : p0 + _COPY_PATHS, lo : lo + len(block)]
+            block[:, p0 : p0 + _COPY_PATHS] = rows.swapaxes(0, 1)
+        yield lo, block
 
 
 @dataclass(frozen=True)
@@ -123,18 +149,23 @@ def ito_terminal_check(field: FormField, tau, ensemble: PathEnsemble) -> float:
     if abs(ensemble.steps * ensemble.h - tau) > 1e-9 * max(tau, ensemble.h):
         raise ValueError("tau must equal steps * h")
     series = [TrigSeries.from_grid(row, field.L) for row in field.data]
-    accum = np.zeros((ensemble.paths, len(series)))
-    pos = ensemble.starts.copy()
-    for k in range(ensemble.steps):
-        remaining = tau - k * ensemble.h
-        step = ensemble.increments[:, k, :]
+    accum = np.zeros((len(series), ensemble.paths))
+    pos = ensemble.starts
+    for lo, block in _step_blocks(ensemble.increments):
+        at = np.empty_like(block)  # position before each step of the block
+        for j, step in enumerate(block):
+            at[j] = pos
+            pos = np.mod(pos + step, field.L)
+        remaining = tau - np.arange(lo, lo + len(block)) * ensemble.h
         for idx, s in enumerate(series):
-            accum[:, idx] += np.einsum("pa,pa->p", s.gradient(pos, t=remaining), step)
-        pos = np.mod(pos + step, field.L)
+            grad = s.gradient(at, t=remaining[:, None])
+            contrib = np.einsum("spa,spa->sp", grad, block)
+            contrib[0] += accum[idx]  # so the sum runs in step order
+            np.add.reduce(contrib, axis=0, out=accum[idx])
     closed = np.stack(
-        [s.value(pos) - s.value(ensemble.starts, t=tau) for s in series], axis=1
+        [s.value(pos) - s.value(ensemble.starts, t=tau) for s in series]
     )
-    gap_sq = np.sum((accum - closed) ** 2, axis=1)
+    gap_sq = np.sum((accum - closed) ** 2, axis=0)
     return float(np.sqrt(gap_sq.mean()))
 
 
@@ -193,25 +224,16 @@ class MartingalePair:
     base/transformed hold the terminal values U_T, Y_T; the quadratic
     variation gap <U> - <Y> is accumulated per step and every increment is
     checked to be nonnegative with zero tolerance while the pair is
-    built. gap_history (optional) keeps the running gap per step.
+    built.
     """
 
     base: np.ndarray  # (trials, d) terminal U
     transformed: np.ndarray  # (trials, d) terminal Y
     base_qv: np.ndarray  # (trials,) <U>_T
     transformed_qv: np.ndarray  # (trials,) <Y>_T
-    gap_history: np.ndarray | None = None  # (trials, steps) running <U> - <Y>
-
-    def subordination_holds(self) -> bool:
-        """Exact pathwise check: the gap starts >= 0 and never decreases."""
-        if self.gap_history is not None:
-            if np.any(self.gap_history[:, 0] < 0.0):
-                return False
-            return not np.any(np.diff(self.gap_history, axis=1) < 0.0)
-        return not np.any(self.base_qv - self.transformed_qv < 0.0)
 
 
-def transform_walk(steps, trials, transform, seed, d=1, keep_history=False) -> MartingalePair:
+def transform_walk(steps, trials, transform, seed, d=1) -> MartingalePair:
     """Run a Gaussian walk through a predictable transform.
 
     The transform is called per step with the running sum so far and must
@@ -228,24 +250,21 @@ def transform_walk(steps, trials, transform, seed, d=1, keep_history=False) -> M
     y = np.zeros((trials, d))
     qv_u = np.zeros(trials)
     qv_y = np.zeros(trials)
-    history = np.empty((trials, steps)) if keep_history else None
-    for k in range(steps):
-        coeff = np.asarray(fn(k, u), dtype=float)
-        if np.any(np.abs(coeff) > 1.0):
-            raise ValueError("transform coefficients must have modulus <= 1")
-        step = incs[:, k, :]
-        scaled = coeff[..., None] * step if coeff.ndim else coeff * step
-        inc_u = np.sum(step**2, axis=1)
-        inc_y = np.sum(scaled**2, axis=1)
-        if np.any(inc_u - inc_y < 0.0):
-            raise AssertionError("quadratic variation domination violated")
-        qv_u += inc_u
-        qv_y += inc_y
-        u += step
-        y += scaled
-        if history is not None:
-            history[:, k] = qv_u - qv_y
-    return MartingalePair(u, y, qv_u, qv_y, history)
+    for lo, block in _step_blocks(incs):
+        for k, step in enumerate(block, start=lo):
+            coeff = np.asarray(fn(k, u), dtype=float)
+            if np.any(np.abs(coeff) > 1.0):
+                raise ValueError("transform coefficients must have modulus <= 1")
+            scaled = coeff[..., None] * step if coeff.ndim else coeff * step
+            inc_u = np.einsum("td,td->t", step, step)
+            inc_y = np.einsum("td,td->t", scaled, scaled)
+            if np.any(inc_u - inc_y < 0.0):
+                raise AssertionError("quadratic variation domination violated")
+            qv_u += inc_u
+            qv_y += inc_y
+            u += step
+            y += scaled
+    return MartingalePair(u, y, qv_u, qv_y)
 
 
 @dataclass(frozen=True)
@@ -276,11 +295,14 @@ def martingale_transform_experiment(p, steps, trials, transform, seed) -> Transf
     u_p = np.sum(pair.base**2, axis=1) ** (p / 2.0)
     y_p = np.sum(pair.transformed**2, axis=1) ** (p / 2.0)
     ratio = float((y_p.mean() / u_p.mean()) ** (1.0 / p))
+    moments = np.stack([y_p, u_p], axis=1)
     boot_rng = _philox(seed, 1)
     boots = np.empty(_N_BOOT)
     for b in range(_N_BOOT):
-        idx = boot_rng.integers(0, trials, trials)
-        boots[b] = (y_p[idx].mean() / u_p[idx].mean()) ** (1.0 / p)
+        # one draw per resample: a single (_N_BOOT, trials) draw is another stream
+        counts = np.bincount(boot_rng.integers(0, trials, trials), minlength=trials)
+        y_sum, u_sum = counts @ moments
+        boots[b] = (y_sum / u_sum) ** (1.0 / p)
     half = float((np.quantile(boots, 0.975) - np.quantile(boots, 0.025)) / 2.0)
     rel_half = half / ratio if ratio > 0 else np.inf
     if rel_half > MAX_REL_CI:

@@ -261,6 +261,27 @@ class TestTrigSeries:
         grid = np.full((4, 4), 3.25)
         assert TrigSeries.from_grid(grid, 1.0).mean() == pytest.approx(3.25)
 
+    @pytest.mark.parametrize("per_step", [False, True], ids=["scalar_t", "array_t"])
+    def test_matches_broadcast_formulas(self, per_step):
+        # the broadcast-and-sum formulas the mode matmul replaced, one
+        # leading index (step) at a time
+        f = random_band_limited(2, (16, 16), 1.0, np.random.default_rng(4), kmax=3)
+        series = TrigSeries.from_grid(f.components[1], 1.0)
+        pts = np.random.default_rng(5).uniform(0.0, 1.0, (6, 50, 2))
+        ts = 0.01 * np.arange(6)[:, None] if per_step else 0.03
+        value, grad = series.value(pts, ts), series.gradient(pts, ts)
+        factors = 1j * 2.0 * np.pi / series.L * series.kvecs
+        for k in range(len(pts)):
+            t = ts[k, 0] if per_step else ts
+            phase = pts[k] @ series.kvecs.T * (2.0 * np.pi / series.L)
+            terms = np.exp(1j * phase) * series.coeffs * np.exp(
+                -2.0 * np.pi**2 * series.ksq * t
+            )
+            want_value = terms.sum(axis=1).real
+            want_grad = (terms[:, :, None] * factors[None, :, :]).sum(axis=1).real
+            assert np.max(np.abs(value[k] - want_value)) <= 1e-14 * np.max(np.abs(want_value))
+            assert np.max(np.abs(grad[k] - want_grad)) <= 1e-14 * np.max(np.abs(want_grad))
+
     def test_reproduces_grid_samples(self):
         rng = np.random.default_rng(3)
         f = random_band_limited(2, (8, 8), 1.0, rng, kmax=3)

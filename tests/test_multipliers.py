@@ -4,7 +4,11 @@ import pytest
 from heatforms.errors import AccuracyError
 from heatforms.fields import cosine_field, lp_norm, random_band_limited
 from heatforms.multipliers import (
+    _H_START,
+    _V_HI,
+    _V_LO,
     SpectralSymbol,
+    _grid,
     apply_spectral_multiplier,
     identity_symbol,
     imaginary_power_constant,
@@ -64,6 +68,14 @@ class TestQuadrature:
         lams = np.array(lams)
         values, errs = laplace_symbol_eval_many(sym, lams)
         assert np.all(errs >= np.abs(values - exact(lams)) / np.abs(values))
+
+    @pytest.mark.parametrize("halvings", range(8))
+    def test_grid_ends_fixed_and_nodes_nested(self, halvings):
+        # every halving's sum covers [_V_LO, _V_HI] and keeps the old nodes
+        h = _H_START / 2**halvings
+        v, _ = _grid(h)
+        assert v[0] == _V_LO and v[-1] == _V_HI
+        assert np.array_equal(_grid(h / 2)[0][::2], v)
 
     def test_rejects_nonpositive_lambda(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from heatforms.errors import StatisticalPowerError
-from heatforms.fields import FormField, cosine_field, random_band_limited
+from heatforms.fields import FormField, TrigSeries, cosine_field, random_band_limited
 from heatforms.stochastic import (
     TRANSFORMS,
     alternating_transform,
@@ -15,6 +15,14 @@ from heatforms.stochastic import (
     simulate_paths,
     transform_walk,
 )
+
+
+def oracle_gradient(series, points, t):
+    """TrigSeries.gradient as a broadcast over modes and a sum over them."""
+    phase = points @ series.kvecs.T * (2.0 * np.pi / series.L)
+    terms = np.exp(1j * phase) * series.coeffs * np.exp(-2.0 * np.pi**2 * series.ksq * t)
+    factors = 1j * 2.0 * np.pi / series.L * series.kvecs
+    return (terms[:, :, None] * factors[None, :, :]).sum(axis=1).real
 
 
 class TestSimulatePaths:
@@ -35,9 +43,18 @@ class TestSimulatePaths:
         large = simulate_paths(2, 0.01, 20, 5000, seed=3)
         assert np.array_equal(small.increments[:3000], large.increments[:3000])
 
+    def test_prefix_stable_across_a_partial_block(self):
+        # 4100 paths fill one block and 4 paths of the next, whose normals
+        # are drawn for the kept paths only
+        small = simulate_paths(2, 0.01, 20, 4100, seed=3)
+        large = simulate_paths(2, 0.01, 20, 9000, seed=3)
+        assert np.array_equal(small.increments, large.increments[:4100])
+        assert np.array_equal(small.starts, large.starts[:4100])
+
     def test_increment_moments(self):
         ens = simulate_paths(3, 0.04, 25, 40000, seed=1)
-        mean, cov = ens.increment_stats()
+        flat = ens.increments.reshape(-1, 3)
+        mean, cov = flat.mean(axis=0), np.cov(flat, rowvar=False)
         draws = ens.paths * ens.steps
         se_mean = np.sqrt(0.04 / draws)
         assert np.all(np.abs(mean) < 4 * se_mean)
@@ -136,6 +153,33 @@ class TestItoTerminal:
         pts = np.random.default_rng(0).uniform(0, 1, (200, 2))
         assert np.max(np.abs(series.value(pts, t=tau))) < 1e-3 * lp_norm(f, 2)
 
+    @pytest.mark.parametrize(
+        "n, dims, kmax, paths",
+        [(2, (16, 16), 3, 300), (3, (8, 8, 8), 2, 200)],
+        ids=["n2", "n3"],
+    )
+    def test_matches_per_step_loop(self, n, dims, kmax, paths):
+        # the per-step loop the step-block evaluation replaced, with the
+        # broadcast-and-sum gradient, as the reference
+        f = random_band_limited(n, dims, 1.0, np.random.default_rng(5), kmax=kmax)
+        tau, steps = 0.05, 20
+        ens = simulate_paths(n, tau / steps, steps, paths, seed=6)
+        series = [TrigSeries.from_grid(row, f.L) for row in f.data]
+        accum = np.zeros((ens.paths, len(series)))
+        pos = ens.starts.copy()
+        for k in range(ens.steps):
+            step = ens.increments[:, k, :]
+            for idx, s in enumerate(series):
+                grad = oracle_gradient(s, pos, tau - k * ens.h)
+                accum[:, idx] += np.einsum("pa,pa->p", grad, step)
+            pos = np.mod(pos + step, f.L)
+        closed = np.stack(
+            [s.value(pos) - s.value(ens.starts, t=tau) for s in series], axis=1
+        )
+        want = np.sqrt(np.sum((accum - closed) ** 2, axis=1).mean())
+        assert len(series) == 2**n
+        assert ito_terminal_check(f, tau, ens) == pytest.approx(want, rel=1e-13)
+
     def test_tau_validation(self):
         f = cosine_field(2, (8, 8), 1.0, [1, 0], mask=1)
         ens = simulate_paths(2, 0.01, 30, 50, seed=0)
@@ -144,17 +188,24 @@ class TestItoTerminal:
 
 
 class TestMartingalePair:
-    def test_gap_history_nondecreasing_exact(self):
-        for name in TRANSFORMS:
-            pair = transform_walk(64, 500, name, seed=0, keep_history=True)
-            assert pair.subordination_holds()
-            assert np.all(pair.gap_history[:, 0] >= 0.0)
-            assert not np.any(np.diff(pair.gap_history, axis=1) < 0.0)
+    def test_base_variation_dominates(self):
+        for d in (1, 3):
+            for name in TRANSFORMS:
+                pair = transform_walk(64, 500, name, seed=0, d=d)
+                assert np.all(pair.base_qv >= pair.transformed_qv)
 
     def test_identity_gap_is_zero(self):
-        pair = transform_walk(16, 100, identity_transform, seed=1, keep_history=True)
-        assert np.all(pair.gap_history == 0.0)
+        pair = transform_walk(16, 100, identity_transform, seed=1)
+        assert np.array_equal(pair.base_qv, pair.transformed_qv)
         assert np.array_equal(pair.base, pair.transformed)
+
+    def test_oversized_coefficient_at_one_step_raises(self):
+        # the modulus is checked at every step, not only on the first call
+        def late(k, u_prev):
+            return 1.5 if k == 5 else 1.0
+
+        with pytest.raises(ValueError):
+            transform_walk(16, 100, late, seed=0)
 
     def test_terminal_qv_matches_increment_sums(self):
         pair = transform_walk(8, 50, alternating_transform, seed=2)
@@ -162,9 +213,9 @@ class TestMartingalePair:
         assert np.array_equal(pair.base_qv, pair.transformed_qv)
 
     def test_vector_walk(self):
-        pair = transform_walk(16, 200, sign_transform, seed=3, d=3, keep_history=True)
+        pair = transform_walk(16, 200, sign_transform, seed=3, d=3)
         assert pair.base.shape == (200, 3)
-        assert pair.subordination_holds()
+        assert pair.transformed.shape == (200, 3)
 
 
 class TestTransformExperiment:
