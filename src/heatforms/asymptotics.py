@@ -20,6 +20,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .exterior import MultiIndex, substitutions
+from .heatmatrix import conjugate_exponent
 
 
 @dataclass(frozen=True)
@@ -37,23 +38,10 @@ class UnitDirection:
         if abs(float(sigma @ sigma) - 1.0) > 1e-12:
             raise ValueError("coefficients must have unit length")
 
-    @classmethod
-    def normalized(cls, vec, n) -> "UnitDirection":
-        vec = np.asarray(vec, dtype=float)
-        norm = float(np.linalg.norm(vec))
-        if norm == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return cls(vec / norm, n)
-
-    @classmethod
-    def concentrated(cls, mask, n) -> "UnitDirection":
-        vec = np.zeros(1 << n)
-        vec[mask] = 1.0
-        return cls(vec, n)
-
 
 def random_direction(n, rng) -> UnitDirection:
-    return UnitDirection.normalized(rng.standard_normal(1 << n), n)
+    vec = rng.standard_normal(1 << n)
+    return UnitDirection(vec / np.linalg.norm(vec), n)
 
 
 def _column_group(sigma, J: MultiIndex) -> np.ndarray:
@@ -120,19 +108,14 @@ def sphere_coordinate_lp_norm(N: int, p: float) -> float:
     p = float(p)
     if p < 1:
         raise ValueError("exponent must be >= 1")
-    log_moment = (
-        gammaln((p + 1.0) / 2.0)
-        + gammaln(N / 2.0)
-        - gammaln((N + p) / 2.0)
-        - gammaln(0.5)
-    )
+    largest = gammaln((N + p) / 2.0)  # of the four terms, the first to overflow
+    if not np.isfinite(largest):
+        raise ValueError(f"exponent {p} overflows log-Gamma")
+    log_moment = gammaln((p + 1.0) / 2.0) + gammaln(N / 2.0) - largest - gammaln(0.5)
     return float(np.exp(log_moment / p))
 
 
 def asymptotic_bound(n: int, p: float) -> float:
     """Large-p operator bound: constant * (p* - 1) / sphere coordinate norm."""
-    p = float(p)
-    if not p > 1.0 or not np.isfinite(p):
-        raise ValueError("exponent must lie in (1, inf)")
-    p_star = max(p, p / (p - 1.0))
+    p_star = conjugate_exponent(p)
     return asymptotic_constant(n) * (p_star - 1.0) / sphere_coordinate_lp_norm(1 << n, p)

@@ -4,8 +4,9 @@ Exit codes:
 
 * 0: all checks passed.
 * 1: usage or I/O error: a bad argument or value (ValueError, CapError),
-  a malformed field file (FFLDError), or a file that cannot be read or
-  written (OSError).
+  including a non-finite float option or report value, a malformed
+  field file (FFLDError), or a file that cannot be read or written
+  (OSError).
 * 2: a numeric check failed; the report's status line says "fail".
 * 3: the computation could not decide the check: a quadrature missed its
   error target (AccuracyError), every search candidate was degenerate
@@ -21,6 +22,7 @@ compatibility and never changes results.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -42,9 +44,19 @@ EXIT_UNDECIDED = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
+    def error(self, message):  # one stderr line, like every other error
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of every float option: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def _common_flags(parser):
@@ -53,19 +65,13 @@ def _common_flags(parser):
         "--threads", type=int, default=1, help="accepted but never affects results"
     )
     parser.add_argument(
-        "--tol", type=float, default=None, help="override the command's tolerance"
+        "--tol", type=_finite_float, default=None, help="override the command's tolerance"
     )
     parser.add_argument("--format", choices=("json", "csv"), default="json")
 
 
 def _inputs(args) -> dict:
-    skip = {"func"}
-    out = {}
-    for key, value in vars(args).items():
-        if key in skip:
-            continue
-        out[key] = list(value) if isinstance(value, tuple) else value
-    return out
+    return {key: value for key, value in vars(args).items() if key != "func"}
 
 
 def cmd_bounds(args, report: Report):
@@ -170,12 +176,9 @@ def cmd_impow(args, report: Report):
     tol_quad = args.tol if args.tol is not None else 1e-6
     value = mult.imaginary_power_constant(args.s, args.p)
     s = args.s
-    if s == 0.0:
-        closed = max(args.p, args.p / (args.p - 1.0)) - 1.0
-    else:
-        closed = (max(args.p, args.p / (args.p - 1.0)) - 1.0) * float(
-            np.sqrt(np.sinh(np.pi * s) / (np.pi * s))
-        )
+    closed = hm.conjugate_exponent(args.p) - 1.0
+    if s != 0.0:
+        closed *= float(np.sqrt(np.sinh(np.pi * s) / (np.pi * s)))
     report.add("constant", value)
     report.add("constant_closed_form", closed)
     ok = abs(value - closed) <= tol_const * max(1.0, closed)
@@ -261,7 +264,7 @@ def build_parser() -> _Parser:
 
     p = add("bounds", cmd_bounds, help="norm bound constants")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=float, required=True)
+    p.add_argument("--p", type=_finite_float, required=True)
 
     p = add("matrix-verify", cmd_matrix_verify, help="block spectra versus closed forms")
     p.add_argument("--n", type=int, required=True)
@@ -273,7 +276,7 @@ def build_parser() -> _Parser:
 
     p = add("norm-search", cmd_norm_search, help="empirical lower norm probe")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=float, required=True)
+    p.add_argument("--p", type=_finite_float, required=True)
     p.add_argument("--grid", type=int, default=64)
     p.add_argument("--budget", type=int, default=100)
     p.add_argument("--kmax", type=int, default=3)
@@ -282,28 +285,28 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--cases", type=int, default=10)
     p.add_argument("--grid", type=int, default=32)
-    p.add_argument("--tmax", type=float, default=1.0)
+    p.add_argument("--tmax", type=_finite_float, default=1.0)
 
     p = add("impow", cmd_impow, help="imaginary-power constants and quadrature")
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--p", type=float, required=True)
+    p.add_argument("--s", type=_finite_float, required=True)
+    p.add_argument("--p", type=_finite_float, required=True)
 
     p = add("asymptotics", cmd_asymptotics, help="large-p constants and sigma probe")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=float, required=True)
+    p.add_argument("--p", type=_finite_float, required=True)
     p.add_argument("--sigma-samples", type=int, default=0)
 
     p = add("simulate", cmd_simulate, help="Monte Carlo checks")
     p.add_argument("experiment", choices=("markov", "ito", "transform"))
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--grid", type=int, default=16)
-    p.add_argument("--h", type=float, default=0.02)
+    p.add_argument("--h", type=_finite_float, default=0.02)
     p.add_argument("--steps", type=int, default=50)
     p.add_argument("--paths", type=int, default=20000)
-    p.add_argument("--tau", type=float, default=0.5)
+    p.add_argument("--tau", type=_finite_float, default=0.5)
     p.add_argument("--step-counts", default="32,64,128")
     p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--p", type=float, default=4.0)
+    p.add_argument("--p", type=_finite_float, default=4.0)
     p.add_argument("--trials", type=int, default=100000)
     p.add_argument("--transform", default="sign", choices=sorted(st.TRANSFORMS))
 

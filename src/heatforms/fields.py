@@ -31,6 +31,7 @@ FFLD_MAGIC = "FFLD1 "
 FFLD_ORDER = "ascending-mask"
 FFLD_LAYOUT = "component-major,row-major"
 FFLD_DTYPE = "f64le"
+_MODE_TOL = 1e-12  # TrigSeries.from_grid drops |c_k| <= this * max(max |c_k|, 1)
 
 
 def _is_pow2(v: int) -> bool:
@@ -61,8 +62,8 @@ class FormField:
             raise ValueError("need one grid size per axis")
         if not all(_is_pow2(d) for d in self.dims):
             raise ValueError("grid sizes must be powers of two (>= 2)")
-        if not self.L > 0:
-            raise ValueError("period length must be positive")
+        if not 0 < self.L < np.inf:
+            raise ValueError("period length must be positive and finite")
         self.masks = [int(m) for m in self.masks]
         for mask in self.masks:
             if mask < 0 or mask >> self.n:
@@ -110,21 +111,10 @@ class FormField:
         self._check_compatible(other)
         return self.like(self.data + other.data)
 
-    def __sub__(self, other):
-        self._check_compatible(other)
-        return self.like(self.data - other.data)
-
     def __mul__(self, scalar):
         return self.like(self.data * scalar)
 
     __rmul__ = __mul__
-
-    def pointwise_square(self) -> np.ndarray:
-        """Grid of sum_I f_I(x)^2 (|.|^2 for complex components)."""
-        out = np.zeros(self.dims)
-        for row in self.data:
-            out += np.abs(row) ** 2 if np.iscomplexobj(row) else row**2
-        return out
 
     def is_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.data)))
@@ -134,17 +124,18 @@ def lp_norm(field: FormField, p: float) -> float:
     """Riemann-sum L^p norm of the pointwise Euclidean length, finite p >= 1."""
     if not (np.isfinite(p) and p >= 1):
         raise ValueError(f"exponent must be finite and >= 1, got {p}")
-    density = field.pointwise_square()
+    d = np.abs(field.data) if np.iscomplexobj(field.data) else field.data
+    density = np.einsum("i...,i...->...", d, d)  # sum_I |f_I(x)|^2
     return float((field.cell_volume * np.sum(density ** (p / 2.0))) ** (1.0 / p))
 
 
-def cosine_field(n, dims, L, kvec, mask, amplitude=1.0, phase=0.0) -> FormField:
-    """amplitude * cos(2 pi k.x / L + phase) placed in one component."""
+def cosine_field(n, dims, L, kvec, mask, amplitude=1.0) -> FormField:
+    """amplitude * cos(2 pi k.x / L) placed in one component."""
     grids = np.meshgrid(
         *[np.arange(d) * (L / d) for d in dims], indexing="ij", sparse=True
     )
     arg = sum(2.0 * np.pi * kvec[a] / L * grids[a] for a in range(n))
-    comp = amplitude * np.cos(arg + phase)
+    comp = amplitude * np.cos(arg)
     return FormField(n, tuple(dims), L, [mask], np.broadcast_to(comp, (1,) + tuple(dims)).copy())
 
 
@@ -264,11 +255,11 @@ class TrigSeries:
         self.ksq = np.sum(self.kvecs**2, axis=1) / self.L**2
 
     @classmethod
-    def from_grid(cls, grid, L, tol=1e-12) -> "TrigSeries":
+    def from_grid(cls, grid, L) -> "TrigSeries":
         grid = np.asarray(grid, dtype=float)
         n = grid.ndim
         coeff = np.fft.fftn(grid) / grid.size
-        cutoff = tol * max(np.max(np.abs(coeff)), 1.0)
+        cutoff = _MODE_TOL * max(np.max(np.abs(coeff)), 1.0)
         modes = {}
         axes_k = [np.fft.fftfreq(d) * d for d in grid.shape]
         for idx in zip(*np.nonzero(np.abs(coeff) > cutoff)):

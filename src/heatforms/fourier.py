@@ -45,7 +45,7 @@ import numpy as np
 
 from .exterior import MultiIndex, substitutions
 from .fields import FormField, lp_norm
-from .heatmatrix import HeatMatrixSpec, build_full_matrix
+from .heatmatrix import HeatMatrixSpec, build_full_matrix, conjugate_exponent
 
 GL_ORDER = 16  # Gauss-Legendre nodes per time panel
 _MIN_PANELS, _MAX_PANELS = 4, 48  # bounds on psw_integral's time panels
@@ -203,13 +203,19 @@ def _dense_symbols(xi: np.ndarray) -> np.ndarray:
     return m.reshape(len(xi), 1 << n, 1 << n)
 
 
-def beurling_ahlfors_symbol(xi, n: int) -> SymbolMatrix:
-    """Dense 2^n x 2^n multiplier matrix at a single nonzero frequency."""
+def _frequency(xi, n: int) -> np.ndarray:
+    """xi as a float vector, checked to be a nonzero frequency in n dimensions."""
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (n,):
         raise ValueError("frequency vector has wrong length")
     if float(xi @ xi) == 0.0:
         raise ValueError("symbol is undefined at the zero frequency")
+    return xi
+
+
+def beurling_ahlfors_symbol(xi, n: int) -> SymbolMatrix:
+    """Dense 2^n x 2^n multiplier matrix at a single nonzero frequency."""
+    xi = _frequency(xi, n)
     return SymbolMatrix(xi=xi, matrix=_dense_symbols(xi[None])[0])
 
 
@@ -220,15 +226,10 @@ def symbol_from_heat_matrix(spec: HeatMatrixSpec, xi) -> SymbolMatrix:
     contraction cancels the alpha split, so the result agrees with
     beurling_ahlfors_symbol for every weight choice.
     """
-    xi = np.asarray(xi, dtype=float)
     n = spec.n
-    if xi.shape != (n,):
-        raise ValueError("frequency vector has wrong length")
-    norm_sq = float(xi @ xi)
-    if norm_sq == 0.0:
-        raise ValueError("symbol is undefined at the zero frequency")
+    xi = _frequency(xi, n)
     full = build_full_matrix(spec).reshape(1 << n, n, 1 << n, n)
-    m = -np.einsum("aibj,i,j->ab", full, xi, xi) / norm_sq
+    m = -np.einsum("aibj,i,j->ab", full, xi, xi) / float(xi @ xi)
     return SymbolMatrix(xi=xi, matrix=m)
 
 
@@ -340,11 +341,10 @@ def psw_integral(
     """
     if (field_f.n, field_f.dims, field_f.L) != (field_g.n, field_g.dims, field_g.L):
         raise ValueError("fields live on different grids")
-    if not t_max > 0:
-        raise ValueError("t_max must be positive")
+    if not 0 < t_max < np.inf:
+        raise ValueError("t_max must be positive and finite")
     p = float(p)
-    if not p > 1.0:
-        raise ValueError("exponent must lie in (1, inf)")
+    p_star = conjugate_exponent(p)
     if not (field_f.is_finite() and field_g.is_finite()):
         raise ValueError("field has non-finite samples")
     if np.iscomplexobj(field_f.data) or np.iscomplexobj(field_g.data):
@@ -382,6 +382,5 @@ def psw_integral(
     energy = cell * np.sqrt(np.sum(norm_f**2) * np.sum(norm_g**2))
     tail = float(np.exp(-rate_min * t_max) / rate_min * energy)
 
-    p_star = max(p, p / (p - 1.0))
     rhs = (p_star - 1.0) * lp_norm(field_f, p) * lp_norm(field_g, p / (p - 1.0))
     return PswResult(lhs=float(lhs), rhs=float(rhs), tail_bound=tail)

@@ -48,16 +48,6 @@ class HeatMatrixSpec:
         if any(not 0.0 <= a <= 1.0 for a in self.alpha):
             raise ValueError("every weight must lie in [0, 1]")
 
-    @classmethod
-    def symmetric(cls, n: int) -> "HeatMatrixSpec":
-        """All weights 1/2 (the symmetric representation)."""
-        return cls(n, (0.5,) * (n + 1))
-
-    @classmethod
-    def optimal(cls, n: int) -> "HeatMatrixSpec":
-        """Per-grade weights 1 - r/n, minimizing each block norm."""
-        return cls(n, tuple(1.0 - r / n for r in range(n + 1)))
-
 
 def entry(I: MultiIndex, i: int, J: MultiIndex, j: int, alpha: float) -> float:
     """Single matrix entry at position (I, i; J, j).
@@ -241,6 +231,17 @@ def spectral_norm(matrix) -> float:
     return float(np.linalg.norm(m, 2))
 
 
+def conjugate_exponent(p: float) -> float:
+    """p* = max(p, p/(p-1)), the exponent every p-norm bound scales with.
+
+    Raises ValueError for p outside (1, inf), including inf and nan.
+    """
+    p = float(p)
+    if not 1.0 < p < np.inf:
+        raise ValueError("exponent must lie in (1, inf)")
+    return max(p, p / (p - 1.0))
+
+
 @dataclass(frozen=True)
 class GradeBound:
     """Optimal weight and norm constant of one grade."""
@@ -274,9 +275,7 @@ def bound_constants(n: int, p: float) -> BoundReport:
     if n < 2:
         raise ValueError("dimension must be at least 2")
     p = float(p)
-    if not p > 1.0 or not np.isfinite(p):
-        raise ValueError("exponent must lie in (1, inf)")
-    p_star = max(p, p / (p - 1.0))
+    p_star = conjugate_exponent(p)
     if not p_star >= 2.0:
         raise RuntimeError(f"conjugate exponent {p_star} below 2 for p={p}")
     per_grade = tuple(

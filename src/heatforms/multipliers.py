@@ -18,6 +18,7 @@ from scipy.special import gamma as complex_gamma
 from .errors import AccuracyError
 from .fields import FormField
 from .fourier import _multipliers, _through_spectrum
+from .heatmatrix import conjugate_exponent
 
 # Substituting t = e^v / lambda turns the defining integral into
 #   a(lambda) = integral_R A(e^v / lambda) exp(v - e^v) dv
@@ -30,6 +31,7 @@ _V_LO = -23.0
 _V_HI = 3.5
 _H_START = 0.25
 _MAX_HALVINGS = 8
+_TARGET = 1e-8  # relative change between halvings at which the quadrature stops
 _CHUNK = 2048  # lambdas per vectorized quadrature block
 
 
@@ -85,11 +87,11 @@ def _trapezoid_values(profile, lams, h):
     return _profile_at(profile, lams, v) @ weight.astype(complex)
 
 
-def laplace_symbol_eval_many(sym: SpectralSymbol, lams, target: float = 1e-8):
+def laplace_symbol_eval_many(sym: SpectralSymbol, lams):
     """Vectorized quadrature of the multiplier at many positive lambdas.
 
     Trapezoid in v = log(lambda t), halving the step until the change is
-    below target (relative). The returned relative error estimate is the
+    below _TARGET (relative). The returned relative error estimate is the
     last change plus the truncation bound sup|A| * (1 - sum of the final
     trapezoid weights) / |a|, with sup|A| the declared sup_profile or
     else the largest |A| on the final grid. Raises AccuracyError with the
@@ -111,7 +113,7 @@ def laplace_symbol_eval_many(sym: SpectralSymbol, lams, target: float = 1e-8):
             scale = np.maximum(np.abs(cur), 1e-30)
             err = np.abs(cur - prev) / scale
             prev = cur
-            if np.max(err) <= target:
+            if np.max(err) <= _TARGET:
                 break
         else:
             raise AccuracyError(
@@ -127,15 +129,15 @@ def laplace_symbol_eval_many(sym: SpectralSymbol, lams, target: float = 1e-8):
     return out.reshape(lams.shape), errs.reshape(lams.shape)
 
 
-def laplace_symbol_eval(sym: SpectralSymbol, lam: float, target: float = 1e-8) -> complex:
+def laplace_symbol_eval(sym: SpectralSymbol, lam: float) -> complex:
     """Quadrature value of the multiplier at a single lambda > 0."""
     if not lam > 0:
         raise ValueError("lambda must be positive")
-    values, _ = laplace_symbol_eval_many(sym, np.array([lam]), target)
+    values, _ = laplace_symbol_eval_many(sym, np.array([lam]))
     return complex(values[0])
 
 
-def apply_spectral_multiplier(sym: SpectralSymbol, field: FormField, target: float = 1e-8) -> FormField:
+def apply_spectral_multiplier(sym: SpectralSymbol, field: FormField) -> FormField:
     """Multiply every Fourier mode by a(4 pi^2 |xi|^2).
 
     The zero frequency is scaled by the symbol's declared zero limit, or
@@ -152,7 +154,7 @@ def apply_spectral_multiplier(sym: SpectralSymbol, field: FormField, target: flo
     flat = (4.0 * np.pi**2 * xi_sq).reshape(-1)
     positive = flat > 0.0
     unique, inverse = np.unique(flat[positive], return_inverse=True)
-    values, _ = laplace_symbol_eval_many(sym, unique, target)
+    values, _ = laplace_symbol_eval_many(sym, unique)
     mult = np.empty(flat.shape, dtype=complex)
     mult[positive] = values[inverse]
     mult[~positive] = 0.0 if sym.zero_limit is None else sym.zero_limit
@@ -165,8 +167,5 @@ def apply_spectral_multiplier(sym: SpectralSymbol, field: FormField, target: flo
 
 def imaginary_power_constant(s: float, p: float) -> float:
     """Operator-norm bound (p* - 1) / |Gamma(1 - is)| for the power is."""
-    p = float(p)
-    if not p > 1.0 or not np.isfinite(p):
-        raise ValueError("exponent must lie in (1, inf)")
-    p_star = max(p, p / (p - 1.0))
+    p_star = conjugate_exponent(p)
     return float((p_star - 1.0) / abs(complex_gamma(1.0 - 1j * s)))

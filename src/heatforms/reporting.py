@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 REPORT_VERSION = "1"
@@ -53,6 +54,9 @@ class Report:
     version: str = REPORT_VERSION
 
     def add(self, label, value, se=None):
+        """Append a row; a non-finite value or se raises ValueError (no JSON for it)."""
+        if not (math.isfinite(value) and (se is None or math.isfinite(se))):
+            raise ValueError(f"report row {label!r} is not finite: value {value}, se {se}")
         self.rows.append(Row(label, value, se))
 
     def fail(self):

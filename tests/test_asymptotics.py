@@ -23,13 +23,15 @@ class TestUnitDirection:
             UnitDirection(np.ones(4), 2)
 
     def test_normalized(self):
-        d = UnitDirection.normalized([1.0, 1.0, 1.0, 1.0], 2)
-        assert np.allclose(d.sigma, 0.5)
+        # random_direction divides its normal draw by the draw's length
+        vec = np.random.default_rng(4).standard_normal(4)
+        d = random_direction(2, np.random.default_rng(4))
+        assert np.array_equal(d.sigma, vec / np.linalg.norm(vec))
 
 
 class TestSigmaDotMatrix:
     def test_concentrated_on_empty_set(self):
-        d = UnitDirection.concentrated(0, 2)
+        d = UnitDirection(np.eye(4)[0], 2)
         m = sigma_dot_matrix(d)
         assert np.array_equal(m[:, 0:2], -np.eye(2))
         assert np.allclose(m[:, 2:], 0.0)
@@ -39,7 +41,7 @@ class TestSigmaDotMatrix:
     def test_concentrated_block_is_signature(self):
         for n in (2, 3):
             for J in enumerate_all(n):
-                d = UnitDirection.concentrated(J.mask, n)
+                d = UnitDirection(np.eye(1 << n)[J.mask], n)
                 block, norm = sigma_block(d, J)
                 want = np.diag([1.0 if i in J else -1.0 for i in range(1, n + 1)])
                 assert np.array_equal(block, want)
@@ -54,7 +56,7 @@ class TestSigmaDotMatrix:
         # independent route: contract the symmetric-weight heat matrix
         rng = np.random.default_rng(0)
         for n in (2, 3, 4):
-            full = build_full_matrix(HeatMatrixSpec.symmetric(n))
+            full = build_full_matrix(HeatMatrixSpec(n, (0.5,) * (n + 1)))
             full4 = full.reshape(1 << n, n, 1 << n, n)
             for _ in range(10):
                 d = random_direction(n, rng)
@@ -98,7 +100,7 @@ class TestBlockIdentity:
         for n in (2, 3, 4):
             r = n // 2
             mask = (1 << r) - 1
-            d = UnitDirection.concentrated(mask, n)
+            d = UnitDirection(np.eye(1 << n)[mask], n)
             assert np.isclose(aggregate_bound(d), asymptotic_constant(n))
 
 
@@ -137,6 +139,11 @@ class TestSphereNorm:
             assert all(b > a for a, b in zip(vals, vals[1:]))
             assert vals[-1] > 0.99 * sphere_coordinate_lp_norm(N, 1e6)
             assert sphere_coordinate_lp_norm(N, 1e8) < 1.0
+
+    def test_rejects_log_gamma_overflow(self):
+        # log-Gamma is inf at p = 1e308, and the moment would be inf - inf
+        with pytest.raises(ValueError, match="overflows"):
+            sphere_coordinate_lp_norm(4, 1e308)
 
     def test_monte_carlo_oracle(self):
         rng = np.random.default_rng(4)

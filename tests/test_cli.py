@@ -223,11 +223,55 @@ class TestStrictJsonReports:
         assert captured.err.count("\n") == 1 and "StatisticalPowerError" in captured.err
 
 
+NON_FINITE_RUNS = {
+    "psw-tmax-inf": ["psw", "--cases", "1", "--grid", "8", "--tmax", "inf"],
+    "psw-tol-nan": ["psw", "--cases", "1", "--grid", "8", "--tol", "nan"],
+    "transform-p-inf": ["simulate", "transform", "--p", "inf", "--trials", "5000"],
+    "apply-L-inf": ["apply"],  # files are added by the test
+    "asymptotics-p-1e308": ["asymptotics", "--n", "2", "--p", "1e308"],
+}
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("name", sorted(NON_FINITE_RUNS))
+    def test_exit_1_without_report(self, capsys, tmp_path, name):
+        argv = list(NON_FINITE_RUNS[name])
+        out_path = tmp_path / "out.ffld"
+        if name == "apply-L-inf":
+            src = tmp_path / "in.ffld"
+            write_ffld(random_band_limited(2, (8, 8), 1.0, np.random.default_rng(0)), src)
+            src.write_bytes(src.read_bytes().replace(b'"L": 1.0', b'"L": Infinity'))
+            argv += ["--input", str(src), "--output", str(out_path)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert not out_path.exists()
+
+    def test_non_finite_report_value_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setattr("heatforms.cli.asy.asymptotic_constant", lambda n: float("nan"))
+        code = main(["asymptotics", "--n", "2", "--p", "4"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "c_asym" in captured.err
+
+
 class TestReportFormatting:
     def test_fmt_17_digits(self):
         assert fmt_number(1 / 3) == "0.33333333333333331"
         assert fmt_number(2.0) == "2"
         assert fmt_number(7) == "7"
+
+    @pytest.mark.parametrize(
+        "value, se", [(float("nan"), None), (float("inf"), None), (1.0, float("nan"))]
+    )
+    def test_add_rejects_non_finite(self, value, se):
+        rep = Report(command="demo", inputs={})
+        with pytest.raises(ValueError, match="not finite"):
+            rep.add("a", value, se=se)
+        assert rep.rows == []
 
     def test_report_round_trip(self):
         rep = Report(command="demo", inputs={"n": 2, "x": 0.1})

@@ -43,6 +43,11 @@ class TestFormField:
             with pytest.raises(ValueError, match="ascending"):
                 FormField(2, (4, 4), 1.0, masks, np.zeros((2, 4, 4)))
 
+    @pytest.mark.parametrize("L", [0.0, -1.0, np.inf, np.nan])
+    def test_rejects_bad_period(self, L):
+        with pytest.raises(ValueError, match="period length"):
+            FormField(2, (4, 4), L, [0], np.zeros((1, 4, 4)))
+
     def test_rejects_data_shape_mismatch(self):
         for shape in ((2, 4, 4), (1, 4, 2), (4, 4)):
             with pytest.raises(ValueError, match="data shape"):
@@ -67,9 +72,9 @@ class TestFormField:
         rng = np.random.default_rng(0)
         f = random_band_limited(2, (8, 8), 1.0, rng)
         g = random_band_limited(2, (8, 8), 1.0, rng)
-        h = f + 2.0 * g - g
+        h = f + 2.0 * g
         for m in f.masks:
-            assert np.allclose(h.components[m], f.components[m] + g.components[m])
+            assert np.array_equal(h.components[m], f.components[m] + 2.0 * g.components[m])
 
 
 class TestRandomBandLimited:
@@ -128,6 +133,24 @@ class TestLpNorm:
         rng = np.random.default_rng(42)
         f = random_band_limited(2, (8, 8), 1.0, rng)
         assert np.isclose(lp_norm(scale * f, p), scale * lp_norm(f, p), rtol=1e-10)
+
+    @pytest.mark.parametrize("complex_data", [False, True])
+    def test_density_matches_row_loop(self, complex_data):
+        # the row-by-row sum lp_norm used before its einsum, as the reference
+        def row_loop_norm(field, p):
+            density = np.zeros(field.dims)
+            for row in field.data:
+                density += np.abs(row) ** 2 if np.iscomplexobj(row) else row**2
+            return float((field.cell_volume * np.sum(density ** (p / 2.0))) ** (1.0 / p))
+
+        rng = np.random.default_rng(7)
+        for n, dims, grades in [(1, (16,), None), (2, (8, 16), [1]), (3, (8, 4, 8), None)]:
+            f = random_band_limited(n, dims, 1.5, rng, grades=grades)
+            if complex_data:
+                g = random_band_limited(n, dims, 1.5, rng, grades=grades)
+                f = f.like(f.data + 1j * g.data)
+            for p in (1.0, 2.0, 3.7):
+                assert lp_norm(f, p) == row_loop_norm(f, p)
 
 
 @st.composite
@@ -222,6 +245,13 @@ class TestFFLD:
         data = path.read_bytes().replace(b"f64le", b"f32le")
         path.write_bytes(data)
         with pytest.raises(FFLDError, match="dtype"):
+            read_ffld(path)
+
+    def test_rejects_infinite_period(self, tmp_path):
+        path = tmp_path / "inf.ffld"
+        write_ffld(FormField.zeros(2, (4, 4)), path)
+        path.write_bytes(path.read_bytes().replace(b'"L": 1.0', b'"L": Infinity'))
+        with pytest.raises(FFLDError, match="period length"):
             read_ffld(path)
 
     def test_payload_is_little_endian_component_major(self, tmp_path):

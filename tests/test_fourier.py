@@ -426,6 +426,12 @@ class TestPsw:
             with pytest.raises(ValueError, match="real fields"):
                 psw_integral(*pair, 2.0, t_max=1.0)
 
+    @pytest.mark.parametrize("t_max", [0.0, np.inf, np.nan])
+    def test_rejects_bad_t_max(self, t_max):
+        f = cosine_field(2, (8, 8), 1.0, [1, 0], mask=1)
+        with pytest.raises(ValueError, match="t_max"):
+            psw_integral(f, f, 2.0, t_max=t_max)
+
     def test_one_inverse_transform_per_node(self, monkeypatch):
         # two all-grade 32^2 fields, t_max 1: 15 panels of GL_ORDER nodes,
         # plus the t = 0 gradients of the tail bound; each inverse is one

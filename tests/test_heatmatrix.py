@@ -12,6 +12,7 @@ from heatforms.heatmatrix import (
     build_full_matrix,
     build_grade_matrix,
     closed_form_spectrum,
+    conjugate_exponent,
     entry,
     grade_norm_closed_form,
     grade_pairs,
@@ -55,7 +56,7 @@ class TestEntry:
 
 class TestGradeMatrix:
     def test_n2_r1_half(self):
-        M = build_grade_matrix(HeatMatrixSpec.symmetric(2), 1)
+        M = build_grade_matrix(HeatMatrixSpec(2, (0.5,) * 3), 1)
         expected = np.array(
             [
                 [1.0, 0.0, 0.0, 1.0],
@@ -67,12 +68,12 @@ class TestGradeMatrix:
         assert np.array_equal(M, expected)
 
     def test_grade_zero_is_minus_identity(self):
-        M = build_grade_matrix(HeatMatrixSpec.symmetric(2), 0)
+        M = build_grade_matrix(HeatMatrixSpec(2, (0.5,) * 3), 0)
         assert np.array_equal(M, -np.eye(2))
 
     def test_top_grade_is_identity(self):
         for n in (2, 3, 4):
-            M = build_grade_matrix(HeatMatrixSpec.symmetric(n), n)
+            M = build_grade_matrix(HeatMatrixSpec(n, (0.5,) * (n + 1)), n)
             assert np.array_equal(M, np.eye(n))
 
     def test_symmetric_for_every_alpha(self):
@@ -87,7 +88,7 @@ class TestGradeMatrix:
     def test_cap(self):
         # n = 14, r = 7 has 48048 rows; the cap refuses before allocating
         with pytest.raises(CapError):
-            build_grade_matrix(HeatMatrixSpec.symmetric(14), 7)
+            build_grade_matrix(HeatMatrixSpec(14, (0.5,) * 15), 7)
 
     def test_structure_is_sparse(self):
         # the cached skeleton is index arrays, not dense size x size patterns
@@ -258,7 +259,7 @@ class TestNormSweep:
 
     def test_full_matrix_norm_is_max_over_grades(self):
         for n in (2, 3, 4):
-            spec = HeatMatrixSpec.optimal(n)
+            spec = HeatMatrixSpec(n, tuple(1.0 - r / n for r in range(n + 1)))
             full = spectral_norm(build_full_matrix(spec))
             per_grade = max(
                 spectral_norm(build_grade_matrix(spec, r)) for r in range(n + 1)
@@ -267,7 +268,7 @@ class TestNormSweep:
 
     def test_full_matrix_cap(self):
         with pytest.raises(CapError):
-            build_full_matrix(HeatMatrixSpec.symmetric(11))
+            build_full_matrix(HeatMatrixSpec(11, (0.5,) * 12))
 
 
 class TestBoundConstants:
@@ -312,3 +313,17 @@ class TestBoundConstants:
             b = bound_constants(n, 3.0)
             for g in b.per_grade:
                 assert g.constant == Fraction(2 * g.r * (n - g.r), n) + 1
+
+
+class TestConjugateExponent:
+    def test_values(self):
+        assert conjugate_exponent(2.0) == 2.0
+        assert conjugate_exponent(4.0) == 4.0
+        assert conjugate_exponent(1.5) == 3.0
+        assert conjugate_exponent(4 / 3) == pytest.approx(4.0, rel=1e-15)
+        assert conjugate_exponent(3) == 3.0
+
+    @pytest.mark.parametrize("p", [1.0, 0.5, np.inf, -np.inf, np.nan])
+    def test_rejects_outside_open_interval(self, p):
+        with pytest.raises(ValueError, match=r"\(1, inf\)"):
+            conjugate_exponent(p)

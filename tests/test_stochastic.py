@@ -4,7 +4,9 @@ import pytest
 from heatforms.errors import StatisticalPowerError
 from heatforms.fields import FormField, TrigSeries, cosine_field, random_band_limited
 from heatforms.stochastic import (
+    STEP_BLOCK,
     TRANSFORMS,
+    _step_blocks,
     alternating_transform,
     identity_transform,
     ito_convergence_study,
@@ -81,6 +83,21 @@ class TestSimulatePaths:
             simulate_paths(2, -0.1, 10, 10, 0)
         with pytest.raises(ValueError):
             simulate_paths(2, 0.1, 0, 10, 0)
+
+
+class TestStepBlocks:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_blocks_are_exact_step_major_copies(self, d):
+        # 2 full blocks and a partial one; more paths than one copy pass
+        steps = 2 * STEP_BLOCK + 3
+        increments = np.random.default_rng(d).standard_normal((1500, steps, d))
+        seen = []
+        for lo, block in _step_blocks(increments):
+            want = increments[:, lo : lo + STEP_BLOCK].swapaxes(0, 1)
+            assert block.shape == want.shape
+            assert np.array_equal(block, want)
+            seen.append(lo)
+        assert seen == [0, STEP_BLOCK, 2 * STEP_BLOCK]
 
 
 class TestMarkovIdentity:
@@ -249,6 +266,10 @@ class TestTransformExperiment:
         # 40 trials give a relative half-width near 0.1, above MAX_REL_CI
         with pytest.raises(StatisticalPowerError):
             martingale_transform_experiment(4.0, 32, 40, sign_transform, seed=0)
+
+    def test_rejects_infinite_exponent(self):
+        with pytest.raises(ValueError, match=r"\(1, inf\)"):
+            martingale_transform_experiment(np.inf, 8, 2000, "identity", seed=0)
 
     def test_p_star_ceilings(self):
         assert martingale_transform_experiment(1.5, 8, 2000, "identity", seed=0).ceiling == 2.0
