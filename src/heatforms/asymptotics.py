@@ -14,10 +14,9 @@ split collapse anyway.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import lgamma, sqrt
 
 import numpy as np
-from scipy.special import gammaln
 
 from .exterior import MultiIndex, substitutions
 from .heatmatrix import conjugate_exponent
@@ -108,10 +107,10 @@ def sphere_coordinate_lp_norm(N: int, p: float) -> float:
     p = float(p)
     if p < 1:
         raise ValueError("exponent must be >= 1")
-    largest = gammaln((N + p) / 2.0)  # of the four terms, the first to overflow
-    if not np.isfinite(largest):
-        raise ValueError(f"exponent {p} overflows log-Gamma")
-    log_moment = gammaln((p + 1.0) / 2.0) + gammaln(N / 2.0) - largest - gammaln(0.5)
+    try:
+        log_moment = lgamma((p + 1.0) / 2.0) + lgamma(N / 2.0) - lgamma((N + p) / 2.0) - lgamma(0.5)
+    except OverflowError:
+        raise ValueError(f"exponent {p} overflows log-Gamma") from None
     return float(np.exp(log_moment / p))
 
 

@@ -64,9 +64,6 @@ def _common_flags(parser):
     parser.add_argument(
         "--threads", type=int, default=1, help="accepted but never affects results"
     )
-    parser.add_argument(
-        "--tol", type=_finite_float, default=None, help="override the command's tolerance"
-    )
     parser.add_argument("--format", choices=("json", "csv"), default="json")
 
 
@@ -177,8 +174,9 @@ def cmd_impow(args, report: Report):
     value = mult.imaginary_power_constant(args.s, args.p)
     s = args.s
     closed = hm.conjugate_exponent(args.p) - 1.0
-    if s != 0.0:
-        closed *= float(np.sqrt(np.sinh(np.pi * s) / (np.pi * s)))
+    if s != 0.0:  # sqrt(sinh(a) / a), a = pi |s|, in logs: sinh(a) overflows long before it
+        a = math.pi * abs(s)
+        closed *= math.exp(0.5 * (a + math.log(-math.expm1(-2.0 * a) / (2.0 * a))))
     report.add("constant", value)
     report.add("constant_closed_form", closed)
     ok = abs(value - closed) <= tol_const * max(1.0, closed)
@@ -256,9 +254,11 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="heatforms")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, **kwargs):
+    def add(name, handler, tol=False, **kwargs):
         p = sub.add_parser(name, **kwargs)
         _common_flags(p)
+        if tol:
+            p.add_argument("--tol", type=_finite_float, help="override the command's tolerance")
         p.set_defaults(func=handler)
         return p
 
@@ -266,7 +266,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=_finite_float, required=True)
 
-    p = add("matrix-verify", cmd_matrix_verify, help="block spectra versus closed forms")
+    p = add("matrix-verify", cmd_matrix_verify, tol=True, help="block spectra versus closed forms")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha-grid", type=int, default=21)
 
@@ -274,20 +274,20 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
 
-    p = add("norm-search", cmd_norm_search, help="empirical lower norm probe")
+    p = add("norm-search", cmd_norm_search, tol=True, help="empirical lower norm probe")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=_finite_float, required=True)
     p.add_argument("--grid", type=int, default=64)
     p.add_argument("--budget", type=int, default=100)
     p.add_argument("--kmax", type=int, default=3)
 
-    p = add("psw", cmd_psw, help="bilinear gradient inequality check")
+    p = add("psw", cmd_psw, tol=True, help="bilinear gradient inequality check")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--cases", type=int, default=10)
     p.add_argument("--grid", type=int, default=32)
     p.add_argument("--tmax", type=_finite_float, default=1.0)
 
-    p = add("impow", cmd_impow, help="imaginary-power constants and quadrature")
+    p = add("impow", cmd_impow, tol=True, help="imaginary-power constants and quadrature")
     p.add_argument("--s", type=_finite_float, required=True)
     p.add_argument("--p", type=_finite_float, required=True)
 

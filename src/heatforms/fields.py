@@ -126,7 +126,11 @@ def lp_norm(field: FormField, p: float) -> float:
         raise ValueError(f"exponent must be finite and >= 1, got {p}")
     d = np.abs(field.data) if np.iscomplexobj(field.data) else field.data
     density = np.einsum("i...,i...->...", d, d)  # sum_I |f_I(x)|^2
-    return float((field.cell_volume * np.sum(density ** (p / 2.0))) ** (1.0 / p))
+    with np.errstate(over="ignore"):
+        total = field.cell_volume * np.sum(density ** (p / 2.0))
+    if total == np.inf:
+        raise ValueError(f"exponent {p} overflows the p-th power sum")
+    return float(total ** (1.0 / p))
 
 
 def cosine_field(n, dims, L, kvec, mask, amplitude=1.0) -> FormField:

@@ -48,7 +48,8 @@ from .fields import FormField, lp_norm
 from .heatmatrix import HeatMatrixSpec, build_full_matrix, conjugate_exponent
 
 GL_ORDER = 16  # Gauss-Legendre nodes per time panel
-_MIN_PANELS, _MAX_PANELS = 4, 48  # bounds on psw_integral's time panels
+_MIN_PANELS = 4  # fewest time panels in psw_integral
+_EXP_UNDERFLOW = 745.0  # exp(-x) is at most the smallest subnormal double for x >= this
 _EIG_CHUNK = 65536  # symbol matrices per batched eigensolve
 
 
@@ -330,11 +331,12 @@ def psw_integral(
     """Bilinear integral of gradient lengths of two heat extensions.
 
     lhs integrates ||grad u(., t)|| ||grad v(., t)|| over the torus and
-    t in [0, t_max] (composite Gauss-Legendre on panels refined
-    geometrically toward t = 0, where fast modes still matter);
-    rhs = (p* - 1) ||f||_p ||g||_p'. The discarded (t_max, inf) part is
-    bounded by Cauchy-Schwarz and the slowest nonzero mode decay:
-    exp(-r t_max)/r * ||grad f||_2 ||grad g||_2 with r = 4 pi^2 / L^2.
+    t in [0, T], T = min(t_max, _EXP_UNDERFLOW / r) with r = 4 pi^2 / L^2,
+    past which every mode has underflowed (composite Gauss-Legendre on at
+    most log2(_EXP_UNDERFLOW max|k|^2) panels refined geometrically toward
+    t = 0, where fast modes still matter); rhs = (p* - 1) ||f||_p ||g||_p'.
+    The discarded (T, inf) part is bounded by Cauchy-Schwarz and the
+    slowest nonzero mode decay: exp(-r T)/r * ||grad f||_2 ||grad g||_2.
     Both fields must be real: one real FFT of their stacked components,
     then one inverse real FFT of all damped gradients per time node, and
     one more at t = 0 for the tail.
@@ -367,9 +369,11 @@ def psw_integral(
         norm_f, norm_g = grad_norms_at(t)
         return cell * float(np.sum(norm_f * norm_g))
 
+    rate_min = 4.0 * np.pi**2 / L**2
+    t_end = min(t_max, _EXP_UNDERFLOW / rate_min)
     rate_max = 4.0 * np.pi**2 * float(np.max(xi_sq))
-    n_panels = int(np.clip(np.ceil(np.log2(max(rate_max * t_max, 4.0))), _MIN_PANELS, _MAX_PANELS))
-    breaks = [0.0] + [t_max * 2.0 ** (j - n_panels + 1) for j in range(n_panels)]
+    n_panels = max(int(np.ceil(np.log2(max(rate_max * t_end, 4.0)))), _MIN_PANELS)
+    breaks = [0.0] + [t_end * 2.0 ** (j - n_panels + 1) for j in range(n_panels)]
     nodes, weights = np.polynomial.legendre.leggauss(GL_ORDER)
     lhs = 0.0
     for lo, hi in zip(breaks[:-1], breaks[1:]):
@@ -377,10 +381,9 @@ def psw_integral(
         mid = 0.5 * (hi + lo)
         lhs += half * sum(w * integrand(mid + half * x) for x, w in zip(nodes, weights))
 
-    rate_min = 4.0 * np.pi**2 / L**2
     norm_f, norm_g = grad_norms_at(0.0)
     energy = cell * np.sqrt(np.sum(norm_f**2) * np.sum(norm_g**2))
-    tail = float(np.exp(-rate_min * t_max) / rate_min * energy)
+    tail = float(np.exp(-rate_min * t_end) / rate_min * energy)
 
     rhs = (p_star - 1.0) * lp_norm(field_f, p) * lp_norm(field_g, p / (p - 1.0))
     return PswResult(lhs=float(lhs), rhs=float(rhs), tail_bound=tail)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gamma as complex_gamma
 
 from .errors import AccuracyError
 from .fields import FormField
@@ -53,9 +52,18 @@ def identity_symbol() -> SpectralSymbol:
     )
 
 
+def _gamma_one_minus_is(s: float) -> complex:
+    """Gamma(1 - is); ValueError once its modulus sqrt(pi s / sinh(pi s)) is subnormal."""
+    from scipy.special import gamma  # deferred: scipy.special more than doubles import time
+    g = complex(gamma(1.0 - 1j * s))
+    if not abs(g) >= np.finfo(float).tiny:
+        raise ValueError(f"|Gamma(1 - is)| underflows at s = {s}")
+    return g
+
+
 def imaginary_power_symbol(s: float) -> SpectralSymbol:
     """Profile t^{-is} / Gamma(1 - is), giving the multiplier lambda^{is}."""
-    g = complex(complex_gamma(1.0 - 1j * s))
+    g = _gamma_one_minus_is(s)
     return SpectralSymbol(
         profile=lambda t: t ** (-1j * s) / g,
         sup_profile=float(1.0 / abs(g)),
@@ -167,5 +175,7 @@ def apply_spectral_multiplier(sym: SpectralSymbol, field: FormField) -> FormFiel
 
 def imaginary_power_constant(s: float, p: float) -> float:
     """Operator-norm bound (p* - 1) / |Gamma(1 - is)| for the power is."""
-    p_star = conjugate_exponent(p)
-    return float((p_star - 1.0) / abs(complex_gamma(1.0 - 1j * s)))
+    value = (conjugate_exponent(p) - 1.0) / abs(_gamma_one_minus_is(s))
+    if value == np.inf:
+        raise ValueError(f"the constant overflows at s = {s}, p = {p}")
+    return value

@@ -16,12 +16,12 @@ increments of only the paths kept; a normal draw is a bitwise prefix of
 any longer draw from the same stream position, so an ensemble is a prefix
 of every larger one with the same seed.
 
-The increments are stored path-major; the step loops read them through
-step-major contiguous copies of STEP_BLOCK steps at a time. The Ito check
-walks the positions one step at a time and then evaluates the gradient
-once per block, adding the block's terms in step order. The bootstrap
-turns each resample's indices into a count vector and takes both moment
-sums with one product.
+Increments are drawn path-major and stored step-major, (steps, paths, d),
+so each step is one contiguous row for the step loops. The Ito check takes
+STEP_BLOCK steps at a time: one cumulative sum gives the positions before
+them, unwrapped since the series are periodic, and one gradient evaluation
+their terms, added in step order. The bootstrap turns each resample into a
+count vector and takes both moment sums with one product.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from .fields import FormField, TrigSeries
 from .heatmatrix import conjugate_exponent
 
 PATH_BLOCK = 4096
-STEP_BLOCK = 8  # steps per step-major copy of the increments
-_COPY_PATHS = 1024  # paths per copy pass: their cache lines serve every step of a block
+STEP_BLOCK = 8  # steps per gradient evaluation of the Ito check
+_DRAW_PATHS = 256  # paths per draw chunk: its buffer is the only memory the draw adds
 _N_BOOT = 200  # bootstrap resamples in martingale_transform_experiment
 MAX_REL_CI = 0.05  # widest relative CI half-width a ceiling comparison accepts
 
@@ -56,14 +56,28 @@ class PathEnsemble:
     paths: int
     L: float
     starts: np.ndarray  # (paths, n)
-    increments: np.ndarray  # (paths, steps, n)
+    increments: np.ndarray  # (steps, paths, n)
 
     def positions(self, step: int) -> np.ndarray:
         """Torus position of every path after `step` increments."""
         if not 0 <= step <= self.steps:
             raise ValueError("step out of range")
-        pos = self.starts + np.einsum("psa->pa", self.increments[:, :step, :])
+        pos = self.starts + self.increments[:step].sum(axis=0)
         return np.mod(pos, self.L)
+
+
+def _standard_normal_step_major(rng, out):
+    """Fill out, shaped (steps, paths, d), with a (paths, steps, d) normal draw.
+
+    Chunks of paths read the stream in one draw's order, so out is bitwise
+    standard_normal((paths, steps, d)).swapaxes(0, 1).
+    """
+    steps, paths, d = out.shape
+    buf = np.empty((min(paths, _DRAW_PATHS), steps, d))
+    for p0 in range(0, paths, _DRAW_PATHS):
+        chunk = buf[: paths - p0]
+        rng.standard_normal(out=chunk)
+        out[:, p0 : p0 + len(chunk)] = chunk.swapaxes(0, 1)
 
 
 def simulate_paths(n, h, steps, paths, seed, L=1.0) -> PathEnsemble:
@@ -73,7 +87,7 @@ def simulate_paths(n, h, steps, paths, seed, L=1.0) -> PathEnsemble:
     if steps < 1 or paths < 1:
         raise ValueError("counts must be at least 1")
     starts = np.empty((paths, n))
-    increments = np.empty((paths, steps, n))
+    increments = np.empty((steps, paths, n))
     for block_idx, lo in enumerate(range(0, paths, PATH_BLOCK)):
         hi = min(lo + PATH_BLOCK, paths)
         rng = _philox(seed, block_idx)
@@ -82,30 +96,9 @@ def simulate_paths(n, h, steps, paths, seed, L=1.0) -> PathEnsemble:
         # count; they are then a prefix of the full block's normals, and the
         # ensemble a bitwise prefix of any larger one with the same seed
         starts[lo:hi] = rng.uniform(0.0, L, size=(PATH_BLOCK, n))[: hi - lo]
-        rng.standard_normal(out=increments[lo:hi])
+        _standard_normal_step_major(rng, increments[:, lo:hi])
     increments *= np.sqrt(h)
     return PathEnsemble(h, steps, paths, L, starts, increments)
-
-
-def _step_blocks(increments):
-    """Yield (first step, step-major copy) for each STEP_BLOCK of steps.
-
-    increments has shape (paths, steps, d); each copy has shape
-    (block, paths, d) and is contiguous, so one step is one contiguous
-    row. All copies share one buffer, valid until the next is yielded.
-    """
-    paths, steps, d = increments.shape
-    buf = np.empty((STEP_BLOCK, paths, d))
-    # Each d-vector is copied as one opaque element: copying the doubles
-    # themselves runs an inner loop only d long per vector.
-    vector = f"V{8 * d}"
-    src, dst = increments.view(vector)[..., 0], buf.view(vector)[..., 0]
-    for lo in range(0, steps, STEP_BLOCK):
-        size = min(STEP_BLOCK, steps - lo)
-        for p0 in range(0, paths, _COPY_PATHS):
-            rows = src[p0 : p0 + _COPY_PATHS, lo : lo + size]
-            dst[:size, p0 : p0 + _COPY_PATHS] = rows.swapaxes(0, 1)
-        yield lo, buf[:size]
 
 
 @dataclass(frozen=True)
@@ -137,9 +130,7 @@ def markov_identity_check(grid, L, t, ensemble: PathEnsemble) -> MarkovCheck:
     series = TrigSeries.from_grid(grid, L)
     values = series.value(ensemble.positions(k))
     se = float(values.std(ddof=1) / np.sqrt(len(values)))
-    return MarkovCheck(
-        mc_value=float(values.mean()), exact_value=series.mean(), std_error=se
-    )
+    return MarkovCheck(float(values.mean()), series.mean(), se)
 
 
 def ito_terminal_check(field: FormField, tau, ensemble: PathEnsemble) -> float:
@@ -154,20 +145,17 @@ def ito_terminal_check(field: FormField, tau, ensemble: PathEnsemble) -> float:
     series = [TrigSeries.from_grid(row, field.L) for row in field.data]
     accum = np.zeros((len(series), ensemble.paths))
     pos = ensemble.starts
-    for lo, block in _step_blocks(ensemble.increments):
-        at = np.empty_like(block)  # position before each step of the block
-        for j, step in enumerate(block):
-            at[j] = pos
-            pos = np.mod(pos + step, field.L)
+    for lo in range(0, ensemble.steps, STEP_BLOCK):
+        block = ensemble.increments[lo : lo + STEP_BLOCK]
+        at = np.concatenate((pos[None], block[:-1])).cumsum(axis=0)  # unwrapped, before each step
+        pos = np.mod(at[-1] + block[-1], field.L)
         remaining = tau - np.arange(lo, lo + len(block)) * ensemble.h
         for idx, s in enumerate(series):
             grad = s.gradient(at, t=remaining[:, None])
             contrib = np.einsum("spa,spa->sp", grad, block)
             contrib[0] += accum[idx]  # so the sum runs in step order
             np.add.reduce(contrib, axis=0, out=accum[idx])
-    closed = np.stack(
-        [s.value(pos) - s.value(ensemble.starts, t=tau) for s in series]
-    )
+    closed = np.stack([s.value(pos) - s.value(ensemble.starts, t=tau) for s in series])
     gap_sq = np.sum((accum - closed) ** 2, axis=0)
     return float(np.sqrt(gap_sq.mean()))
 
@@ -183,10 +171,8 @@ def ito_convergence_study(field, tau, step_counts, paths, seed, seeds_per_h=10):
         h = tau / steps
         pooled = 0.0
         for rep in range(seeds_per_h):
-            ensemble = simulate_paths(
-                field.n, h, steps, paths, seed + 1000 * idx + rep, L=field.L
-            )
-            pooled += ito_terminal_check(field, tau, ensemble) ** 2
+            ens = simulate_paths(field.n, h, steps, paths, seed + 1000 * idx + rep, L=field.L)
+            pooled += ito_terminal_check(field, tau, ens) ** 2
         hs.append(h)
         rmss.append(np.sqrt(pooled / seeds_per_h))
     slope = float(np.polyfit(np.log(hs), np.log(rmss), 1)[0])
@@ -243,30 +229,26 @@ def transform_walk(steps, trials, transform, seed, d=1) -> MartingalePair:
     return coefficients of modulus <= 1; any quadratic-variation increment
     of the transformed walk exceeding the base one aborts the run.
     """
-    if callable(transform):
-        fn = transform
-    else:
-        fn = TRANSFORMS[transform]
-    rng = _philox(seed, 0)
-    incs = rng.standard_normal((trials, steps, d))
+    fn = transform if callable(transform) else TRANSFORMS[transform]
+    incs = np.empty((steps, trials, d))
+    _standard_normal_step_major(_philox(seed, 0), incs)
     u = np.zeros((trials, d))
     y = np.zeros((trials, d))
     qv_u = np.zeros(trials)
     qv_y = np.zeros(trials)
-    for lo, block in _step_blocks(incs):
-        for k, step in enumerate(block, start=lo):
-            coeff = np.asarray(fn(k, u), dtype=float)
-            if np.any(np.abs(coeff) > 1.0):
-                raise ValueError("transform coefficients must have modulus <= 1")
-            scaled = coeff[..., None] * step if coeff.ndim else coeff * step
-            inc_u = np.einsum("td,td->t", step, step)
-            inc_y = np.einsum("td,td->t", scaled, scaled)
-            if np.any(inc_u - inc_y < 0.0):
-                raise AssertionError("quadratic variation domination violated")
-            qv_u += inc_u
-            qv_y += inc_y
-            u += step
-            y += scaled
+    for k, step in enumerate(incs):
+        coeff = np.asarray(fn(k, u), dtype=float)
+        if np.any(np.abs(coeff) > 1.0):
+            raise ValueError("transform coefficients must have modulus <= 1")
+        scaled = coeff[..., None] * step if coeff.ndim else coeff * step
+        inc_u = np.einsum("td,td->t", step, step)
+        inc_y = np.einsum("td,td->t", scaled, scaled)
+        if np.any(inc_u - inc_y < 0.0):
+            raise AssertionError("quadratic variation domination violated")
+        qv_u += inc_u
+        qv_y += inc_y
+        u += step
+        y += scaled
     return MartingalePair(u, y, qv_u, qv_y)
 
 
@@ -294,8 +276,11 @@ def martingale_transform_experiment(p, steps, trials, transform, seed) -> Transf
     p = float(p)
     p_star = conjugate_exponent(p)
     pair = transform_walk(steps, trials, transform, seed)
-    u_p = np.sum(pair.base**2, axis=1) ** (p / 2.0)
-    y_p = np.sum(pair.transformed**2, axis=1) ** (p / 2.0)
+    with np.errstate(over="ignore"):
+        u_p = np.sum(pair.base**2, axis=1) ** (p / 2.0)
+        y_p = np.sum(pair.transformed**2, axis=1) ** (p / 2.0)
+    if trials * float(max(u_p.max(), y_p.max())) == np.inf:  # bounds every resampled sum
+        raise ValueError(f"exponent {p} overflows the walk's p-th moments")
     ratio = float((y_p.mean() / u_p.mean()) ** (1.0 / p))
     moments = np.stack([y_p, u_p], axis=1)
     boot_rng = _philox(seed, 1)
@@ -311,6 +296,4 @@ def martingale_transform_experiment(p, steps, trials, transform, seed) -> Transf
         raise StatisticalPowerError(
             f"relative CI half-width {rel_half:.3e} exceeds {MAX_REL_CI}; raise trials"
         )
-    return TransformResult(
-        ratio=ratio, rel_ci_half_width=rel_half, ceiling=p_star - 1.0, trials=trials
-    )
+    return TransformResult(ratio, rel_half, p_star - 1.0, trials)

@@ -141,7 +141,7 @@ class TestSphereNorm:
             assert sphere_coordinate_lp_norm(N, 1e8) < 1.0
 
     def test_rejects_log_gamma_overflow(self):
-        # log-Gamma is inf at p = 1e308, and the moment would be inf - inf
+        # log-Gamma overflows at p = 1e308; the moment would be inf - inf
         with pytest.raises(ValueError, match="overflows"):
             sphere_coordinate_lp_norm(4, 1e308)
 

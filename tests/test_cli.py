@@ -229,6 +229,12 @@ NON_FINITE_RUNS = {
     "transform-p-inf": ["simulate", "transform", "--p", "inf", "--trials", "5000"],
     "apply-L-inf": ["apply"],  # files are added by the test
     "asymptotics-p-1e308": ["asymptotics", "--n", "2", "--p", "1e308"],
+    # finite arguments whose results overflow; any RuntimeWarning fails the suite
+    "norm-search-p-1e308": [
+        "norm-search", "--n", "2", "--p", "1e308", "--grid", "8", "--budget", "4"
+    ],
+    "transform-p-1e308": ["simulate", "transform", "--p", "1e308", "--trials", "5000"],
+    "impow-s-1e3": ["impow", "--s", "1e3", "--p", "2"],
 }
 
 
@@ -256,6 +262,51 @@ class TestNonFiniteNumbers:
         assert code == 1
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "c_asym" in captured.err
+
+
+class TestLargeArguments:
+    def test_psw_at_huge_t_max_passes(self, capsys):
+        code, out = run_cli(capsys, "psw", "--cases", "1", "--grid", "8", "--tmax", "1e300")
+        rows = {r["label"]: r["value"] for r in parse_jsonl(out)[1]}
+        assert code == 0
+        assert rows["equality_gap"] < 1e-9
+
+    def test_impow_reports_a_finite_constant_at_s_300(self, capsys):
+        # sinh(300 pi) overflows, the constant (~1e203) does not
+        code, out = run_cli(capsys, "impow", "--s", "300", "--p", "2")
+        rows = {r["label"]: r["value"] for r in parse_jsonl(out)[1]}
+        assert code in (0, 2)
+        assert rows["constant_closed_form"] == pytest.approx(rows["constant"], rel=1e-10)
+
+
+TOL_READERS = {
+    "matrix-verify": ["--n", "2", "--alpha-grid", "3"],
+    "norm-search": ["--n", "2", "--p", "4", "--grid", "8", "--budget", "2"],
+    "psw": ["--cases", "1", "--grid", "8"],
+    "impow": ["--s", "1", "--p", "2"],
+}
+TOL_IGNORERS = {
+    "bounds": ["--n", "2", "--p", "4"],
+    "apply": ["--input", "in.ffld", "--output", "out.ffld"],
+    "asymptotics": ["--n", "2", "--p", "4"],
+    "simulate": ["transform", "--trials", "5000"],
+}
+
+
+class TestTolFlag:
+    @pytest.mark.parametrize("command", sorted(TOL_READERS))
+    def test_accepted_where_read(self, capsys, command):
+        code, out = run_cli(capsys, command, *TOL_READERS[command], "--tol", "0.5")
+        assert code == 0
+        assert parse_jsonl(out)[0]["inputs"]["tol"] == 0.5
+
+    @pytest.mark.parametrize("command", sorted(TOL_IGNORERS))
+    def test_rejected_where_ignored(self, capsys, command):
+        code = main([command, *TOL_IGNORERS[command], "--tol", "0.5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "--tol" in captured.err
 
 
 class TestReportFormatting:

@@ -127,6 +127,14 @@ class TestLpNorm:
         with pytest.raises(ValueError):
             lp_norm(f, p)
 
+    def test_rejects_overflowing_power_sum(self):
+        # |f|^p overflows where |f| > 1; a RuntimeWarning would fail the suite
+        f = FormField.zeros(2, (8, 8), grades=[0])
+        f.components[0][:] = 2.0
+        with pytest.raises(ValueError, match="overflows"):
+            lp_norm(f, 1e308)
+        assert lp_norm(f, 1000.0) == pytest.approx(2.0)
+
     @given(st.floats(0.1, 10.0), st.floats(1.0, 6.0))
     @settings(max_examples=20, deadline=None)
     def test_homogeneous(self, scale, p):

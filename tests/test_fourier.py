@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from heatforms import fourier
 from heatforms.fields import FormField, cosine_field, lp_norm, random_band_limited
 from heatforms.fourier import (
     GL_ORDER,
@@ -431,6 +432,28 @@ class TestPsw:
         f = cosine_field(2, (8, 8), 1.0, [1, 0], mask=1)
         with pytest.raises(ValueError, match="t_max"):
             psw_integral(f, f, 2.0, t_max=t_max)
+
+    def test_large_t_max_stops_where_every_mode_has_underflowed(self):
+        # the 745 / r end of the time axis, r = 4 pi^2 / L^2: past it every
+        # mode is below the smallest subnormal double, so nothing changes
+        f = cosine_field(2, (8, 8), 1.0, [1, 0], mask=1)
+        end = psw_integral(f, f, 2.0, t_max=745.0 / (4.0 * np.pi**2))
+        huge = psw_integral(f, f, 2.0, t_max=1e300)
+        assert huge == end
+        assert abs(huge.lhs + huge.tail_bound - huge.rhs) < 1e-9
+
+    def test_panel_count_bounded_by_the_underflow_time(self, monkeypatch):
+        # at most log2(745 max|k|^2) panels: 15 at 8^2, where max|k|^2 = 32
+        calls = []
+
+        def counted(*args, _fn=fourier._inverse):
+            calls.append(args)
+            return _fn(*args)
+
+        monkeypatch.setattr(fourier, "_inverse", counted)
+        f = cosine_field(2, (8, 8), 1.0, [1, 0], mask=1)
+        psw_integral(f, f, 2.0, t_max=1e300)
+        assert len(calls) == 15 * GL_ORDER + 1  # every node, plus t = 0 for the tail
 
     def test_one_inverse_transform_per_node(self, monkeypatch):
         # two all-grade 32^2 fields, t_max 1: 15 panels of GL_ORDER nodes,

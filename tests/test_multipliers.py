@@ -181,3 +181,15 @@ class TestPowerConstant:
     def test_domain(self):
         with pytest.raises(ValueError):
             imaginary_power_constant(1.0, 1.0)
+
+    def test_finite_where_sinh_overflows(self):
+        # |Gamma(1 - 300i)| ~ 1e-203 is a normal double; sinh(300 pi) is not
+        want = 2.0 * np.exp(0.5 * (300 * np.pi - np.log(600 * np.pi)))
+        assert imaginary_power_constant(300.0, 3.0) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("s", [470.0, 1e3, -1e3])
+    def test_rejects_underflowing_gamma(self, s):
+        with pytest.raises(ValueError, match="underflows"):
+            imaginary_power_constant(s, 2.0)
+        with pytest.raises(ValueError, match="underflows"):
+            imaginary_power_symbol(s)

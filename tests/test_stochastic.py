@@ -4,9 +4,10 @@ import pytest
 from heatforms.errors import StatisticalPowerError
 from heatforms.fields import FormField, TrigSeries, cosine_field, random_band_limited
 from heatforms.stochastic import (
-    STEP_BLOCK,
+    _DRAW_PATHS,
     TRANSFORMS,
-    _step_blocks,
+    _philox,
+    _standard_normal_step_major,
     alternating_transform,
     identity_transform,
     ito_convergence_study,
@@ -43,14 +44,14 @@ class TestSimulatePaths:
         # block-keyed streams: the first paths of a larger ensemble match
         small = simulate_paths(2, 0.01, 20, 3000, seed=3)
         large = simulate_paths(2, 0.01, 20, 5000, seed=3)
-        assert np.array_equal(small.increments[:3000], large.increments[:3000])
+        assert np.array_equal(small.increments, large.increments[:, :3000])
 
     def test_prefix_stable_across_a_partial_block(self):
         # 4100 paths fill one block and 4 paths of the next, whose normals
         # are drawn for the kept paths only
         small = simulate_paths(2, 0.01, 20, 4100, seed=3)
         large = simulate_paths(2, 0.01, 20, 9000, seed=3)
-        assert np.array_equal(small.increments, large.increments[:4100])
+        assert np.array_equal(small.increments, large.increments[:, :4100])
         assert np.array_equal(small.starts, large.starts[:4100])
 
     def test_increment_moments(self):
@@ -68,7 +69,7 @@ class TestSimulatePaths:
     def test_terminal_displacement_variance(self):
         ens = simulate_paths(2, 0.005, 80, 30000, seed=2)
         tau = 0.005 * 80
-        disp = ens.increments.sum(axis=1)
+        disp = ens.increments.sum(axis=0)
         assert np.all(np.abs(disp.mean(axis=0)) < 4 * np.sqrt(tau / ens.paths))
         var = disp.var(axis=0, ddof=1)
         assert np.all(np.abs(var - tau) < 4 * tau * np.sqrt(2.0 / ens.paths))
@@ -85,19 +86,26 @@ class TestSimulatePaths:
             simulate_paths(2, 0.1, 0, 10, 0)
 
 
-class TestStepBlocks:
+class TestStepMajorDraw:
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_blocks_are_exact_step_major_copies(self, d):
-        # 2 full blocks and a partial one; more paths than one copy pass
-        steps = 2 * STEP_BLOCK + 3
-        increments = np.random.default_rng(d).standard_normal((1500, steps, d))
-        seen = []
-        for lo, block in _step_blocks(increments):
-            want = increments[:, lo : lo + STEP_BLOCK].swapaxes(0, 1)
-            assert block.shape == want.shape
-            assert np.array_equal(block, want)
-            seen.append(lo)
-        assert seen == [0, STEP_BLOCK, 2 * STEP_BLOCK]
+    def test_equals_one_path_major_draw(self, d):
+        # two full draw chunks and a partial one
+        paths, steps = 2 * _DRAW_PATHS + 100, 13
+        out = np.empty((steps, paths, d))
+        _standard_normal_step_major(_philox(d, 0), out)
+        want = _philox(d, 0).standard_normal((paths, steps, d)).swapaxes(0, 1)
+        assert np.array_equal(out, want)
+
+    def test_fewer_paths_than_one_chunk(self):
+        out = np.empty((5, 7, 2))
+        _standard_normal_step_major(_philox(1, 0), out)
+        want = _philox(1, 0).standard_normal((7, 5, 2)).swapaxes(0, 1)
+        assert np.array_equal(out, want)
+
+    def test_ensemble_layout_is_step_major(self):
+        ens = simulate_paths(3, 0.01, 11, 50, seed=4)
+        assert ens.increments.shape == (11, 50, 3)
+        assert ens.increments.flags.c_contiguous
 
 
 class TestMarkovIdentity:
@@ -185,7 +193,7 @@ class TestItoTerminal:
         accum = np.zeros((ens.paths, len(series)))
         pos = ens.starts.copy()
         for k in range(ens.steps):
-            step = ens.increments[:, k, :]
+            step = ens.increments[k]
             for idx, s in enumerate(series):
                 grad = oracle_gradient(s, pos, tau - k * ens.h)
                 accum[:, idx] += np.einsum("pa,pa->p", grad, step)
@@ -270,6 +278,11 @@ class TestTransformExperiment:
     def test_rejects_infinite_exponent(self):
         with pytest.raises(ValueError, match=r"\(1, inf\)"):
             martingale_transform_experiment(np.inf, 8, 2000, "identity", seed=0)
+
+    def test_rejects_overflowing_moments(self):
+        # |U|^p overflows for every |U| > 1; a RuntimeWarning would fail the suite
+        with pytest.raises(ValueError, match="overflows"):
+            martingale_transform_experiment(1e308, 8, 2000, "identity", seed=0)
 
     def test_p_star_ceilings(self):
         assert martingale_transform_experiment(1.5, 8, 2000, "identity", seed=0).ceiling == 2.0
