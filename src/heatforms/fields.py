@@ -31,7 +31,7 @@ FFLD_MAGIC = "FFLD1 "
 FFLD_ORDER = "ascending-mask"
 FFLD_LAYOUT = "component-major,row-major"
 FFLD_DTYPE = "f64le"
-_MODE_TOL = 1e-12  # TrigSeries.from_grid drops |c_k| <= this * max(max |c_k|, 1)
+_MODE_TOL = 1e-12  # TrigSeries drops modes with every row's |c_k| <= this * max(max |c_k|, 1)
 
 
 def _is_pow2(v: int) -> bool:
@@ -130,6 +130,8 @@ def lp_norm(field: FormField, p: float) -> float:
         total = field.cell_volume * np.sum(density ** (p / 2.0))
     if total == np.inf:
         raise ValueError(f"exponent {p} overflows the p-th power sum")
+    if total == 0.0 and np.any(density):
+        raise ValueError(f"exponent {p} underflows the p-th power sum")
     return float(total ** (1.0 / p))
 
 
@@ -243,56 +245,46 @@ def read_ffld(path) -> FormField:
 
 
 class TrigSeries:
-    """Sparse trigonometric form of one periodic scalar grid.
+    """Sparse trigonometric form of a stack of periodic scalar grids.
 
-    Supports exact evaluation of the function, its heat extension, and its
-    gradient at arbitrary (off-grid) points; used by the path-simulation
-    checks where positions do not sit on the grid.
+    Evaluates every row of an (ncomp, *dims) stack, its heat extension and
+    its gradient at arbitrary (off-grid) points; used by the path-simulation
+    checks where positions do not sit on the grid. A mode is kept when any
+    row's coefficient passes that row's cutoff, so all rows share one mode
+    list and one complex exponential per point and mode.
     """
 
-    def __init__(self, n, L, modes):
-        self.n = n
+    def __init__(self, stack, L):
+        stack = np.asarray(stack, dtype=float)
         self.L = float(L)
-        items = sorted(modes.items())
-        self.kvecs = np.array([k for k, _ in items], dtype=float).reshape(-1, n)
-        self.coeffs = np.array([c for _, c in items], dtype=complex)
+        dims = stack.shape[1:]
+        coeff = (np.fft.fftn(stack, axes=range(1, stack.ndim)) / prod(dims)).reshape(len(stack), -1)
+        cutoff = _MODE_TOL * np.maximum(np.max(np.abs(coeff), axis=1), 1.0)
+        keep = np.flatnonzero(np.any(np.abs(coeff) > cutoff[:, None], axis=0))
+        axes_k = np.meshgrid(*[np.fft.fftfreq(d) * d for d in dims], indexing="ij")
+        self.kvecs = np.stack([k.reshape(-1)[keep] for k in axes_k], axis=1)  # (modes, n)
+        self.coeffs = coeff[:, keep].T  # (modes, ncomp)
         self.ksq = np.sum(self.kvecs**2, axis=1) / self.L**2
 
-    @classmethod
-    def from_grid(cls, grid, L) -> "TrigSeries":
-        grid = np.asarray(grid, dtype=float)
-        n = grid.ndim
-        coeff = np.fft.fftn(grid) / grid.size
-        cutoff = _MODE_TOL * max(np.max(np.abs(coeff)), 1.0)
-        modes = {}
-        axes_k = [np.fft.fftfreq(d) * d for d in grid.shape]
-        for idx in zip(*np.nonzero(np.abs(coeff) > cutoff)):
-            k = tuple(axes_k[a][idx[a]] for a in range(n))
-            modes[k] = complex(coeff[idx])
-        return cls(n, L, modes)
+    def _evaluate(self, points, t, weights) -> np.ndarray:
+        """sum_k exp(2 pi i k.x / L - 2 pi^2 |k|^2 t / L^2) weights[k], real part.
 
-    def mean(self) -> float:
-        zero = np.all(self.kvecs == 0.0, axis=1)
-        return float(np.sum(self.coeffs[zero]).real)
-
-    def _terms(self, points, t):
-        """Weighted modes c_k exp(2 pi i k.x / L - 2 pi^2 |k|^2 t / L^2).
-
-        Shape (*points.shape[:-1], nmodes); t is a scalar or an array that
-        broadcasts to points.shape[:-1] (one time per step, say).
+        weights has shape (modes, m) and the result (*points.shape[:-1], m).
+        t is a scalar or one time per leading index of points; the latter
+        batches the matmul over that index.
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        terms = 1j * (pts @ self.kvecs.T * (2.0 * np.pi / self.L))
-        np.exp(terms, out=terms)  # in place: the largest array is allocated once
-        t = np.asarray(t, dtype=float)[..., None]
-        terms *= self.coeffs * np.exp(-2.0 * np.pi**2 * self.ksq * t)
-        return terms
+        waves = 1j * (points @ self.kvecs.T * (2.0 * np.pi / self.L))
+        np.exp(waves, out=waves)  # in place: the largest array is allocated once
+        decay = np.exp(-2.0 * np.pi**2 * np.multiply.outer(t, self.ksq))
+        return (waves @ (decay[..., None] * weights)).real
 
     def value(self, points, t=0.0) -> np.ndarray:
-        """Heat extension at time t evaluated at points of shape (..., n)."""
-        return (self._terms(points, t) @ np.ones(len(self.coeffs))).real
+        """Heat extension at time t at points of shape (..., n); shape (..., ncomp)."""
+        return self._evaluate(points, t, self.coeffs)
 
     def gradient(self, points, t=0.0) -> np.ndarray:
-        """Spatial gradient of the heat extension; shape (..., n)."""
-        factors = 1j * 2.0 * np.pi / self.L * self.kvecs  # (nmodes, n)
-        return (self._terms(points, t) @ factors).real
+        """Spatial gradient of the heat extension; shape (..., ncomp, n)."""
+        factors = 1j * 2.0 * np.pi / self.L * self.kvecs  # (modes, n)
+        weights = self.coeffs[:, :, None] * factors[:, None, :]
+        out = self._evaluate(points, t, weights.reshape(len(factors), -1))
+        return out.reshape(out.shape[:-1] + weights.shape[1:])

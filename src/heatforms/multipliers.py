@@ -151,10 +151,10 @@ def apply_spectral_multiplier(sym: SpectralSymbol, field: FormField) -> FormFiel
     The zero frequency is scaled by the symbol's declared zero limit, or
     annihilated when none is declared. a is even in xi but may be complex,
     so its real and imaginary parts go through the real-FFT path as two
-    real multipliers; the imaginary pass runs only when some value has a
-    nonzero imaginary part. The output is real for a real field and
-    real multiplier values, complex otherwise; a complex field keeps its
-    imaginary part.
+    real multipliers stacked on one forward transform; the imaginary part
+    joins only when some value has a nonzero imaginary part. The output is
+    real for a real field and real multiplier values, complex otherwise; a
+    complex field keeps its imaginary part.
     """
     if not field.is_finite():
         raise ValueError("field has non-finite samples")
@@ -167,10 +167,11 @@ def apply_spectral_multiplier(sym: SpectralSymbol, field: FormField) -> FormFiel
     mult[positive] = values[inverse]
     mult[~positive] = 0.0 if sym.zero_limit is None else sym.zero_limit
     mult = mult.reshape(xi_sq.shape)
-    out = _through_spectrum(field.data, field.dims, lambda s: s * mult.real)
-    if np.any(mult.imag):
-        out = out + 1j * _through_spectrum(field.data, field.dims, lambda s: s * mult.imag)
-    return field.like(out)
+    if not np.any(mult.imag):
+        return field.like(_through_spectrum(field.data, field.dims, lambda s: s * mult.real))
+    parts = np.stack([mult.real, mult.imag])
+    out = _through_spectrum(field.data, field.dims, lambda s: s[:, None] * parts[:, None])
+    return field.like(out[0] + 1j * out[1])
 
 
 def imaginary_power_constant(s: float, p: float) -> float:

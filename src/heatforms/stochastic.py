@@ -17,11 +17,13 @@ any longer draw from the same stream position, so an ensemble is a prefix
 of every larger one with the same seed.
 
 Increments are drawn path-major and stored step-major, (steps, paths, d),
-so each step is one contiguous row for the step loops. The Ito check takes
+so each step is one contiguous row for the step loops. The Ito check
+builds one TrigSeries for the field's whole component stack and takes
 STEP_BLOCK steps at a time: one cumulative sum gives the positions before
-them, unwrapped since the series are periodic, and one gradient evaluation
-their terms, added in step order. The bootstrap turns each resample into a
-count vector and takes both moment sums with one product.
+them, unwrapped since the series is periodic, and one gradient evaluation
+the terms of every component, added in step order. The bootstrap turns
+each resample into a count vector and takes both moment sums with one
+product.
 """
 
 from __future__ import annotations
@@ -117,6 +119,9 @@ class MarkovCheck:
 def markov_identity_check(grid, L, t, ensemble: PathEnsemble) -> MarkovCheck:
     """Space-averaged path expectation of g versus the grid mean of g.
 
+    The grid mean is the zero-frequency coefficient of g's series, so it
+    is the exact value of the space average at every time.
+
     Raises StatisticalPowerError for fewer than two paths, which leave the
     standard error undefined.
     """
@@ -127,37 +132,34 @@ def markov_identity_check(grid, L, t, ensemble: PathEnsemble) -> MarkovCheck:
         raise ValueError("t exceeds the simulated horizon")
     if ensemble.paths < 2:
         raise StatisticalPowerError("a standard error needs at least two paths")
-    series = TrigSeries.from_grid(grid, L)
-    values = series.value(ensemble.positions(k))
+    values = TrigSeries(np.asarray(grid)[None], L).value(ensemble.positions(k))[:, 0]
     se = float(values.std(ddof=1) / np.sqrt(len(values)))
-    return MarkovCheck(float(values.mean()), series.mean(), se)
+    return MarkovCheck(float(values.mean()), float(np.mean(grid)), se)
 
 
 def ito_terminal_check(field: FormField, tau, ensemble: PathEnsemble) -> float:
     """RMS gap between the Euler stochastic integral and its closed form.
 
-    Along each path, accumulate grad u(X_k, tau - t_k) . dX_k per
-    component, where u is the heat extension of the field; the limit is
-    f(X_tau) - (heat extension at tau)(X_0). Decays like sqrt(h).
+    Along each path, accumulate grad u(X_k, tau - t_k) . dX_k for every
+    component at once, where u is the heat extension of the field; the
+    limit is f(X_tau) - (heat extension at tau)(X_0). The gap's squared
+    length is summed over components. Decays like sqrt(h).
     """
     if abs(ensemble.steps * ensemble.h - tau) > 1e-9 * max(tau, ensemble.h):
         raise ValueError("tau must equal steps * h")
-    series = [TrigSeries.from_grid(row, field.L) for row in field.data]
-    accum = np.zeros((len(series), ensemble.paths))
+    series = TrigSeries(field.data, field.L)
+    accum = np.zeros((ensemble.paths, len(field.data)))
     pos = ensemble.starts
     for lo in range(0, ensemble.steps, STEP_BLOCK):
         block = ensemble.increments[lo : lo + STEP_BLOCK]
         at = np.concatenate((pos[None], block[:-1])).cumsum(axis=0)  # unwrapped, before each step
         pos = np.mod(at[-1] + block[-1], field.L)
-        remaining = tau - np.arange(lo, lo + len(block)) * ensemble.h
-        for idx, s in enumerate(series):
-            grad = s.gradient(at, t=remaining[:, None])
-            contrib = np.einsum("spa,spa->sp", grad, block)
-            contrib[0] += accum[idx]  # so the sum runs in step order
-            np.add.reduce(contrib, axis=0, out=accum[idx])
-    closed = np.stack([s.value(pos) - s.value(ensemble.starts, t=tau) for s in series])
-    gap_sq = np.sum((accum - closed) ** 2, axis=0)
-    return float(np.sqrt(gap_sq.mean()))
+        grad = series.gradient(at, t=tau - np.arange(lo, lo + len(block)) * ensemble.h)
+        contrib = np.einsum("spca,spa->spc", grad, block)
+        contrib[0] += accum  # so the sum runs in step order
+        np.add.reduce(contrib, axis=0, out=accum)
+    gap = accum - (series.value(pos) - series.value(ensemble.starts, t=tau))
+    return float(np.sqrt(np.sum(gap**2, axis=1).mean()))
 
 
 def ito_convergence_study(field, tau, step_counts, paths, seed, seeds_per_h=10):
@@ -240,7 +242,7 @@ def transform_walk(steps, trials, transform, seed, d=1) -> MartingalePair:
         coeff = np.asarray(fn(k, u), dtype=float)
         if np.any(np.abs(coeff) > 1.0):
             raise ValueError("transform coefficients must have modulus <= 1")
-        scaled = coeff[..., None] * step if coeff.ndim else coeff * step
+        scaled = coeff[..., None] * step
         inc_u = np.einsum("td,td->t", step, step)
         inc_y = np.einsum("td,td->t", scaled, scaled)
         if np.any(inc_u - inc_y < 0.0):

@@ -135,6 +135,15 @@ class TestLpNorm:
             lp_norm(f, 1e308)
         assert lp_norm(f, 1000.0) == pytest.approx(2.0)
 
+    def test_rejects_underflowing_power_sum(self):
+        # 0.5^2000 underflows to 0; the norm is 0.5, not 0
+        f = FormField.zeros(2, (8, 8), grades=[0])
+        f.components[0][:] = 0.5
+        with pytest.raises(ValueError, match="underflows"):
+            lp_norm(f, 2000.0)
+        assert lp_norm(f, 1000.0) == pytest.approx(0.5)
+        assert lp_norm(FormField.zeros(2, (8, 8)), 2000.0) == 0.0
+
     @given(st.floats(0.1, 10.0), st.floats(1.0, 6.0))
     @settings(max_examples=20, deadline=None)
     def test_homogeneous(self, scale, p):
@@ -278,53 +287,56 @@ class TestTrigSeries:
     def test_single_mode_value_and_gradient(self):
         L = 2.0
         f = cosine_field(2, (16, 16), L, [1, 0], mask=0)
-        series = TrigSeries.from_grid(f.components[0], L)
+        series = TrigSeries(f.data, L)
         pts = np.array([[0.3, 0.9], [1.1, 0.2], [0.0, 0.0]])
         want = np.cos(2 * np.pi * pts[:, 0] / L)
-        assert np.allclose(series.value(pts), want, atol=1e-12)
-        grad = series.gradient(pts)
+        assert np.allclose(series.value(pts)[:, 0], want, atol=1e-12)
+        grad = series.gradient(pts)[:, 0]
         assert np.allclose(grad[:, 0], -2 * np.pi / L * np.sin(2 * np.pi * pts[:, 0] / L))
         assert np.allclose(grad[:, 1], 0.0, atol=1e-12)
 
     def test_heat_time_scaling(self):
         L = 1.0
         f = cosine_field(2, (8, 8), L, [0, 2], mask=0)
-        series = TrigSeries.from_grid(f.components[0], L)
+        series = TrigSeries(f.data, L)
         pts = np.array([[0.1, 0.7]])
         t = 0.05
         decay = np.exp(-2 * np.pi**2 * 4 * t)
         assert np.allclose(series.value(pts, t), decay * series.value(pts), rtol=1e-12)
 
-    def test_mean(self):
-        grid = np.full((4, 4), 3.25)
-        assert TrigSeries.from_grid(grid, 1.0).mean() == pytest.approx(3.25)
-
     @pytest.mark.parametrize("per_step", [False, True], ids=["scalar_t", "array_t"])
     def test_matches_broadcast_formulas(self, per_step):
-        # the broadcast-and-sum formulas the mode matmul replaced, one
-        # leading index (step) at a time
-        f = random_band_limited(2, (16, 16), 1.0, np.random.default_rng(4), kmax=3)
-        series = TrigSeries.from_grid(f.components[1], 1.0)
-        pts = np.random.default_rng(5).uniform(0.0, 1.0, (6, 50, 2))
-        ts = 0.01 * np.arange(6)[:, None] if per_step else 0.03
-        value, grad = series.value(pts, ts), series.gradient(pts, ts)
-        factors = 1j * 2.0 * np.pi / series.L * series.kvecs
-        for k in range(len(pts)):
-            t = ts[k, 0] if per_step else ts
-            phase = pts[k] @ series.kvecs.T * (2.0 * np.pi / series.L)
-            terms = np.exp(1j * phase) * series.coeffs * np.exp(
-                -2.0 * np.pi**2 * series.ksq * t
-            )
-            want_value = terms.sum(axis=1).real
-            want_grad = (terms[:, :, None] * factors[None, :, :]).sum(axis=1).real
-            assert np.max(np.abs(value[k] - want_value)) <= 1e-14 * np.max(np.abs(want_value))
-            assert np.max(np.abs(grad[k] - want_grad)) <= 1e-14 * np.max(np.abs(want_grad))
+        # the broadcast-and-sum formulas the stacked mode matmul replaced,
+        # one row and one leading index (step) at a time, on all-grade stacks
+        for n, dims in ((2, (16, 16)), (3, (8, 8, 8))):
+            f = random_band_limited(n, dims, 1.0, np.random.default_rng(4), kmax=3)
+            series = TrigSeries(f.data, 1.0)
+            pts = np.random.default_rng(5).uniform(0.0, 1.0, (6, 50, n))
+            ts = 0.01 * np.arange(6) if per_step else 0.03
+            value, grad = series.value(pts, ts), series.gradient(pts, ts)
+            assert value.shape == (6, 50, 2**n) and grad.shape == (6, 50, 2**n, n)
+            factors = 1j * 2.0 * np.pi / series.L * series.kvecs
+            for k in range(len(pts)):
+                t = ts[k] if per_step else ts
+                phase = pts[k] @ series.kvecs.T * (2.0 * np.pi / series.L)
+                for r in range(2**n):
+                    terms = np.exp(1j * phase) * series.coeffs[:, r] * np.exp(
+                        -2.0 * np.pi**2 * series.ksq * t
+                    )
+                    want_value = terms.sum(axis=1).real
+                    want_grad = (terms[:, :, None] * factors[None, :, :]).sum(axis=1).real
+                    assert np.max(np.abs(value[k, :, r] - want_value)) <= 1e-14 * np.max(
+                        np.abs(want_value)
+                    )
+                    assert np.max(np.abs(grad[k, :, r] - want_grad)) <= 1e-14 * np.max(
+                        np.abs(want_grad)
+                    )
 
     def test_reproduces_grid_samples(self):
         rng = np.random.default_rng(3)
         f = random_band_limited(2, (8, 8), 1.0, rng, kmax=3)
-        series = TrigSeries.from_grid(f.components[1], 1.0)
+        series = TrigSeries(f.data, 1.0)
         xs = np.array(
             [[i / 8, j / 8] for i in range(8) for j in range(8)]
         )
-        assert np.allclose(series.value(xs).reshape(8, 8), f.components[1], atol=1e-10)
+        assert np.allclose(series.value(xs).T.reshape(f.data.shape), f.data, atol=1e-10)

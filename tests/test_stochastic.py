@@ -5,6 +5,7 @@ from heatforms.errors import StatisticalPowerError
 from heatforms.fields import FormField, TrigSeries, cosine_field, random_band_limited
 from heatforms.stochastic import (
     _DRAW_PATHS,
+    STEP_BLOCK,
     TRANSFORMS,
     _philox,
     _standard_normal_step_major,
@@ -20,10 +21,12 @@ from heatforms.stochastic import (
 )
 
 
-def oracle_gradient(series, points, t):
-    """TrigSeries.gradient as a broadcast over modes and a sum over them."""
+def oracle_gradient(series, row, points, t):
+    """One row of TrigSeries.gradient as a broadcast over modes and a sum over them."""
     phase = points @ series.kvecs.T * (2.0 * np.pi / series.L)
-    terms = np.exp(1j * phase) * series.coeffs * np.exp(-2.0 * np.pi**2 * series.ksq * t)
+    terms = np.exp(1j * phase) * series.coeffs[:, row] * np.exp(
+        -2.0 * np.pi**2 * series.ksq * t
+    )
     factors = 1j * 2.0 * np.pi / series.L * series.kvecs
     return (terms[:, :, None] * factors[None, :, :]).sum(axis=1).real
 
@@ -128,8 +131,15 @@ class TestMarkovIdentity:
         x = np.arange(16) / 16
         g = np.cos(2 * np.pi * x)[:, None] * np.ones((1, 16))
         chk = markov_identity_check(g, 1.0, 0.5, ens)
-        assert chk.exact_value == 0.0
+        assert abs(chk.exact_value) < 1e-15  # the grid mean: zero up to rounding
         assert abs(chk.z_score) < 4.0
+
+    def test_exact_value_is_grid_mean(self):
+        # the grid mean is the zero-frequency coefficient of the series
+        ens = simulate_paths(2, 0.02, 10, 100, seed=0)
+        g = random_band_limited(2, (16, 16), 1.0, np.random.default_rng(2), mean_zero=False)
+        chk = markov_identity_check(g.components[0], 1.0, 0.2, ens)
+        assert chk.exact_value == np.mean(g.components[0]) != 0.0
 
     def test_random_trig_polynomials_over_seeds(self):
         passes = 0
@@ -174,7 +184,7 @@ class TestItoTerminal:
         f = cosine_field(2, (16, 16), 1.0, [1, 0], mask=1)
         from heatforms.fields import TrigSeries, lp_norm
 
-        series = TrigSeries.from_grid(f.components[1], 1.0)
+        series = TrigSeries(f.data, 1.0)
         pts = np.random.default_rng(0).uniform(0, 1, (200, 2))
         assert np.max(np.abs(series.value(pts, t=tau))) < 1e-3 * lp_norm(f, 2)
 
@@ -189,21 +199,36 @@ class TestItoTerminal:
         f = random_band_limited(n, dims, 1.0, np.random.default_rng(5), kmax=kmax)
         tau, steps = 0.05, 20
         ens = simulate_paths(n, tau / steps, steps, paths, seed=6)
-        series = [TrigSeries.from_grid(row, f.L) for row in f.data]
-        accum = np.zeros((ens.paths, len(series)))
+        series = TrigSeries(f.data, f.L)
+        accum = np.zeros((ens.paths, len(f.data)))
         pos = ens.starts.copy()
         for k in range(ens.steps):
             step = ens.increments[k]
-            for idx, s in enumerate(series):
-                grad = oracle_gradient(s, pos, tau - k * ens.h)
-                accum[:, idx] += np.einsum("pa,pa->p", grad, step)
+            for row in range(len(f.data)):
+                grad = oracle_gradient(series, row, pos, tau - k * ens.h)
+                accum[:, row] += np.einsum("pa,pa->p", grad, step)
             pos = np.mod(pos + step, f.L)
-        closed = np.stack(
-            [s.value(pos) - s.value(ens.starts, t=tau) for s in series], axis=1
-        )
+        closed = series.value(pos) - series.value(ens.starts, t=tau)
         want = np.sqrt(np.sum((accum - closed) ** 2, axis=1).mean())
-        assert len(series) == 2**n
+        assert len(f.data) == 2**n
         assert ito_terminal_check(f, tau, ens) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("steps", [1, 8, 20])
+    def test_one_gradient_call_per_step_block(self, steps, monkeypatch):
+        # all components share one evaluation per block, whatever their count
+        calls = []
+        gradient = TrigSeries.gradient
+
+        def counted(self, points, t=0.0):
+            calls.append(1)
+            return gradient(self, points, t)
+
+        monkeypatch.setattr(TrigSeries, "gradient", counted)
+        f = random_band_limited(3, (8, 8, 8), 1.0, np.random.default_rng(1), kmax=1)
+        ens = simulate_paths(3, 0.01, steps, 50, seed=2)
+        ito_terminal_check(f, steps * 0.01, ens)
+        assert len(f.data) == 8
+        assert len(calls) == -(-steps // STEP_BLOCK)
 
     def test_tau_validation(self):
         f = cosine_field(2, (8, 8), 1.0, [1, 0], mask=1)
