@@ -198,7 +198,7 @@ def write_ffld(field: FormField, path) -> None:
         fh.write(FFLD_MAGIC.encode("ascii"))
         fh.write(json.dumps(header).encode("ascii"))
         fh.write(b"\n")
-        fh.write(field.data.astype("<f8", copy=False).tobytes())
+        fh.write(np.ascontiguousarray(field.data, dtype="<f8"))  # no bytes copy
 
 
 def read_ffld(path) -> FormField:

@@ -23,7 +23,10 @@ on the coefficient vector indexed by subsets: u _| lowers the grade by
 contracting with u, u ^ raises it again by wedging with u. Since
 u _| u ^ + u ^ u _| = |u|^2 = 1, P = (u ^)(u _|) is an orthogonal
 projection, so M is a symmetric involution: T^2 = id and T is an L^2
-isometry on mean-zero fields. Written out, M has the diagonal
+isometry on mean-zero fields. Grades 0 and n are eigen-grades: u _| kills
+grade 0 and (u ^)(u _|) is the identity on grade n, so M = +I on the
+scalar row and -I on the top-grade row, and only the middle grades need
+a transform. Written out, M has the diagonal
 (sum_{l not in K} xi_l^2 - sum_{k in K} xi_k^2)/|xi|^2 and, for each
 substitution K -> K\\k+l, the entry -2 xi_k xi_l / |xi|^2 times the
 reordering sign; beurling_ahlfors_symbol builds that form entry by entry
@@ -107,31 +110,39 @@ def _multipliers(dims: tuple, L: float):
     return xi_sq, grad_mult
 
 
-def _inverse(spectra: np.ndarray, dims: tuple) -> np.ndarray:
+def _inverse(spectra: np.ndarray, dims: tuple, out=None) -> np.ndarray:
     """Inverse real FFT of half spectra over the trailing len(dims) axes.
 
     These are numpy irfftn's passes in its order, but the ifft passes run
-    in place: irfftn would allocate a new array for each of them.
+    in place: irfftn would allocate a new array for each of them. The last
+    pass writes into out when it is given.
     """
     for axis in range(spectra.ndim - len(dims), spectra.ndim - 1):
         np.fft.ifft(spectra, axis=axis, out=spectra)
-    return np.fft.irfft(spectra, n=dims[-1])
+    return np.fft.irfft(spectra, n=dims[-1], out=out)
 
 
-def _through_spectrum(data: np.ndarray, dims: tuple, act) -> np.ndarray:
+def _through_spectrum(data: np.ndarray, dims: tuple, act, alloc=np.empty) -> np.ndarray:
     """Hermitian Fourier multiplier act over the trailing len(dims) axes of a stack.
 
     One rfftn into a new (batch, *rows, *half) buffer, act on it, one
     _inverse. The batch axis holds real data alone, or the real and
     imaginary parts of complex data. act may work in place and may insert
-    axes after the batch axis.
+    axes after the batch axis. The result goes into alloc(shape, dtype),
+    which is called once act has returned, so act's buffers are freed
+    before it; alloc may return a view into a larger array.
     """
     complex_in = np.iscomplexobj(data)
     batch = np.stack([data.real, data.imag]) if complex_in else data[None]
     spectra = np.empty(batch.shape[:-1] + (dims[-1] // 2 + 1,), complex)
     np.fft.rfftn(batch, axes=tuple(range(batch.ndim - len(dims), batch.ndim)), out=spectra)
-    out = _inverse(act(spectra), dims)
-    return out[0] + 1j * out[1] if complex_in else out[0]
+    spectra = act(spectra)
+    shape = spectra.shape[1:-1] + dims[-1:]
+    out = alloc(shape, complex if complex_in else float)
+    # complex output: the batch's real and imaginary parts are strided float views of it
+    parts = np.moveaxis(out.view(float).reshape(shape + (2,)), -1, 0) if complex_in else out[None]
+    _inverse(spectra, dims, out=parts)
+    return out
 
 
 def heat_extension(field: FormField, t: float) -> FormField:
@@ -272,21 +283,27 @@ def _reflect(spectra: np.ndarray, u, plan, lowered: int) -> np.ndarray:
 def apply_beurling_ahlfors(field: FormField) -> FormField:
     """Apply the operator as the reflection f^ - 2 u^(u _| f^) per frequency.
 
-    One real FFT of the component stack, n contractions and n wedge
-    products with the unit-direction grids, one inverse real FFT. The
-    symbol couples only components of equal grade, so a single-grade
-    field stays single-grade. The mean of every component is annihilated.
+    Grades 0 and n are eigen-grades, M = +I and -I at every nonzero
+    frequency (Nyquist points too), so those rows are f_0 - mean(f_0) and
+    mean(f_n) - f_n, with no transform. Only the middle grades go through
+    one real FFT, n contractions and n wedge products with the
+    unit-direction grids, and one inverse real FFT written straight into
+    the output stack. The symbol couples only components of equal grade,
+    so a single-grade field stays single-grade. The mean of every
+    component is annihilated.
     """
     if not field.is_finite():
         raise ValueError("field has non-finite samples")
-    n, dims, masks = field.n, field.dims, field.masks
-    if not masks:
-        return field.copy()
+    n, dims, masks, data = field.n, field.dims, field.masks, field.data
+    # masks ascend, so the scalar row comes first and the top-grade row last
+    lo = int(0 in masks)
+    hi = len(masks) - int((1 << n) - 1 in masks)
+
     def reflect(spectra):
         # Cached after the spectra buffer: grids cached before it pinned the
         # heap and raised peak RSS by ~2 MB over repeated 256^2 applies.
         _, u, nyquist, u_alias = _half_lattice(dims)
-        lowered, plan = _reflection_plan(n, tuple(masks))
+        lowered, plan = _reflection_plan(n, tuple(masks[lo:hi]))
         # A Nyquist point also stands for the lattice vector with its Nyquist
         # coordinates negated; a real field sees the mean of both symbols.
         flat = spectra.reshape(spectra.shape[:2] + (-1,))
@@ -296,7 +313,23 @@ def apply_beurling_ahlfors(field: FormField) -> FormField:
         spectra[(Ellipsis,) + (0,) * n] = 0.0
         return spectra
 
-    return field.like(_through_spectrum(field.data, dims, reflect))
+    def stack_rows(shape, dtype):
+        # the whole output stack, allocated once the reflection's buffers are
+        # freed: allocated before them, peak RSS over repeated n=3 64^3
+        # draw-apply-norm items rose from 95 to 103 MB
+        nonlocal out
+        out = np.empty(data.shape, dtype)
+        return out[lo:hi]
+
+    if lo < hi:
+        _through_spectrum(data[lo:hi], dims, reflect, stack_rows)
+    else:
+        out = np.empty(data.shape, complex if np.iscomplexobj(data) else float)
+    if lo:
+        np.subtract(data[0], data[0].mean(), out=out[0])
+    if hi < len(masks):
+        np.subtract(data[-1].mean(), data[-1], out=out[-1])
+    return field.like(out)
 
 
 def symbol_norms_on_grid(n, dims, L) -> np.ndarray:

@@ -231,6 +231,8 @@ def transform_walk(steps, trials, transform, seed, d=1) -> MartingalePair:
     return coefficients of modulus <= 1; any quadratic-variation increment
     of the transformed walk exceeding the base one aborts the run.
     """
+    if steps < 1 or trials < 1:
+        raise ValueError("counts must be at least 1")
     fn = transform if callable(transform) else TRANSFORMS[transform]
     incs = np.empty((steps, trials, d))
     _standard_normal_step_major(_philox(seed, 0), incs)
@@ -273,11 +275,14 @@ def martingale_transform_experiment(p, steps, trials, transform, seed) -> Transf
     pathwise) and bootstraps a confidence interval for
     (E|Y|^p / E|U|^p)^(1/p). Raises StatisticalPowerError when the
     relative half-width exceeds MAX_REL_CI, too wide to support a ceiling
-    comparison.
+    comparison, and for fewer than two trials, whose every resample is the
+    one trial itself.
     """
     p = float(p)
     p_star = conjugate_exponent(p)
     pair = transform_walk(steps, trials, transform, seed)
+    if trials < 2:
+        raise StatisticalPowerError("a bootstrap interval needs at least two trials")
     with np.errstate(over="ignore"):
         u_p = np.sum(pair.base**2, axis=1) ** (p / 2.0)
         y_p = np.sum(pair.transformed**2, axis=1) ** (p / 2.0)

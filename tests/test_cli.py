@@ -1,9 +1,14 @@
+import contextlib
 import csv
 import io
 import json
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heatforms import errors
 from heatforms.cli import main
@@ -138,6 +143,24 @@ class TestErrorExitCodes:
         assert "Traceback" not in captured.err
         assert captured.err.count("\n") == 1 and "StatisticalPowerError" in captured.err
 
+    def test_one_trial_exit_3(self, capsys):
+        code = main(["simulate", "transform", "--trials", "1"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "StatisticalPowerError" in captured.err
+
+    @pytest.mark.parametrize("flag", ["--steps", "--trials"])
+    def test_empty_walk_exit_1_without_warning(self, capsys, flag):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["simulate", "transform", flag, "0"])
+        captured = capsys.readouterr()
+        assert caught == []
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "at least 1" in captured.err
+
     @pytest.mark.parametrize("counts", ["32", "64,64"])
     def test_ito_needs_two_step_counts(self, capsys, counts):
         code = main(["simulate", "ito", "--step-counts", counts, "--paths", "10"])
@@ -188,6 +211,34 @@ SMALL_RUNS = {
     "simulate-ito": ["simulate", "ito", "--grid", "8", "--step-counts", "8,16", "--paths", "50", "--reps", "1"],
     "simulate-transform": ["simulate", "transform", "--p", "2", "--trials", "5000", "--steps", "16"],
 }
+
+
+class TestDeterminism:
+    # identical arguments, seed included, give byte-identical reports and files
+
+    @given(
+        command=st.sampled_from(["apply", "psw", "norm-search"]),
+        seed=st.integers(0, 2**63 - 1),
+        fmt=st.sampled_from(["json", "csv"]),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_in_process_reruns_are_byte_identical(self, command, seed, fmt):
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = SMALL_RUNS[command] + ["--seed", str(seed), "--format", fmt]
+            out_path = Path(tmp) / "out.ffld"
+            if command == "apply":
+                src = Path(tmp) / "in.ffld"
+                write_ffld(random_band_limited(2, (8, 8), 1.0, np.random.default_rng(seed)), src)
+                argv += ["--input", str(src), "--output", str(out_path)]
+            runs = []
+            for _ in range(2):
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout):
+                    code = main(argv)
+                written = out_path.read_bytes() if out_path.exists() else None
+                runs.append((code, stdout.getvalue().encode(), written))
+        assert runs[0][0] in (0, 2) and runs[0][1]
+        assert runs[0] == runs[1]
 
 
 class TestStrictJsonReports:

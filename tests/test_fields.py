@@ -196,6 +196,20 @@ class TestFFLD:
         assert g.data.shape == f.data.shape
         assert g.data.tobytes() == f.data.tobytes()
 
+    @pytest.mark.parametrize("layout", ["fortran", "strided", "big-endian"])
+    def test_payload_is_c_order_little_endian(self, tmp_path, layout):
+        # the payload is written from the array's buffer, so every layout
+        # must first become one C-ordered little-endian block
+        data = np.random.default_rng(3).standard_normal((4, 8, 8))
+        stored = {
+            "fortran": np.asfortranarray(data),
+            "strided": np.repeat(data, 2, axis=2)[..., ::2],
+            "big-endian": data.astype(">f8"),
+        }[layout]
+        path = tmp_path / "layout.ffld"
+        write_ffld(FormField(2, (8, 8), 1.0, [0, 1, 2, 3], stored), path)
+        assert path.read_bytes().split(b"\n", 1)[1] == data.astype("<f8").tobytes()
+
     def test_round_trip_full(self, tmp_path):
         rng = np.random.default_rng(1)
         f = random_band_limited(2, (8, 4), 2.0, rng)

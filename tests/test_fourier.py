@@ -341,6 +341,7 @@ class TestApply:
             (2, (4, 8), 0.7, 4, [1]),
             (3, (4, 2, 4), 0.7, 4, [1, 2]),
             (4, (2, 4, 2, 4), 0.7, 4, [2]),
+            (3, (4, 2, 4), 0.7, 4, [0, 3]),
         ]
         for n, dims, L, kmax, grades in cases:
             f = random_band_limited(n, dims, L, rng, kmax=kmax, grades=grades, mean_zero=False)
@@ -385,6 +386,66 @@ class TestApply:
             )
         ratio = lp_norm(apply_beurling_ahlfors(f), 2) / lp_norm(f, 2)
         assert abs(ratio - np.max(norms)) < 1e-10
+
+
+FFT_NAMES = ("fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft", "rfft", "irfft")
+
+
+class TestEigenGrades:
+    # M(xi) = +I on grade 0 and -I on grade n at every nonzero frequency,
+    # Nyquist points included, so those rows are f - mean and mean - f
+
+    @pytest.mark.parametrize("n, dims", [(1, (16,)), (2, (8, 16)), (3, (8, 4, 8)), (4, (4, 4, 4, 4))])
+    @pytest.mark.parametrize("which", ["scalar", "top", "both", "all"])
+    def test_edge_rows_are_plus_minus_f_minus_mean(self, n, dims, which):
+        grades = {"scalar": [0], "top": [n], "both": [0, n], "all": None}[which]
+        rng = np.random.default_rng(30 + n)
+        f = random_band_limited(n, dims, 1.3, rng, kmax=4, grades=grades, mean_zero=False)
+        g = random_band_limited(n, dims, 1.3, rng, kmax=4, grades=grades, mean_zero=False)
+        for field in (f, f.like(f.data + 1j * g.data)):
+            out = apply_beurling_ahlfors(field)
+            for sign, mask in ((1.0, 0), (-1.0, (1 << n) - 1)):
+                if mask in field.masks:
+                    row = field.components[mask]
+                    assert_rel_close(out.components[mask], sign * (row - row.mean()), rel=1e-14)
+
+    @pytest.mark.parametrize("n, dims", [(2, (8, 8)), (3, (4, 8, 4))])
+    def test_forward_transform_sees_only_the_middle_rows(self, monkeypatch, n, dims):
+        rng = np.random.default_rng(32)
+        f = random_band_limited(n, dims, 1.0, rng, kmax=2)
+        g = random_band_limited(n, dims, 1.0, rng, kmax=2)
+        edges = random_band_limited(n, dims, 1.0, rng, kmax=2, grades=[0, n])
+        seen = []
+
+        def recorded(a, *args, _fn=np.fft.rfftn, **kwargs):
+            seen.append(np.array(a))
+            return _fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfftn", recorded)
+        apply_beurling_ahlfors(f)
+        apply_beurling_ahlfors(f.like(f.data + 1j * g.data))
+        assert len(seen) == 2
+        assert np.array_equal(seen[0], f.data[None, 1:-1])
+        assert np.array_equal(seen[1], np.stack([f.data[1:-1], g.data[1:-1]]))
+        seen.clear()
+        apply_beurling_ahlfors(edges)
+        assert seen == []
+
+    def test_one_dimension_makes_no_transform(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        f = random_band_limited(1, (16,), 1.0, rng, kmax=8, mean_zero=False)
+        h = f.like(f.data + 1j * random_band_limited(1, (16,), 1.0, rng, kmax=8).data)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("FFT called")
+
+        for name in FFT_NAMES:
+            monkeypatch.setattr(np.fft, name, refuse)
+        for field in (f, h):
+            out = apply_beurling_ahlfors(field)
+            assert out.masks == [0, 1]
+            assert np.array_equal(out.data[0], field.data[0] - field.data[0].mean())
+            assert np.array_equal(out.data[1], field.data[1].mean() - field.data[1])
 
 
 class TestPsw:
@@ -460,7 +521,7 @@ class TestPsw:
         # plus the t = 0 gradients of the tail bound; each inverse is one
         # in-place ifft pass and one irfft
         calls = {}
-        for name in ("fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft", "rfft", "irfft"):
+        for name in FFT_NAMES:
             def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
                 return _fn(*args, **kwargs)

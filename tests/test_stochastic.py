@@ -267,6 +267,12 @@ class TestMartingalePair:
         assert pair.base.shape == (200, 3)
         assert pair.transformed.shape == (200, 3)
 
+    @pytest.mark.parametrize("steps, trials", [(0, 10), (8, 0), (-1, 10)])
+    def test_rejects_empty_counts(self, steps, trials):
+        # an empty walk would divide 0 by 0 in the moment ratio
+        with pytest.raises(ValueError, match="at least 1"):
+            transform_walk(steps, trials, "identity", seed=0)
+
 
 class TestTransformExperiment:
     def test_identity_ratio_one(self):
@@ -299,6 +305,12 @@ class TestTransformExperiment:
         # 40 trials give a relative half-width near 0.1, above MAX_REL_CI
         with pytest.raises(StatisticalPowerError):
             martingale_transform_experiment(4.0, 32, 40, sign_transform, seed=0)
+
+    def test_one_trial_is_undecided(self):
+        # every bootstrap resample of one trial is that trial: a zero-width
+        # interval around the identity's exact ratio 1 would pass at p = 2
+        with pytest.raises(StatisticalPowerError, match="two trials"):
+            martingale_transform_experiment(2.0, 8, 1, "identity", seed=0)
 
     def test_rejects_infinite_exponent(self):
         with pytest.raises(ValueError, match=r"\(1, inf\)"):
