@@ -251,7 +251,14 @@ class TrigSeries:
     its gradient at arbitrary (off-grid) points; used by the path-simulation
     checks where positions do not sit on the grid. A mode is kept when any
     row's coefficient passes that row's cutoff, so all rows share one mode
-    list and one complex exponential per point and mode.
+    list. Only real parts are returned, and Re(a e^{i theta} + b e^{-i theta})
+    = Re((a + conj b) e^{i theta}), so when both k and -k are kept the one
+    first in fftn order stays with coefficient c_k + conj(c_{-k}); the zero
+    mode, Nyquist modes (whose -k is not on the lattice) and modes whose
+    partner fell under the cutoff stay as they are. The waves are built per
+    axis: one complex exponential per point and distinct nonzero |k_a|, the
+    negative k_a by conjugation, and each mode's wave as the product of its
+    axes' factors.
     """
 
     def __init__(self, stack, L):
@@ -261,10 +268,51 @@ class TrigSeries:
         coeff = (np.fft.fftn(stack, axes=range(1, stack.ndim)) / prod(dims)).reshape(len(stack), -1)
         cutoff = _MODE_TOL * np.maximum(np.max(np.abs(coeff), axis=1), 1.0)
         keep = np.flatnonzero(np.any(np.abs(coeff) > cutoff[:, None], axis=0))
-        axes_k = np.meshgrid(*[np.fft.fftfreq(d) * d for d in dims], indexing="ij")
-        self.kvecs = np.stack([k.reshape(-1)[keep] for k in axes_k], axis=1)  # (modes, n)
-        self.coeffs = coeff[:, keep].T  # (modes, ncomp)
+        index = np.unravel_index(keep, dims)
+        kvecs = np.stack([(np.fft.fftfreq(d) * d)[i] for i, d in zip(index, dims)], axis=1)
+        coeffs = coeff[:, keep].T
+        # the kept slot of each mode's lattice negative, where that is -k itself
+        neg = np.ravel_multi_index([-i % d for i, d in zip(index, dims)], dims)
+        slot = np.minimum(np.searchsorted(keep, neg), len(keep) - 1)
+        paired = (keep[slot] == neg) & np.all(kvecs[slot] == -kvecs, axis=1)
+        own = np.arange(len(keep))
+        lead = paired & (own < slot)
+        coeffs[lead] += coeffs[slot[lead]].conj()
+        stay = ~paired | (own <= slot)
+        self.kvecs = kvecs[stay]  # (modes, n)
+        self.coeffs = coeffs[stay]  # (modes, ncomp)
         self.ksq = np.sum(self.kvecs**2, axis=1) / self.L**2
+        # per axis with a nonzero k_a: the distinct |k_a| > 0 and each mode's
+        # column in [1, e^{i theta_j}..., e^{-i theta_j}...]
+        self._axes = []
+        for a, k in enumerate(self.kvecs.T):
+            absk = np.abs(k).astype(int)
+            present = np.bincount(absk, minlength=1) > 0
+            present[0] = False
+            freqs = np.flatnonzero(present)
+            if len(freqs):
+                column = np.cumsum(present)[absk]
+                column[k < 0] += len(freqs)
+                self._axes.append((a, freqs, column))
+
+    def _waves(self, points) -> np.ndarray:
+        """exp(2 pi i k.x / L) per mode and point, shape (modes, *points.shape[:-1]).
+
+        Mode-major, so each axis's factors are gathered as whole rows.
+        """
+        lead = points.shape[:-1]
+        if not self._axes:
+            return np.ones((len(self.kvecs),) + lead, complex)
+        waves = None
+        for a, freqs, column in self._axes:
+            table = np.empty((2 * len(freqs) + 1,) + lead, complex)
+            table[0] = 1.0
+            turns = table[1 : len(freqs) + 1]
+            np.exp(1j * np.multiply.outer(2.0 * np.pi / self.L * freqs, points[..., a]), out=turns)
+            np.conjugate(turns, out=table[len(freqs) + 1 :])
+            factor = table.take(column, axis=0)
+            waves = factor if waves is None else np.multiply(waves, factor, out=waves)
+        return waves
 
     def _evaluate(self, points, t, weights) -> np.ndarray:
         """sum_k exp(2 pi i k.x / L - 2 pi^2 |k|^2 t / L^2) weights[k], real part.
@@ -273,9 +321,8 @@ class TrigSeries:
         t is a scalar or one time per leading index of points; the latter
         batches the matmul over that index.
         """
-        waves = 1j * (points @ self.kvecs.T * (2.0 * np.pi / self.L))
-        np.exp(waves, out=waves)  # in place: the largest array is allocated once
         decay = np.exp(-2.0 * np.pi**2 * np.multiply.outer(t, self.ksq))
+        waves = np.moveaxis(self._waves(points), 0, -1)
         return (waves @ (decay[..., None] * weights)).real
 
     def value(self, points, t=0.0) -> np.ndarray:

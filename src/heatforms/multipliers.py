@@ -62,8 +62,20 @@ def _gamma_one_minus_is(s: float) -> complex:
 
 
 def imaginary_power_symbol(s: float) -> SpectralSymbol:
-    """Profile t^{-is} / Gamma(1 - is), giving the multiplier lambda^{is}."""
+    """Profile t^{-is} / Gamma(1 - is), giving the multiplier lambda^{is}.
+
+    The quadrature sums a profile of modulus 1/|Gamma(1 - is)| to a value of
+    modulus 1, so rounding alone leaves a relative error of about
+    eps / |Gamma(1 - is)|; once that exceeds _TARGET (past s ~ 12.7) no
+    step can meet the target, and AccuracyError is raised up front.
+    """
     g = _gamma_one_minus_is(s)
+    floor = np.finfo(float).eps / abs(g)
+    if floor > _TARGET:
+        raise AccuracyError(
+            f"rounding floor {floor:.3e} of the s = {s} profile exceeds the target {_TARGET:g}",
+            achieved=floor,
+        )
     return SpectralSymbol(
         profile=lambda t: t ** (-1j * s) / g,
         sup_profile=float(1.0 / abs(g)),

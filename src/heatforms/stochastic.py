@@ -21,9 +21,11 @@ so each step is one contiguous row for the step loops. The Ito check
 builds one TrigSeries for the field's whole component stack and takes
 STEP_BLOCK steps at a time: one cumulative sum gives the positions before
 them, unwrapped since the series is periodic, and one gradient evaluation
-the terms of every component, added in step order. The bootstrap turns
-each resample into a count vector and takes both moment sums with one
-product.
+the terms of every component, added in step order. TrigSeries folds each
++-k pair of modes onto one and builds its waves per axis, so the Markov
+check's kmax-2 grid costs 4 complex exponentials per point (13 modes, not
+25) and the Ito study's cosine field one. The bootstrap turns each
+resample into a count vector and takes both moment sums with one product.
 """
 
 from __future__ import annotations
@@ -163,11 +165,19 @@ def ito_terminal_check(field: FormField, tau, ensemble: PathEnsemble) -> float:
 
 
 def ito_convergence_study(field, tau, step_counts, paths, seed, seeds_per_h=10):
-    """Pooled RMS per step size and the log-log slope across them."""
+    """Pooled RMS per step size and the log-log slope across them.
+
+    Raises StatisticalPowerError for fewer than two paths, whose RMS is one
+    path's gap and cannot decide the slope.
+    """
     if len(set(step_counts)) < 2:
         raise ValueError("a slope needs at least two distinct step counts")
     if min(step_counts) < 1:
         raise ValueError("step counts must be positive")
+    if seeds_per_h < 1 or paths < 1:
+        raise ValueError("seeds per step size and paths must be at least 1")
+    if paths < 2:
+        raise StatisticalPowerError("a pooled RMS needs at least two paths")
     hs, rmss = [], []
     for idx, steps in enumerate(step_counts):
         h = tau / steps

@@ -169,6 +169,20 @@ class TestErrorExitCodes:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "flags, code_want",
+        [(["--reps", "0", "--paths", "10"], 1), (["--paths", "0"], 1), (["--paths", "1"], 3)],
+        ids=["reps-0", "paths-0", "paths-1"],
+    )
+    def test_ito_needs_a_seed_and_two_paths(self, capsys, flags, code_want):
+        code = main(["simulate", "ito", "--grid", "8", *flags])
+        captured = capsys.readouterr()
+        assert code == code_want
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        if code_want == 3:
+            assert "StatisticalPowerError" in captured.err
+
     def test_negative_kmax_exit_1(self, capsys):
         code = main(["norm-search", "--n", "2", "--p", "4", "--grid", "16", "--kmax", "-1"])
         captured = capsys.readouterr()
@@ -322,12 +336,14 @@ class TestLargeArguments:
         assert code == 0
         assert rows["equality_gap"] < 1e-9
 
-    def test_impow_reports_a_finite_constant_at_s_300(self, capsys):
-        # sinh(300 pi) overflows, the constant (~1e203) does not
-        code, out = run_cli(capsys, "impow", "--s", "300", "--p", "2")
-        rows = {r["label"]: r["value"] for r in parse_jsonl(out)[1]}
-        assert code in (0, 2)
-        assert rows["constant_closed_form"] == pytest.approx(rows["constant"], rel=1e-10)
+    def test_impow_is_undecided_at_s_300(self, capsys):
+        # the constant (~1e203) is finite (TestPowerConstant checks it), but
+        # the quadrature would cancel a profile of that size to modulus 1
+        code = main(["impow", "--s", "300", "--p", "2"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "AccuracyError" in captured.err
 
 
 TOL_READERS = {

@@ -1,4 +1,5 @@
 import tempfile
+from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,27 @@ from heatforms.fields import (
     read_ffld,
     write_ffld,
 )
+
+
+def lattice_oracle(stack, L, points, t):
+    """Heat-extension value and gradient of a stack summed over its full fftn lattice.
+
+    Every lattice mode, +k and -k alike, gets its own fftn coefficient and
+    one exp(i 2 pi k.x / L), so nothing here depends on how TrigSeries
+    folds or builds its modes. t is a scalar or one time per leading index
+    of points. Returns (..., ncomp) and (..., ncomp, n).
+    """
+    dims = stack.shape[1:]
+    coeff = np.fft.fftn(stack, axes=range(1, stack.ndim)).reshape(len(stack), -1) / prod(dims)
+    axes_k = np.meshgrid(*[np.fft.fftfreq(d) * d for d in dims], indexing="ij")
+    k = np.stack([a.reshape(-1) for a in axes_k], axis=1)  # (modes, n)
+    decay = np.exp(-2.0 * np.pi**2 * np.multiply.outer(t, np.sum(k**2, axis=1)) / L**2)
+    if np.ndim(t):
+        decay = decay.reshape(decay.shape[:1] + (1,) * (points.ndim - 2) + decay.shape[1:])
+    terms = np.exp(1j * (points @ k.T) * (2.0 * np.pi / L)) * decay  # (..., modes)
+    value = (terms @ coeff.T).real
+    grad = np.einsum("...m,cm,ma->...ca", terms, coeff, 1j * 2.0 * np.pi / L * k).real
+    return value, grad
 
 
 class TestFormField:
@@ -320,31 +342,45 @@ class TestTrigSeries:
 
     @pytest.mark.parametrize("per_step", [False, True], ids=["scalar_t", "array_t"])
     def test_matches_broadcast_formulas(self, per_step):
-        # the broadcast-and-sum formulas the stacked mode matmul replaced,
-        # one row and one leading index (step) at a time, on all-grade stacks
-        for n, dims in ((2, (16, 16)), (3, (8, 8, 8))):
-            f = random_band_limited(n, dims, 1.0, np.random.default_rng(4), kmax=3)
-            series = TrigSeries(f.data, 1.0)
-            pts = np.random.default_rng(5).uniform(0.0, 1.0, (6, 50, n))
-            ts = 0.01 * np.arange(6) if per_step else 0.03
+        # against every mode of the unfolded lattice, on all-grade stacks;
+        # kmax = dims / 2 keeps the Nyquist modes, whose -k is off the lattice
+        cases = [
+            (1, (16,), 8),
+            (2, (8, 8), 4),
+            (2, (16, 16), 3),
+            (3, (4, 8, 4), 4),
+            (3, (8, 8, 8), 3),
+        ]
+        for n, dims, kmax in cases:
+            rng = np.random.default_rng(4)
+            f = random_band_limited(n, dims, 0.7, rng, kmax=kmax, mean_zero=False)
+            series = TrigSeries(f.data, f.L)
+            pts = rng.uniform(-1.0, 1.0, (6, 50, n))
+            ts = 0.002 * np.arange(6) if per_step else 0.003
             value, grad = series.value(pts, ts), series.gradient(pts, ts)
             assert value.shape == (6, 50, 2**n) and grad.shape == (6, 50, 2**n, n)
-            factors = 1j * 2.0 * np.pi / series.L * series.kvecs
-            for k in range(len(pts)):
-                t = ts[k] if per_step else ts
-                phase = pts[k] @ series.kvecs.T * (2.0 * np.pi / series.L)
-                for r in range(2**n):
-                    terms = np.exp(1j * phase) * series.coeffs[:, r] * np.exp(
-                        -2.0 * np.pi**2 * series.ksq * t
-                    )
-                    want_value = terms.sum(axis=1).real
-                    want_grad = (terms[:, :, None] * factors[None, :, :]).sum(axis=1).real
-                    assert np.max(np.abs(value[k, :, r] - want_value)) <= 1e-14 * np.max(
-                        np.abs(want_value)
-                    )
-                    assert np.max(np.abs(grad[k, :, r] - want_grad)) <= 1e-14 * np.max(
-                        np.abs(want_grad)
-                    )
+            want_value, want_grad = lattice_oracle(f.data, f.L, pts, ts)
+            assert np.max(np.abs(value - want_value)) <= 1e-14 * np.max(np.abs(want_value))
+            assert np.max(np.abs(grad - want_grad)) <= 1e-14 * np.max(np.abs(want_grad))
+
+    @pytest.mark.parametrize("n, dims, kmax", [(1, (8,), 4), (2, (8, 8), 4), (3, (4, 8, 4), 2)])
+    def test_no_kept_mode_has_its_negative_kept(self, n, dims, kmax):
+        f = random_band_limited(n, dims, 1.0, np.random.default_rng(6), kmax=kmax, mean_zero=False)
+        series = TrigSeries(f.data, f.L)
+        kept = {tuple(k) for k in series.kvecs}
+        assert len(kept) == len(series.kvecs)
+        assert all(tuple(-k) not in kept for k in series.kvecs if np.any(k))
+        assert (0.0,) * n in kept
+
+    @pytest.mark.parametrize(
+        "dims, kmax, modes", [((16, 16), 2, 13), ((8, 8), 4, 1 + 15 + 24)], ids=["markov", "nyquist"]
+    )
+    def test_folded_mode_count(self, dims, kmax, modes):
+        # 16^2 at kmax 2 is the Markov check's grid: the mean and 12 folded
+        # pairs. On 8^2 -4 is on the lattice and +4 is not, so the 15 modes
+        # on a Nyquist line stay as they are and only the other 48 fold
+        g = random_band_limited(2, dims, 1.0, np.random.default_rng(7), kmax=kmax, mean_zero=False)
+        assert len(TrigSeries(g.components[0][None], 1.0).kvecs) == modes
 
     def test_reproduces_grid_samples(self):
         rng = np.random.default_rng(3)

@@ -187,6 +187,19 @@ class TestPowerConstant:
         want = 2.0 * np.exp(0.5 * (300 * np.pi - np.log(600 * np.pi)))
         assert imaginary_power_constant(300.0, 3.0) == pytest.approx(want, rel=1e-10)
 
+    @pytest.mark.parametrize("s", [12.8, 30.0, 300.0, -300.0])
+    def test_power_symbol_refuses_past_the_rounding_floor(self, s):
+        # eps / |Gamma(1 - is)| passes _TARGET at s ~ 12.7: at s = 300 the
+        # quadrature used to return |a| ~ 2.7e202 with a 4e-10 error estimate
+        with pytest.raises(AccuracyError) as info:
+            imaginary_power_symbol(s)
+        assert info.value.achieved > 1e-8
+        assert np.isfinite(imaginary_power_constant(s, 2.0))
+
+    def test_power_symbol_builds_below_the_rounding_floor(self):
+        sym = imaginary_power_symbol(12.6)
+        assert np.finfo(float).eps * sym.sup_profile < 1e-8
+
     @pytest.mark.parametrize("s", [470.0, 1e3, -1e3])
     def test_rejects_underflowing_gamma(self, s):
         with pytest.raises(ValueError, match="underflows"):

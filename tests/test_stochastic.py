@@ -19,16 +19,7 @@ from heatforms.stochastic import (
     simulate_paths,
     transform_walk,
 )
-
-
-def oracle_gradient(series, row, points, t):
-    """One row of TrigSeries.gradient as a broadcast over modes and a sum over them."""
-    phase = points @ series.kvecs.T * (2.0 * np.pi / series.L)
-    terms = np.exp(1j * phase) * series.coeffs[:, row] * np.exp(
-        -2.0 * np.pi**2 * series.ksq * t
-    )
-    factors = 1j * 2.0 * np.pi / series.L * series.kvecs
-    return (terms[:, :, None] * factors[None, :, :]).sum(axis=1).real
+from test_fields import lattice_oracle
 
 
 class TestSimulatePaths:
@@ -195,20 +186,19 @@ class TestItoTerminal:
     )
     def test_matches_per_step_loop(self, n, dims, kmax, paths):
         # the per-step loop the step-block evaluation replaced, with the
-        # broadcast-and-sum gradient, as the reference
+        # full-lattice oracle's gradient and values as the reference
         f = random_band_limited(n, dims, 1.0, np.random.default_rng(5), kmax=kmax)
         tau, steps = 0.05, 20
         ens = simulate_paths(n, tau / steps, steps, paths, seed=6)
-        series = TrigSeries(f.data, f.L)
         accum = np.zeros((ens.paths, len(f.data)))
         pos = ens.starts.copy()
         for k in range(ens.steps):
             step = ens.increments[k]
-            for row in range(len(f.data)):
-                grad = oracle_gradient(series, row, pos, tau - k * ens.h)
-                accum[:, row] += np.einsum("pa,pa->p", grad, step)
+            grad = lattice_oracle(f.data, f.L, pos, tau - k * ens.h)[1]
+            accum += np.einsum("pca,pa->pc", grad, step)
             pos = np.mod(pos + step, f.L)
-        closed = series.value(pos) - series.value(ens.starts, t=tau)
+        closed = lattice_oracle(f.data, f.L, pos, 0.0)[0]
+        closed -= lattice_oracle(f.data, f.L, ens.starts, tau)[0]
         want = np.sqrt(np.sum((accum - closed) ** 2, axis=1).mean())
         assert len(f.data) == 2**n
         assert ito_terminal_check(f, tau, ens) == pytest.approx(want, rel=1e-13)
