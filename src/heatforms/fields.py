@@ -269,7 +269,9 @@ class TrigSeries:
         cutoff = _MODE_TOL * np.maximum(np.max(np.abs(coeff), axis=1), 1.0)
         keep = np.flatnonzero(np.any(np.abs(coeff) > cutoff[:, None], axis=0))
         index = np.unravel_index(keep, dims)
-        kvecs = np.stack([(np.fft.fftfreq(d) * d)[i] for i, d in zip(index, dims)], axis=1)
+        # integer wavenumbers in fftfreq's order; fftfreq(d) * d is off by an
+        # ulp for some d (0.9999999999999999 at d = 49)
+        kvecs = np.stack([np.where(i < (d + 1) // 2, i, i - d) for i, d in zip(index, dims)], axis=1)
         coeffs = coeff[:, keep].T
         # the kept slot of each mode's lattice negative, where that is -k itself
         neg = np.ravel_multi_index([-i % d for i, d in zip(index, dims)], dims)
@@ -279,14 +281,15 @@ class TrigSeries:
         lead = paired & (own < slot)
         coeffs[lead] += coeffs[slot[lead]].conj()
         stay = ~paired | (own <= slot)
-        self.kvecs = kvecs[stay]  # (modes, n)
+        kvecs = kvecs[stay]
+        self.kvecs = kvecs.astype(float)  # (modes, n)
         self.coeffs = coeffs[stay]  # (modes, ncomp)
         self.ksq = np.sum(self.kvecs**2, axis=1) / self.L**2
         # per axis with a nonzero k_a: the distinct |k_a| > 0 and each mode's
         # column in [1, e^{i theta_j}..., e^{-i theta_j}...]
         self._axes = []
-        for a, k in enumerate(self.kvecs.T):
-            absk = np.abs(k).astype(int)
+        for a, k in enumerate(kvecs.T):
+            absk = np.abs(k)
             present = np.bincount(absk, minlength=1) > 0
             present[0] = False
             freqs = np.flatnonzero(present)

@@ -21,11 +21,9 @@ so each step is one contiguous row for the step loops. The Ito check
 builds one TrigSeries for the field's whole component stack and takes
 STEP_BLOCK steps at a time: one cumulative sum gives the positions before
 them, unwrapped since the series is periodic, and one gradient evaluation
-the terms of every component, added in step order. TrigSeries folds each
-+-k pair of modes onto one and builds its waves per axis, so the Markov
-check's kmax-2 grid costs 4 complex exponentials per point (13 modes, not
-25) and the Ito study's cosine field one. The bootstrap turns each
-resample into a count vector and takes both moment sums with one product.
+the terms of every component, added in step order (see TrigSeries for how
+its modes and waves are built). The bootstrap turns each resample into a
+count vector and takes both moment sums with one product.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ def lattice_oracle(stack, L, points, t):
     """
     dims = stack.shape[1:]
     coeff = np.fft.fftn(stack, axes=range(1, stack.ndim)).reshape(len(stack), -1) / prod(dims)
-    axes_k = np.meshgrid(*[np.fft.fftfreq(d) * d for d in dims], indexing="ij")
+    axes_k = np.meshgrid(*[np.rint(np.fft.fftfreq(d) * d) for d in dims], indexing="ij")
     k = np.stack([a.reshape(-1) for a in axes_k], axis=1)  # (modes, n)
     decay = np.exp(-2.0 * np.pi**2 * np.multiply.outer(t, np.sum(k**2, axis=1)) / L**2)
     if np.ndim(t):
@@ -351,15 +351,27 @@ class TestTrigSeries:
             (3, (4, 8, 4), 4),
             (3, (8, 8, 8), 3),
         ]
+        stacks = []
         for n, dims, kmax in cases:
             rng = np.random.default_rng(4)
-            f = random_band_limited(n, dims, 0.7, rng, kmax=kmax, mean_zero=False)
-            series = TrigSeries(f.data, f.L)
-            pts = rng.uniform(-1.0, 1.0, (6, 50, n))
+            stacks.append(random_band_limited(n, dims, 0.7, rng, kmax=kmax, mean_zero=False).data)
+        # grids off the powers of two, where fftfreq(d) * d is not exact (d = 49)
+        # and an even axis (6) still has a Nyquist mode; |k_a| <= 6 keeps the
+        # large phases of the unfolded sum from rounding past the tolerance
+        for dims in [(49,), (6, 49)]:
+            axes = range(1, len(dims) + 1)
+            spectrum = np.fft.fftn(np.random.default_rng(4).standard_normal((2,) + dims), axes=axes)
+            ks = np.meshgrid(*[np.rint(np.fft.fftfreq(d) * d) for d in dims], indexing="ij")
+            spectrum[:, np.max(np.abs(ks), axis=0) > 6] = 0.0
+            stacks.append(np.fft.ifftn(spectrum, axes=axes).real)
+        for stack in stacks:
+            n = stack.ndim - 1
+            series = TrigSeries(stack, 0.7)
+            pts = np.random.default_rng(5).uniform(-1.0, 1.0, (6, 50, n))
             ts = 0.002 * np.arange(6) if per_step else 0.003
             value, grad = series.value(pts, ts), series.gradient(pts, ts)
-            assert value.shape == (6, 50, 2**n) and grad.shape == (6, 50, 2**n, n)
-            want_value, want_grad = lattice_oracle(f.data, f.L, pts, ts)
+            assert value.shape == (6, 50, len(stack)) and grad.shape == (6, 50, len(stack), n)
+            want_value, want_grad = lattice_oracle(stack, 0.7, pts, ts)
             assert np.max(np.abs(value - want_value)) <= 1e-14 * np.max(np.abs(want_value))
             assert np.max(np.abs(grad - want_grad)) <= 1e-14 * np.max(np.abs(want_grad))
 
