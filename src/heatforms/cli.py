@@ -182,7 +182,13 @@ def cmd_impow(args, report: Report):
     ok = abs(value - closed) <= tol_const * max(1.0, closed)
     sym = mult.imaginary_power_symbol(s)
     for lam in (0.1, 1.0, 10.0):
-        approx = mult.laplace_symbol_eval(sym, lam)
+        values, errs = mult.laplace_symbol_eval_many(sym, [lam])
+        if not errs[0] <= tol_quad:  # the quadrature cannot decide the check
+            raise AccuracyError(
+                f"quadrature error estimate {errs[0]:.3e} at lambda = {lam:g} exceeds {tol_quad:g}",
+                achieved=float(errs[0]),
+            )
+        approx = complex(values[0])
         exact = lam ** (1j * s)
         rel = abs(approx - exact) / abs(exact)
         report.add(f"quad_rel_err_lambda_{lam:g}", rel)

@@ -13,8 +13,16 @@ exterior.substitutions puts its sign into P_r at (J\\k+l, k; J, l) and
 into Q_r at (J\\k+l, l; J, k). A block is cached as those positions and
 signs, a few per row, and only the dense block for a given alpha is
 materialized. The weight alpha in [0, 1] is free: every choice
-represents the same operator. This module builds the blocks, knows their
-closed-form spectra, and derives the p-norm bound constants.
+represents the same operator.
+
+Up to a permutation each grade block is a direct sum of small blocks:
+one out block of size r + 1 per subset of grade r + 1 (the pairs with
+i outside I) and one in block of size n - r + 1 per subset of grade
+r - 1 (the pairs with i in I). spectral_norm finds such a splitting in
+any square matrix, as the connected components of its nonzero pattern,
+and solves the blocks instead of the whole matrix. This module builds
+the blocks, knows their closed-form spectra, and derives the p-norm
+bound constants.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from math import comb
 import numpy as np
 
 from .errors import CapError
-from .exterior import MultiIndex, enumerate_grade, interval_count, substitute_with_sign, substitutions
+from .exterior import MultiIndex, enumerate_grade, substitute_with_sign, substitutions
 
 GRADE_BLOCK_CAP = 10_000  # max rows of one grade block
 FULL_MATRIX_CAP_N = 10  # max dimension for materializing the full matrix
@@ -144,38 +152,30 @@ def out_block(i_tilde: MultiIndex, alpha: float) -> np.ndarray:
 
     For ascending elements the open interval between the s-th and t-th one
     contains |t-s|-1 of them, so the off-diagonal entry at (t, s) is
-    2*alpha*(-1)**(s+t+1); the diagonal is -1.
+    -2*alpha*e_t*e_s with e_t = (-1)**t; the diagonal is -1.
     """
     m = i_tilde.grade
     if m < 1:
         raise ValueError("indexing subset must have grade >= 1")
-    block = np.empty((m, m))
-    for t in range(m):
-        block[t, t] = -1.0
-        for s in range(t + 1, m):
-            v = 2.0 * alpha * (1.0 if (s + t + 1) % 2 == 0 else -1.0)
-            block[t, s] = v
-            block[s, t] = v
+    e = (-1.0) ** np.arange(m)
+    block = np.outer(-2.0 * alpha * e, e)
+    np.fill_diagonal(block, -1.0)
     return block
 
 
 def in_block(i_tilde: MultiIndex, alpha: float) -> np.ndarray:
     """Block on the pairs (i_tilde + i, i) for i outside i_tilde, ascending.
 
-    Diagonal +1; off-diagonal 2*(1 - alpha) with the sign counting the
-    elements of i_tilde between the two axes. Conjugation by the diagonal
-    matrix of those parities turns it into the all-plus rank-one form.
+    Diagonal +1; off-diagonal 2*(1 - alpha)*e_a*e_b. The elements of i_tilde
+    between the a-th and b-th outside axes number outside[b] - outside[a]
+    - (b - a), so e_a = (-1)**(outside[a] - a) carries their parity, and
+    conjugation by diag(e) turns the block into the all-plus rank-one form.
     """
     n = i_tilde.n
-    outside = [e for e in range(1, n + 1) if e not in i_tilde]
-    m = len(outside)
-    block = np.eye(m)
-    for a in range(m):
-        for b in range(a + 1, m):
-            sign = -1.0 if interval_count(i_tilde, outside[a], outside[b]) & 1 else 1.0
-            v = 2.0 * (1.0 - alpha) * sign
-            block[a, b] = v
-            block[b, a] = v
+    outside = np.array([x for x in range(1, n + 1) if x not in i_tilde], dtype=int)
+    e = (-1.0) ** (outside - np.arange(len(outside)))
+    block = np.outer(2.0 * (1.0 - alpha) * e, e)
+    np.fill_diagonal(block, 1.0)
     return block
 
 
@@ -213,11 +213,40 @@ def grade_norm_closed_form(n: int, r: int, alpha: float) -> float:
     return max(vals)
 
 
+def _components(pattern: np.ndarray) -> np.ndarray:
+    """Component label of every vertex of a symmetric boolean adjacency.
+
+    The diagonal must be set. Each round gives every vertex the smallest
+    label in its closed neighbourhood (the first True column once the
+    columns are sorted by label), hooks its old root onto that label and
+    jumps pointers until every vertex points at a root. Labels only
+    decrease and always name a vertex of the same component, so at the
+    fixed point each component carries the index of its first vertex.
+    """
+    label = np.arange(pattern.shape[0])
+    while True:
+        order = np.argsort(label, kind="stable")
+        low = label[order[np.argmax(pattern[:, order], axis=1)]]
+        if np.array_equal(low, label):
+            return label
+        np.minimum.at(label, label.copy(), low)
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+
+
 def spectral_norm(matrix) -> float:
     """Largest singular value, exact to rounding.
 
-    Symmetric matrices (within 1e-12 entrywise) go through a symmetric
-    eigensolve, every other matrix through an SVD.
+    A square matrix is solved by components: rows and columns are grouped
+    into the connected components of the nonzero pattern of m + m^T, which
+    makes the permuted matrix block diagonal, so its singular values are
+    the union of its diagonal blocks'. The blocks of one size are solved
+    together: those symmetric within 1e-12 entrywise by a batched
+    symmetric eigensolve, the others by a batched SVD. A non-square
+    matrix goes through one SVD.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2:
@@ -226,9 +255,28 @@ def spectral_norm(matrix) -> float:
         raise ValueError("matrix has non-finite entries")
     if m.size == 0:
         return 0.0
-    if m.shape[0] == m.shape[1] and np.max(np.abs(m - m.T)) <= 1e-12:
-        return float(np.max(np.abs(np.linalg.eigvalsh(m))))
-    return float(np.linalg.norm(m, 2))
+    if m.shape[0] != m.shape[1]:
+        return float(np.linalg.norm(m, 2))
+    pattern = m != 0.0
+    pattern = pattern | pattern.T
+    np.fill_diagonal(pattern, True)
+    label = _components(pattern)
+    del pattern
+    size_of = np.bincount(label)[label]
+    order = np.lexsort((label, size_of))  # by block size, then block; rows ascending within
+    per_size = np.bincount(size_of)
+    best = 0.0
+    start = 0
+    for size in np.flatnonzero(per_size):
+        idx = order[start : start + per_size[size]].reshape(-1, size)
+        start += per_size[size]
+        blocks = m[idx[:, :, None], idx[:, None, :]]
+        sym = np.max(np.abs(blocks - blocks.transpose(0, 2, 1)), axis=(1, 2)) <= 1e-12
+        if np.any(sym):
+            best = max(best, np.max(np.abs(np.linalg.eigvalsh(blocks[sym]))))
+        if not np.all(sym):
+            best = max(best, np.max(np.linalg.svd(blocks[~sym], compute_uv=False)[:, 0]))
+    return float(best)
 
 
 def conjugate_exponent(p: float) -> float:

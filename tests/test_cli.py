@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heatforms import errors
+from heatforms import multipliers as mult
 from heatforms.cli import main
 from heatforms.fields import lp_norm, random_band_limited, read_ffld, write_ffld
 from heatforms.fourier import apply_beurling_ahlfors
@@ -344,6 +345,31 @@ class TestLargeArguments:
         assert code == 3
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "AccuracyError" in captured.err
+
+    def test_impow_is_undecided_where_the_quadrature_estimate_misses_tol(self, capsys):
+        # at s = 10 the truncation term puts the estimate near 8.6e-5 > 1e-6
+        code = main(["impow", "--s", "10", "--p", "2"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "AccuracyError" in captured.err
+
+    def test_impow_passes_where_the_quadrature_estimate_meets_tol(self, capsys):
+        # the report is the one built from the single-lambda quadrature
+        code, out = run_cli(capsys, "impow", "--s", "6", "--p", "2")
+        head, rows, status = parse_jsonl(out)
+        assert code == 0 and status == {"status": "pass"}
+        sym = mult.imaginary_power_symbol(6.0)
+        expected = {
+            f"quad_rel_err_lambda_{lam:g}": abs(mult.laplace_symbol_eval(sym, lam) - lam**6j)
+            / abs(lam**6j)
+            for lam in (0.1, 1.0, 10.0)
+        }
+        got = {r["label"]: r["value"] for r in rows if r["label"] in expected}
+        assert got == expected
+        assert [r["label"] for r in rows] == [
+            "constant", "constant_closed_form", *expected
+        ]
 
 
 TOL_READERS = {

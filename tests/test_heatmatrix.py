@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from heatforms.errors import CapError
-from heatforms.exterior import MultiIndex, enumerate_grade
+from heatforms.exterior import MultiIndex, enumerate_grade, interval_count
 from heatforms.heatmatrix import (
     HeatMatrixSpec,
+    _components,
     _grade_structure,
     bound_constants,
     build_full_matrix,
@@ -115,6 +116,39 @@ class TestBlocks:
             in_block(mi([2], 3), 0.5), np.array([[1.0, -1.0], [-1.0, 1.0]])
         )
         assert np.array_equal(in_block(mi([2, 4], 5), 1.0), np.eye(3))
+
+    def test_parity_vectors_match_entry_loops(self):
+        # the per-entry sign loops the blocks were first written with
+        def out_loops(i_tilde, alpha):
+            m = i_tilde.grade
+            block = np.empty((m, m))
+            for t in range(m):
+                block[t, t] = -1.0
+                for s in range(t + 1, m):
+                    v = 2.0 * alpha * (1.0 if (s + t + 1) % 2 == 0 else -1.0)
+                    block[t, s] = v
+                    block[s, t] = v
+            return block
+
+        def in_loops(i_tilde, alpha):
+            outside = [e for e in range(1, i_tilde.n + 1) if e not in i_tilde]
+            m = len(outside)
+            block = np.eye(m)
+            for a in range(m):
+                for b in range(a + 1, m):
+                    odd = interval_count(i_tilde, outside[a], outside[b]) & 1
+                    v = 2.0 * (1.0 - alpha) * (-1.0 if odd else 1.0)
+                    block[a, b] = v
+                    block[b, a] = v
+            return block
+
+        for n in range(2, 7):
+            for alpha in (0.0, 0.3, 1.0):
+                for grade in range(n + 1):
+                    for i_tilde in enumerate_grade(n, grade):
+                        if grade >= 1:
+                            assert np.array_equal(out_block(i_tilde, alpha), out_loops(i_tilde, alpha))
+                        assert np.array_equal(in_block(i_tilde, alpha), in_loops(i_tilde, alpha))
 
     def test_blocks_embed_in_grade_matrix(self):
         # extract the pair rows/columns of each block from the big matrix
@@ -236,6 +270,103 @@ class TestSpectralNorm:
         # singular values 4 and 2; the all-ones vector is the Gram
         # eigenvector of the lower one, so a power iteration from it gives 2
         assert np.isclose(spectral_norm([[3.0, 1.0, 0.0], [-1.0, -3.0, 0.0]]), 4.0)
+
+
+def permuted_block_diagonal(rng, sizes, symmetric):
+    """Random blocks of the given sizes, placed on the diagonal and permuted.
+
+    A non-symmetric block is scaled up, so that it carries the norm.
+    """
+    total = sum(sizes)
+    m = np.zeros((total, total))
+    start = 0
+    for size, sym in zip(sizes, symmetric):
+        b = rng.standard_normal((size, size))
+        m[start : start + size, start : start + size] = b + b.T if sym else 10.0 * b
+        start += size
+    perm = rng.permutation(total)
+    return m[np.ix_(perm, perm)]
+
+
+def assert_matches_svd(m):
+    ref = np.linalg.svd(m, compute_uv=False)[0]
+    assert abs(spectral_norm(m) - ref) <= 1e-12 * ref
+
+
+class TestSpectralNormByComponents:
+    SIZES = [1, 2, 2, 3, 5, 5, 5, 8, 13, 1, 4]
+
+    def test_permuted_symmetric_blocks(self):
+        rng = np.random.default_rng(11)
+        m = permuted_block_diagonal(rng, self.SIZES, [True] * len(self.SIZES))
+        assert_matches_svd(m)
+
+    def test_one_non_symmetric_block(self):
+        rng = np.random.default_rng(12)
+        for odd in range(len(self.SIZES)):
+            symmetric = [k != odd for k in range(len(self.SIZES))]
+            m = permuted_block_diagonal(rng, self.SIZES, symmetric)
+            assert_matches_svd(m)
+
+    def test_components_are_the_blocks(self):
+        rng = np.random.default_rng(13)
+        sizes = [3, 1, 4, 2, 6]
+        m = permuted_block_diagonal(rng, sizes, [True] * len(sizes))
+        pattern = (m != 0) | (m != 0).T
+        np.fill_diagonal(pattern, True)
+        label = _components(pattern)
+        assert sorted(np.bincount(label)[np.bincount(label) > 0]) == sorted(sizes)
+        rows, cols = np.nonzero(pattern)
+        assert np.array_equal(label[rows], label[cols])
+
+    def test_long_path(self):
+        # a tridiagonal matrix is one component whose diameter is its size
+        rng = np.random.default_rng(14)
+        n = 2000
+        m = np.diag(rng.standard_normal(n)) + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
+        assert_matches_svd(m)
+        perm = rng.permutation(n)
+        pattern = m[np.ix_(perm, perm)] != 0
+        assert np.all(_components(pattern) == 0)
+
+    def test_zero_rows_and_columns(self):
+        rng = np.random.default_rng(15)
+        m = rng.standard_normal((40, 40)) * (rng.random((40, 40)) < 0.06)
+        m[[3, 17, 30], :] = 0.0
+        m[:, [5, 17, 22]] = 0.0
+        assert_matches_svd(m)
+        assert_matches_svd(m + m.T)
+        assert spectral_norm(np.zeros((5, 5))) == 0.0
+
+    def test_random_sparse_patterns(self):
+        rng = np.random.default_rng(16)
+        for density in (0.01, 0.03, 0.1, 0.5):
+            for _ in range(5):
+                m = rng.standard_normal((60, 60)) * (rng.random((60, 60)) < density)
+                assert_matches_svd(m)
+                assert_matches_svd(m + m.T)
+
+    def test_grade_blocks_at_the_ends_of_alpha(self):
+        # at alpha = 0 the out blocks, at alpha = 1 the in blocks are diagonal
+        for n in (3, 4, 5):
+            for a in (0.0, 1.0):
+                spec = HeatMatrixSpec(n, (a,) * (n + 1))
+                for r in range(n + 1):
+                    assert_matches_svd(build_grade_matrix(spec, r))
+
+    def test_grade_block_is_solved_as_its_out_and_in_blocks(self, monkeypatch):
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        block = build_grade_matrix(HeatMatrixSpec(8, (0.5,) * 9), 4)
+        assert block.shape == (560, 560)
+        assert spectral_norm(block) == pytest.approx(grade_norm_closed_form(8, 4, 0.5), rel=1e-12)
+        assert shapes == [(112, 5, 5)]
 
 
 class TestNormSweep:
