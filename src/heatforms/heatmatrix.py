@@ -147,6 +147,15 @@ def build_full_matrix(spec: HeatMatrixSpec) -> np.ndarray:
     return full
 
 
+@lru_cache(maxsize=1024)
+def _parity_outer(exponents: tuple[int, ...]) -> np.ndarray:
+    """e e^T with e_a = (-1)**exponents[a]; read-only, callers scale a copy."""
+    e = (-1.0) ** np.array(exponents, dtype=float)
+    signs = np.outer(e, e)
+    signs.flags.writeable = False
+    return signs
+
+
 def out_block(i_tilde: MultiIndex, alpha: float) -> np.ndarray:
     """Block on the pairs (I_k, i_k) with I_k = i_tilde minus its k-th element.
 
@@ -157,8 +166,7 @@ def out_block(i_tilde: MultiIndex, alpha: float) -> np.ndarray:
     m = i_tilde.grade
     if m < 1:
         raise ValueError("indexing subset must have grade >= 1")
-    e = (-1.0) ** np.arange(m)
-    block = np.outer(-2.0 * alpha * e, e)
+    block = (-2.0 * alpha) * _parity_outer(tuple(range(m)))
     np.fill_diagonal(block, -1.0)
     return block
 
@@ -171,10 +179,8 @@ def in_block(i_tilde: MultiIndex, alpha: float) -> np.ndarray:
     - (b - a), so e_a = (-1)**(outside[a] - a) carries their parity, and
     conjugation by diag(e) turns the block into the all-plus rank-one form.
     """
-    n = i_tilde.n
-    outside = np.array([x for x in range(1, n + 1) if x not in i_tilde], dtype=int)
-    e = (-1.0) ** (outside - np.arange(len(outside)))
-    block = np.outer(2.0 * (1.0 - alpha) * e, e)
+    outside = [x for x in range(1, i_tilde.n + 1) if x not in i_tilde]
+    block = (2.0 * (1.0 - alpha)) * _parity_outer(tuple(x - a for a, x in enumerate(outside)))
     np.fill_diagonal(block, 1.0)
     return block
 
