@@ -82,6 +82,8 @@ def cmd_bounds(args, report: Report):
 
 
 def cmd_matrix_verify(args, report: Report):
+    if args.alpha_grid < 1:
+        raise ValueError("--alpha-grid must be at least 1")
     tol = args.tol if args.tol is not None else 1e-9
     spectrum_tol = 1e-10
     alphas = np.linspace(0.0, 1.0, args.alpha_grid)
@@ -198,6 +200,8 @@ def cmd_impow(args, report: Report):
 
 
 def cmd_asymptotics(args, report: Report):
+    if args.sigma_samples < 0:
+        raise ValueError("--sigma-samples must be nonnegative")
     c = asy.asymptotic_constant(args.n)
     factor = asy.sphere_coordinate_lp_norm(1 << args.n, args.p)
     bound = asy.asymptotic_bound(args.n, args.p)

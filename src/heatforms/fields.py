@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import prod
+from functools import lru_cache
+from math import isqrt, prod
 from types import MappingProxyType
 
 import numpy as np
@@ -32,6 +33,7 @@ FFLD_ORDER = "ascending-mask"
 FFLD_LAYOUT = "component-major,row-major"
 FFLD_DTYPE = "f64le"
 _MODE_TOL = 1e-12  # TrigSeries drops modes with every row's |c_k| <= this * max(max |c_k|, 1)
+_GEMM_SIZE = 1 << 18  # OpenBLAS runs a product with m * n * k at most this on one thread
 
 
 def _is_pow2(v: int) -> bool:
@@ -145,17 +147,97 @@ def cosine_field(n, dims, L, kvec, mask, amplitude=1.0) -> FormField:
     return FormField(n, tuple(dims), L, [mask], np.broadcast_to(comp, (1,) + tuple(dims)).copy())
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a = np.ascontiguousarray(a)
+    a.flags.writeable = False
+    return a
+
+
+def _unit_rows(d: int, ks) -> np.ndarray:
+    """One row of length d per frequency k, with a 1 at index k mod d."""
+    rows = np.zeros((len(ks), d))
+    rows[np.arange(len(ks)), np.asarray(ks) % d] = 1.0
+    return rows
+
+
+@lru_cache(maxsize=32)
+def _real_band(d: int, keep: int):
+    """Real DFT matrices between d samples and the rfft bins k = 0..keep-1.
+
+    Built by transforming unit vectors (the DFT matrix is symmetric), so
+    they carry the FFT's twiddles and irfft's conventions, with no d x d
+    temporary. forward is (d, 2 keep): x @ forward holds rfft(x)[..., :keep]
+    as interleaved (re, im) pairs, whose complex view is the band. back is
+    (2 keep, d): the interleaved band times back is irfft(band, n=d),
+    which weights k = 0 and Nyquist by 1/d and the other bins by 2/d, and
+    drops Im at k = 0 and Nyquist.
+    """
+    units = np.stack([np.eye(keep), 1j * np.eye(keep)], axis=1).reshape(2 * keep, keep)
+    forward = np.fft.fft(_unit_rows(d, range(keep))).T
+    return _frozen(forward).view(float), _frozen(np.fft.irfft(units, n=d))
+
+
+@lru_cache(maxsize=32)
+def _complex_band(d: int, kmax: int):
+    """DFT matrices between d samples and the band |k| <= kmax, in fftfreq's order.
+
+    forward is (B, d) and gives fft(x)[band]; back is (d, B) and gives the
+    ifft of a spectrum that is zero outside the band.
+    """
+    k = np.fft.fftfreq(d) * d
+    units = _unit_rows(d, np.flatnonzero(np.abs(k) <= kmax))
+    return _frozen(np.fft.fft(units)), _frozen(np.fft.ifft(units).T)
+
+
+def _blocks(outer: int, inner: int, lines: int):
+    """Block sizes (matrix side, lines side) for an (outer x inner) matrix times lines.
+
+    Each block product has m * n * k at most _GEMM_SIZE, so OpenBLAS runs
+    it on one thread and the bits do not depend on the thread count; near
+    square blocks keep the packing cost of a wide band low.
+    """
+    side = min(outer, max(1, isqrt(_GEMM_SIZE // inner)))
+    return side, min(lines, max(1, _GEMM_SIZE // (inner * side)))
+
+
+def _last_axis(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x @ m over the last axis of x, in blocks that BLAS runs on one thread."""
+    rows = x.reshape(-1, m.shape[0])
+    out = np.empty((len(rows), m.shape[1]), np.result_type(x, m))
+    width, step = _blocks(m.shape[1], m.shape[0], len(rows))
+    for j in range(0, m.shape[1], width):
+        cols = slice(j, j + width)
+        for i in range(0, len(rows), step):
+            np.matmul(rows[i : i + step], m[:, cols], out=out[i : i + step, cols])
+    return out.reshape(x.shape[:-1] + (m.shape[1],))
+
+
+def _middle_axis(m: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
+    """m @ x over one axis of x, in blocks that BLAS runs on one thread."""
+    lines = x.reshape(prod(x.shape[:axis]), x.shape[axis], -1)
+    out = np.empty((len(lines), m.shape[0], lines.shape[2]), np.result_type(m, x))
+    height, step = _blocks(m.shape[0], m.shape[1], lines.shape[2])
+    for i in range(0, m.shape[0], height):
+        rows = slice(i, i + height)
+        for j in range(0, lines.shape[2], step):
+            np.matmul(m[rows], lines[..., j : j + step], out=out[:, rows, j : j + step])
+    return out.reshape(x.shape[:axis] + (m.shape[0],) + x.shape[axis + 1 :])
+
+
 def random_band_limited(
     n, dims, L, rng, kmax=3, grades=None, mean_zero=True
 ) -> FormField:
     """Gaussian field filtered to lattice frequencies |k_a| <= kmax.
 
     One normal draw fills every component, in ascending-mask order. The
-    real FFT runs axis by axis in rfftn's order (last axis first), and
-    after each pass only the band |k_a| <= kmax is kept; the inverse runs
-    irfftn's passes on the band alone. Lines outside the band would
-    transform to exact zeros, so this gives the numbers of a full
-    rfftn, filter and irfftn.
+    filter is a separable DFT restricted to the band, each pass a product
+    with a cached band matrix: a real DFT over the last axis to the rfft
+    bins 0..min(kmax, N/2), then a complex DFT over each other axis, last
+    to first, to its band |k_a| <= kmax; the inverse passes run in
+    irfftn's order on the band alone. This equals a full rfftn, filter and
+    irfftn to rounding, not bitwise. Every product runs in blocks that
+    OpenBLAS computes on one thread, so the field does not depend on the
+    BLAS thread count.
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
@@ -163,18 +245,15 @@ def random_band_limited(
         grades = range(n + 1)
     dims = tuple(dims)
     masks = masks_for_grades(n, grades)
-    band = [np.flatnonzero(np.abs(np.fft.fftfreq(d) * d) <= kmax) for d in dims[:-1]]
-    spectrum = np.fft.rfft(rng.standard_normal((len(masks),) + dims))
-    spectrum = spectrum[..., : min(kmax, dims[-1] // 2) + 1]
+    forward, back = _real_band(dims[-1], min(kmax, dims[-1] // 2) + 1)
+    spectrum = _last_axis(rng.standard_normal((len(masks),) + dims), forward).view(complex)
     for a in reversed(range(n - 1)):
-        spectrum = np.fft.fft(spectrum, axis=a + 1).take(band[a], axis=a + 1)
+        spectrum = _middle_axis(_complex_band(dims[a], kmax)[0], spectrum, a + 1)
     if mean_zero:
         spectrum[(slice(None),) + (0,) * n] = 0.0
     for a in range(n - 1):
-        padded = np.zeros(spectrum.shape[: a + 1] + (dims[a],) + spectrum.shape[a + 2 :], complex)
-        padded[(slice(None),) * (a + 1) + (band[a],)] = spectrum
-        spectrum = np.fft.ifft(padded, axis=a + 1)
-    return FormField(n, dims, L, masks, np.fft.irfft(spectrum, n=dims[-1]))
+        spectrum = _middle_axis(_complex_band(dims[a], kmax)[1], spectrum, a + 1)
+    return FormField(n, dims, L, masks, _last_axis(spectrum.view(float), back))
 
 
 def write_ffld(field: FormField, path) -> None:

@@ -222,17 +222,19 @@ def grade_norm_closed_form(n: int, r: int, alpha: float) -> float:
 def _components(pattern: np.ndarray) -> np.ndarray:
     """Component label of every vertex of a symmetric boolean adjacency.
 
-    The diagonal must be set. Each round gives every vertex the smallest
-    label in its closed neighbourhood (the first True column once the
-    columns are sorted by label), hooks its old root onto that label and
-    jumps pointers until every vertex points at a root. Labels only
-    decrease and always name a vertex of the same component, so at the
-    fixed point each component carries the index of its first vertex.
+    The diagonal must be set. The nonzero pairs are listed once (a flat
+    nonzero, which is far cheaper than a 2-d one). Each round gives every
+    vertex the smallest label in its closed neighbourhood, hooks its old
+    root onto that label and jumps pointers until every vertex points at a
+    root. Labels only decrease and always name a vertex of the same
+    component, so at the fixed point each component carries the index of
+    its first vertex.
     """
+    rows, cols = np.divmod(np.flatnonzero(pattern), pattern.shape[0])
     label = np.arange(pattern.shape[0])
     while True:
-        order = np.argsort(label, kind="stable")
-        low = label[order[np.argmax(pattern[:, order], axis=1)]]
+        low = label.copy()
+        np.minimum.at(low, rows, label[cols])
         if np.array_equal(low, label):
             return label
         np.minimum.at(label, label.copy(), low)

@@ -281,6 +281,21 @@ class TestStrictJsonReports:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "--cases" in captured.err
 
+    @pytest.mark.parametrize("grid", ["0", "-2"])
+    def test_matrix_verify_needs_an_alpha(self, capsys, grid):
+        code = main(["matrix-verify", "--n", "3", "--alpha-grid", grid])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "--alpha-grid" in captured.err
+
+    def test_asymptotics_rejects_negative_sigma_samples(self, capsys):
+        code = main(["asymptotics", "--n", "2", "--p", "4", "--sigma-samples", "-3"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "--sigma-samples" in captured.err
+
     def test_markov_needs_two_paths(self, capsys):
         code = main(["simulate", "markov", "--grid", "8", "--steps", "5", "--paths", "1"])
         captured = capsys.readouterr()

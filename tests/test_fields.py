@@ -1,3 +1,7 @@
+import hashlib
+import os
+import subprocess
+import sys
 import tempfile
 from math import prod
 from pathlib import Path
@@ -10,6 +14,9 @@ from heatforms.errors import FFLDError
 from heatforms.fields import (
     FormField,
     TrigSeries,
+    _blocks,
+    _complex_band,
+    _real_band,
     cosine_field,
     lp_norm,
     masks_for_grades,
@@ -17,6 +24,8 @@ from heatforms.fields import (
     read_ffld,
     write_ffld,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def lattice_oracle(stack, L, points, t):
@@ -107,6 +116,13 @@ class TestRandomBandLimited:
             (2, (16, 8), 3, None, True),
             (3, (8, 8, 4), 2, [1, 3], False),
             (2, (8, 8), 4, [1], True),
+            # the Nyquist column is kept
+            (1, (16,), 8, None, True),
+            (2, (4, 16), 9, None, False),
+            (1, (8,), 2, [1], False),
+            # blocks that do not divide the lines or the band (see below)
+            (2, (256, 64), 100, None, True),
+            (2, (16, 256), 128, [0, 1], False),
         ]:
             f = random_band_limited(n, dims, 1.0, np.random.default_rng(5), kmax, grades, mean_zero)
             rng = np.random.default_rng(5)
@@ -118,6 +134,70 @@ class TestRandomBandLimited:
                     spectrum[(0,) * n] = 0.0
                 want = np.fft.ifftn(spectrum).real
                 assert np.max(np.abs(f.components[m] - want)) < 1e-14
+
+    def test_wide_band_cases_cut_lines_and_band_unevenly(self):
+        # the last two cases above: at (256, 64) the middle pass splits its
+        # 201 band rows 6 x 32 + 9 and its 33 lines 32 + 1, and the last
+        # pass its 66 band columns 64 + 2; at (16, 256) the last pass splits
+        # its 48 rows 32 + 16 and its 258 band columns 8 x 32 + 2
+        assert _blocks(201, 256, 33) == (32, 32)
+        assert _blocks(66, 64, 1024) == (64, 64)
+        assert _blocks(258, 256, 48) == (32, 32)
+
+    def test_blocks_run_on_one_blas_thread(self):
+        shapes = [(10, 64, 32768), (258, 256, 1024), (256, 256, 129), (9, 64, 45), (2, 1 << 20, 8)]
+        for outer, inner, lines in shapes:
+            side, step = _blocks(outer, inner, lines)
+            assert 1 <= side <= outer and 1 <= step <= lines
+            assert side * step * inner <= 1 << 18 or side == step == 1
+
+    @pytest.mark.parametrize("d", [2, 4, 8, 64, 256])
+    def test_band_matrices_match_numpy_fft(self, d):
+        def rel(got, want):
+            return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+        rng = np.random.default_rng(d)
+        x = rng.standard_normal((3, d)) + 1j * rng.standard_normal((3, d))
+        for keep in range(1, d // 2 + 2):
+            forward, back = _real_band(d, keep)
+            assert forward.shape == (d, 2 * keep) and back.shape == (2 * keep, d)
+            assert not forward.flags.writeable and not back.flags.writeable
+            assert rel((x.real @ forward).view(complex), np.fft.rfft(x.real)[:, :keep]) < 1e-14
+            band = np.ascontiguousarray(x[:, :keep])
+            assert rel(band.view(float) @ back, np.fft.irfft(band, n=d)) < 1e-14
+        ks = np.rint(np.fft.fftfreq(d) * d)
+        for kmax in range(d // 2 + 1):
+            forward, back = _complex_band(d, kmax)
+            idx = np.flatnonzero(np.abs(ks) <= kmax)
+            assert forward.shape == (len(idx), d) and back.shape == (d, len(idx))
+            assert not forward.flags.writeable and not back.flags.writeable
+            assert rel(x @ forward.T, np.fft.fft(x)[:, idx]) < 1e-14
+            spectrum = np.zeros_like(x)
+            spectrum[:, idx] = x[:, idx]
+            assert rel(x[:, idx] @ back.T, np.fft.ifft(spectrum)) < 1e-14
+
+    def test_independent_of_blas_thread_count(self):
+        # every product is small enough for one OpenBLAS thread, so a
+        # single-threaded process draws the same bits as this one
+        cases = [(3, (64, 64, 64), 4), (2, (256, 256), 8), (2, (256, 256), 128)]
+        code = (
+            "import hashlib, numpy as np\n"
+            "from heatforms.fields import random_band_limited\n"
+            f"for n, dims, kmax in {cases!r}:\n"
+            "    f = random_band_limited(n, dims, 1.0, np.random.default_rng(11), kmax=kmax)\n"
+            "    print(hashlib.sha256(f.data.tobytes()).hexdigest())\n"
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+
+        def digest(n, dims, kmax):
+            f = random_band_limited(n, dims, 1.0, np.random.default_rng(11), kmax=kmax)
+            return hashlib.sha256(f.data.tobytes()).hexdigest()
+
+        assert proc.stdout.split() == [digest(*case) for case in cases]
 
     def test_rejects_negative_kmax(self):
         with pytest.raises(ValueError, match="kmax"):
