@@ -200,16 +200,16 @@ def _blocks(outer: int, inner: int, lines: int):
     return side, min(lines, max(1, _GEMM_SIZE // (inner * side)))
 
 
-def _last_axis(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """x @ m over the last axis of x, in blocks that BLAS runs on one thread."""
+def _last_axis(x: np.ndarray, m: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = x @ m over the last axis of x, in blocks that BLAS runs on one thread."""
     rows = x.reshape(-1, m.shape[0])
-    out = np.empty((len(rows), m.shape[1]), np.result_type(x, m))
+    flat = out.reshape(len(rows), m.shape[1])
     width, step = _blocks(m.shape[1], m.shape[0], len(rows))
     for j in range(0, m.shape[1], width):
         cols = slice(j, j + width)
         for i in range(0, len(rows), step):
-            np.matmul(rows[i : i + step], m[:, cols], out=out[i : i + step, cols])
-    return out.reshape(x.shape[:-1] + (m.shape[1],))
+            np.matmul(rows[i : i + step], m[:, cols], out=flat[i : i + step, cols])
+    return out
 
 
 def _middle_axis(m: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
@@ -246,14 +246,18 @@ def random_band_limited(
     dims = tuple(dims)
     masks = masks_for_grades(n, grades)
     forward, back = _real_band(dims[-1], min(kmax, dims[-1] // 2) + 1)
-    spectrum = _last_axis(rng.standard_normal((len(masks),) + dims), forward).view(complex)
+    noise = rng.standard_normal((len(masks),) + dims)
+    spectrum = np.empty(noise.shape[:-1] + forward.shape[1:])
+    spectrum = _last_axis(noise, forward, spectrum).view(complex)
     for a in reversed(range(n - 1)):
         spectrum = _middle_axis(_complex_band(dims[a], kmax)[0], spectrum, a + 1)
     if mean_zero:
         spectrum[(slice(None),) + (0,) * n] = 0.0
     for a in range(n - 1):
         spectrum = _middle_axis(_complex_band(dims[a], kmax)[1], spectrum, a + 1)
-    return FormField(n, dims, L, masks, _last_axis(spectrum.view(float), back))
+    # the field overwrites the noise: no second grid-sized array, and no
+    # grid-sized hole left in the heap under the caches a first call builds
+    return FormField(n, dims, L, masks, _last_axis(spectrum.view(float), back, noise))
 
 
 def write_ffld(field: FormField, path) -> None:
