@@ -116,11 +116,11 @@ class TestRandomBandLimited:
             (2, (16, 8), 3, None, True),
             (3, (8, 8, 4), 2, [1, 3], False),
             (2, (8, 8), 4, [1], True),
-            # the Nyquist column is kept
+            # n = 1, and kept Nyquist columns at (16,) kmax 8 and (4, 16) kmax 9
             (1, (16,), 8, None, True),
             (2, (4, 16), 9, None, False),
             (1, (8,), 2, [1], False),
-            # blocks that do not divide the lines or the band (see below)
+            # blocks that do not divide the lines or the band (see test_blocks)
             (2, (256, 64), 100, None, True),
             (2, (16, 256), 128, [0, 1], False),
         ]:
@@ -135,21 +135,20 @@ class TestRandomBandLimited:
                 want = np.fft.ifftn(spectrum).real
                 assert np.max(np.abs(f.components[m] - want)) < 1e-14
 
-    def test_wide_band_cases_cut_lines_and_band_unevenly(self):
-        # the last two cases above: at (256, 64) the middle pass splits its
-        # 201 band rows 6 x 32 + 9 and its 33 lines 32 + 1, and the last
-        # pass its 66 band columns 64 + 2; at (16, 256) the last pass splits
-        # its 48 rows 32 + 16 and its 258 band columns 8 x 32 + 2
-        assert _blocks(201, 256, 33) == (32, 32)
-        assert _blocks(66, 64, 1024) == (64, 64)
-        assert _blocks(258, 256, 48) == (32, 32)
-
-    def test_blocks_run_on_one_blas_thread(self):
+    def test_blocks(self):
+        # every block product fits one OpenBLAS thread
         shapes = [(10, 64, 32768), (258, 256, 1024), (256, 256, 129), (9, 64, 45), (2, 1 << 20, 8)]
         for outer, inner, lines in shapes:
             side, step = _blocks(outer, inner, lines)
             assert 1 <= side <= outer and 1 <= step <= lines
             assert side * step * inner <= 1 << 18 or side == step == 1
+        # the wide cases of the filter test: at (256, 64) the middle pass
+        # splits its 201 band rows 6 x 32 + 9 and its 33 lines 32 + 1, and
+        # the last pass its 66 band columns 64 + 2; at (16, 256) the last
+        # pass splits its 48 rows 32 + 16 and its 258 band columns 8 x 32 + 2
+        assert _blocks(201, 256, 33) == (32, 32)
+        assert _blocks(66, 64, 1024) == (64, 64)
+        assert _blocks(258, 256, 48) == (32, 32)
 
     @pytest.mark.parametrize("d", [2, 4, 8, 64, 256])
     def test_band_matrices_match_numpy_fft(self, d):
