@@ -59,6 +59,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of --tol: a finite float, at least 0."""
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"tolerance must be nonnegative: {text!r}")
+    return value
+
+
 def _common_flags(parser):
     parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     parser.add_argument(
@@ -148,6 +156,8 @@ def cmd_norm_search(args, report: Report):
 def cmd_psw(args, report: Report):
     if args.cases < 1:
         raise ValueError("--cases must be at least 1")
+    if args.grid < 4:  # at 2 the equality mode k = 1 is the Nyquist index, whose gradient is zeroed
+        raise ValueError("--grid must be at least 4")
     tol = args.tol if args.tol is not None else 1e-6
     rng = np.random.default_rng(args.seed)
     dims = (args.grid,) * args.n
@@ -268,7 +278,7 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, **kwargs)
         _common_flags(p)
         if tol:
-            p.add_argument("--tol", type=_finite_float, help="override the command's tolerance")
+            p.add_argument("--tol", type=_tolerance, help="override the command's tolerance")
         p.set_defaults(func=handler)
         return p
 

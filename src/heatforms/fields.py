@@ -177,6 +177,11 @@ def _real_band(d: int, keep: int):
     return _frozen(forward).view(float), _frozen(np.fft.irfft(units, n=d))
 
 
+def _band(d: int, kmax: int) -> np.ndarray:
+    """Indices of the frequencies |k| <= kmax among d samples, in fftfreq's order."""
+    return np.flatnonzero(np.abs(np.fft.fftfreq(d) * d) <= kmax)
+
+
 @lru_cache(maxsize=32)
 def _complex_band(d: int, kmax: int):
     """DFT matrices between d samples and the band |k| <= kmax, in fftfreq's order.
@@ -184,8 +189,7 @@ def _complex_band(d: int, kmax: int):
     forward is (B, d) and gives fft(x)[band]; back is (d, B) and gives the
     ifft of a spectrum that is zero outside the band.
     """
-    k = np.fft.fftfreq(d) * d
-    units = _unit_rows(d, np.flatnonzero(np.abs(k) <= kmax))
+    units = _unit_rows(d, _band(d, kmax))
     return _frozen(np.fft.fft(units)), _frozen(np.fft.ifft(units).T)
 
 

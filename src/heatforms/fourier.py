@@ -7,13 +7,17 @@ gradient integral that pairs two heat extensions.
 Every grid multiplier (heat damping, gradients, the operator, and the
 Laplace-type multipliers in multipliers.py) takes one path: a real FFT
 of the field's component stack onto the half lattice that rfftn stores,
-the multiplier applied to those half spectra, and the inverse passes of
-_inverse. Half spectra determine a real field only under a Hermitian
+the multiplier applied to those half spectra, and one inverse real FFT
+(_through_spectrum). Half spectra determine a real field only under a Hermitian
 multiplier, m(-k) = conj(m(k)) on the full lattice; real even symbols
 and i times real odd ones are, and a complex even symbol is applied as
 its real and imaginary parts. Complex fields go through as a batch of
 their real and imaginary parts, so every multiplier acts on them
-complex-linearly.
+complex-linearly. psw_integral alone inverts otherwise: it needs the
+damped gradients at every quadrature node, so after its one forward FFT
+it cuts the half spectra to the box of frequencies its fields occupy and
+inverts each node there with the band DFT matrices of
+fields.random_band_limited.
 
 The operator acts per frequency xi by the reflection
 
@@ -47,7 +51,16 @@ from functools import lru_cache
 import numpy as np
 
 from .exterior import MultiIndex, substitutions
-from .fields import FormField, lp_norm
+from .fields import (
+    _MODE_TOL,
+    FormField,
+    _band,
+    _complex_band,
+    _last_axis,
+    _middle_axis,
+    _real_band,
+    lp_norm,
+)
 from .heatmatrix import HeatMatrixSpec, build_full_matrix, conjugate_exponent
 
 GL_ORDER = 16  # Gauss-Legendre nodes per time panel
@@ -110,27 +123,17 @@ def _multipliers(dims: tuple, L: float):
     return xi_sq, grad_mult
 
 
-def _inverse(spectra: np.ndarray, dims: tuple, out=None) -> np.ndarray:
-    """Inverse real FFT of half spectra over the trailing len(dims) axes.
-
-    These are numpy irfftn's passes in its order, but the ifft passes run
-    in place: irfftn would allocate a new array for each of them. The last
-    pass writes into out when it is given.
-    """
-    for axis in range(spectra.ndim - len(dims), spectra.ndim - 1):
-        np.fft.ifft(spectra, axis=axis, out=spectra)
-    return np.fft.irfft(spectra, n=dims[-1], out=out)
-
-
 def _through_spectrum(data: np.ndarray, dims: tuple, act, alloc=np.empty) -> np.ndarray:
     """Hermitian Fourier multiplier act over the trailing len(dims) axes of a stack.
 
-    One rfftn into a new (batch, *rows, *half) buffer, act on it, one
-    _inverse. The batch axis holds real data alone, or the real and
-    imaginary parts of complex data. act may work in place and may insert
-    axes after the batch axis. The result goes into alloc(shape, dtype),
-    which is called once act has returned, so act's buffers are freed
-    before it; alloc may return a view into a larger array.
+    One rfftn into a new (batch, *rows, *half) buffer, act on it, then
+    numpy irfftn's inverse passes in its order, but with the ifft passes
+    in place: irfftn would allocate a new array for each of them. The
+    batch axis holds real data alone, or the real and imaginary parts of
+    complex data. act may work in place and may insert axes after the
+    batch axis. The result goes into alloc(shape, dtype), which is called
+    once act has returned, so act's buffers are freed before it; alloc
+    may return a view into a larger array.
     """
     complex_in = np.iscomplexobj(data)
     batch = np.stack([data.real, data.imag]) if complex_in else data[None]
@@ -141,7 +144,9 @@ def _through_spectrum(data: np.ndarray, dims: tuple, act, alloc=np.empty) -> np.
     out = alloc(shape, complex if complex_in else float)
     # complex output: the batch's real and imaginary parts are strided float views of it
     parts = np.moveaxis(out.view(float).reshape(shape + (2,)), -1, 0) if complex_in else out[None]
-    _inverse(spectra, dims, out=parts)
+    for axis in range(spectra.ndim - len(dims), spectra.ndim - 1):
+        np.fft.ifft(spectra, axis=axis, out=spectra)
+    np.fft.irfft(spectra, n=dims[-1], out=parts)
     return out
 
 
@@ -370,9 +375,16 @@ def psw_integral(
     t = 0, where fast modes still matter); rhs = (p* - 1) ||f||_p ||g||_p'.
     The discarded (T, inf) part is bounded by Cauchy-Schwarz and the
     slowest nonzero mode decay: exp(-r T)/r * ||grad f||_2 ||grad g||_2.
-    Both fields must be real: one real FFT of their stacked components,
-    then one inverse real FFT of all damped gradients per time node, and
-    one more at t = 0 for the tail.
+    Both fields must be real. One real FFT of their stacked components
+    finds the box |k_a| <= K_a of every mode that some row holds above
+    fields._MODE_TOL times that row's largest coefficient; the spectra,
+    |xi|^2 and the gradient multipliers are cut to that box once. Each
+    time node, and t = 0 for the tail, then damps the box and inverts all
+    damped gradients with the band DFT matrices of random_band_limited:
+    a complex pass over each other axis, first to last, then a real pass
+    over the last axis, in irfftn's order. Every product runs in blocks
+    that OpenBLAS computes on one thread, so the result does not depend
+    on the BLAS thread count.
     """
     if (field_f.n, field_f.dims, field_f.L) != (field_g.n, field_g.dims, field_g.L):
         raise ValueError("fields live on different grids")
@@ -387,14 +399,33 @@ def psw_integral(
     n, dims, L = field_f.n, field_f.dims, field_f.L
     cell = field_f.cell_volume
     xi_sq, grad_mult = _multipliers(dims, L)
+    rate_max = 4.0 * np.pi**2 * float(np.max(xi_sq))
     stack = np.concatenate([field_f.data, field_g.data])
     spectra = np.fft.rfftn(stack, axes=tuple(range(1, n + 1)))
     split = len(field_f.masks)
 
+    # the box |k_a| <= K_a of the modes some row holds above its cutoff;
+    # |k_a| is the same at a mode's Hermitian partner off the half lattice
+    mags = np.abs(spectra)
+    cutoff = _MODE_TOL * mags.reshape(len(stack), -1).max(axis=1)
+    held = np.any(mags > cutoff.reshape((-1,) + (1,) * n), axis=0)
+    kmax = []
+    for a, d in enumerate(dims):
+        bins = held.any(axis=tuple(b for b in range(n) if b != a))
+        kmax.append(int(np.abs(np.fft.fftfreq(d)[: len(bins)] * d)[bins].max(initial=0)))
+    box = np.ix_(*(_band(d, k) for d, k in zip(dims[:-1], kmax)), np.arange(kmax[-1] + 1))
+    spectra, xi_sq, grad_mult = (
+        np.ascontiguousarray(arr[(Ellipsis,) + box]) for arr in (spectra, xi_sq, grad_mult)
+    )
+    backs = [_complex_band(d, k)[1] for d, k in zip(dims[:-1], kmax)]
+    last = _real_band(dims[-1], kmax[-1] + 1)[1]
+
     def grad_norms_at(t):
         """Pointwise gradient lengths of the heat extensions of f and of g."""
-        damped = spectra * np.exp(-2.0 * np.pi**2 * xi_sq * t)
-        grads = _inverse(damped[:, None] * grad_mult, dims)
+        grads = (spectra * np.exp(-2.0 * np.pi**2 * xi_sq * t))[:, None] * grad_mult
+        for a, back in enumerate(backs):
+            grads = _middle_axis(back, grads, a + 2)
+        grads = _last_axis(grads.view(float), last, np.empty(grads.shape[:2] + dims))
         sq = grads**2
         return np.sqrt(sq[:split].sum(axis=(0, 1))), np.sqrt(sq[split:].sum(axis=(0, 1)))
 
@@ -404,7 +435,6 @@ def psw_integral(
 
     rate_min = 4.0 * np.pi**2 / L**2
     t_end = min(t_max, _EXP_UNDERFLOW / rate_min)
-    rate_max = 4.0 * np.pi**2 * float(np.max(xi_sq))
     n_panels = max(int(np.ceil(np.log2(max(rate_max * t_end, 4.0)))), _MIN_PANELS)
     breaks = [0.0] + [t_end * 2.0 ** (j - n_panels + 1) for j in range(n_panels)]
     nodes, weights = np.polynomial.legendre.leggauss(GL_ORDER)

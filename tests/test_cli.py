@@ -281,6 +281,16 @@ class TestStrictJsonReports:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "--cases" in captured.err
 
+    @pytest.mark.parametrize("grid", ["2", "3"])
+    def test_psw_needs_a_grid_of_four(self, capsys, grid):
+        # at grid 2 the equality mode k = 1 sat on the Nyquist index, where
+        # the gradient is zeroed, and the check failed with gap 1
+        code = main(["psw", "--cases", "1", "--grid", grid])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "--grid" in captured.err
+
     @pytest.mark.parametrize("grid", ["0", "-2"])
     def test_matrix_verify_needs_an_alpha(self, capsys, grid):
         code = main(["matrix-verify", "--n", "3", "--alpha-grid", grid])
@@ -407,6 +417,22 @@ class TestTolFlag:
         code, out = run_cli(capsys, command, *TOL_READERS[command], "--tol", "0.5")
         assert code == 0
         assert parse_jsonl(out)[0]["inputs"]["tol"] == 0.5
+
+    @pytest.mark.parametrize("command", sorted(TOL_READERS))
+    def test_negative_rejected_where_read(self, capsys, command):
+        code = main([command, *TOL_READERS[command], "--tol", "-1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "--tol" in captured.err
+
+    @pytest.mark.parametrize("command", sorted(TOL_READERS))
+    def test_zero_accepted_where_read(self, capsys, command):
+        # a zero tolerance parses; the check it sets may fail (2) or be
+        # undecided (3), but it is not a usage error
+        code = main([command, *TOL_READERS[command], "--tol", "0"])
+        assert code in (0, 2, 3)
+        assert "--tol" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", sorted(TOL_IGNORERS))
     def test_rejected_where_ignored(self, capsys, command):

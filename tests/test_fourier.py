@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,13 +18,15 @@ from heatforms.fourier import (
     symbol_from_heat_matrix,
     symbol_norms_on_grid,
 )
-from heatforms.heatmatrix import HeatMatrixSpec
+from heatforms.heatmatrix import HeatMatrixSpec, conjugate_exponent
 from heatforms.multipliers import (
     apply_spectral_multiplier,
     identity_symbol,
     imaginary_power_symbol,
     laplace_symbol_eval_many,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def dense_route(f):
@@ -448,6 +455,133 @@ class TestEigenGrades:
             assert np.array_equal(out.data[1], field.data[1].mean() - field.data[1])
 
 
+def fft_psw(f, g, p, t_max):
+    """(lhs, rhs, tail) of psw_integral, every node inverted by irfftn on the whole half lattice.
+
+    The per-node FFT evaluation the band inverse replaced, on the same
+    panels, nodes and summation order.
+    """
+    n, dims, L = f.n, f.dims, f.L
+    rfft_bins = (Ellipsis, slice(0, dims[-1] // 2 + 1))
+    xi_sq, grad = (arr[rfft_bins] for arr in full_lattice_multipliers(dims, L))
+    spectra = np.fft.rfftn(np.concatenate([f.data, g.data]), axes=tuple(range(1, n + 1)))
+    split = len(f.masks)
+
+    def norms(t):
+        damped = spectra * np.exp(-2.0 * np.pi**2 * xi_sq * t)
+        grads = np.fft.irfftn(damped[:, None] * grad, s=dims, axes=tuple(range(2, n + 2)))
+        sq = grads**2
+        return np.sqrt(sq[:split].sum(axis=(0, 1))), np.sqrt(sq[split:].sum(axis=(0, 1)))
+
+    def integrand(t):
+        norm_f, norm_g = norms(t)
+        return f.cell_volume * float(np.sum(norm_f * norm_g))
+
+    rate_min = 4.0 * np.pi**2 / L**2
+    t_end = min(t_max, fourier._EXP_UNDERFLOW / rate_min)
+    rate_max = 4.0 * np.pi**2 * float(np.max(xi_sq))
+    n_panels = max(int(np.ceil(np.log2(max(rate_max * t_end, 4.0)))), fourier._MIN_PANELS)
+    breaks = [0.0] + [t_end * 2.0 ** (j - n_panels + 1) for j in range(n_panels)]
+    nodes, weights = np.polynomial.legendre.leggauss(GL_ORDER)
+    lhs = 0.0
+    for lo, hi in zip(breaks[:-1], breaks[1:]):
+        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+        lhs += half * sum(w * integrand(mid + half * x) for x, w in zip(nodes, weights))
+    norm_f, norm_g = norms(0.0)
+    energy = f.cell_volume * np.sqrt(np.sum(norm_f**2) * np.sum(norm_g**2))
+    tail = float(np.exp(-rate_min * t_end) / rate_min * energy)
+    rhs = (conjugate_exponent(p) - 1.0) * lp_norm(f, p) * lp_norm(g, p / (p - 1.0))
+    return lhs, rhs, tail
+
+
+def assert_psw_matches_fft(f, g, p):
+    res = psw_integral(f, g, p, 1.0)
+    for got, want in zip((res.lhs, res.rhs, res.tail_bound), fft_psw(f, g, p, 1.0)):
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+
+# n = 1, 2 and 3, square and uneven grids, narrow bands up to the full band
+PSW_CASES = [
+    ((64,), 2),
+    ((64,), 32),
+    ((4, 4), 2),
+    ((16, 32), 3),
+    ((32, 16), 5),
+    ((32, 32), 2),
+    ((32, 32), 16),
+    ((64, 64), 3),
+    ((16, 16, 16), 2),
+    ((8, 16, 8), 8),
+]
+
+
+class TestPswBandInverse:
+    # the band inverse against the per-node irfftn of the whole half lattice
+
+    @pytest.mark.parametrize("dims, kmax", PSW_CASES)
+    def test_matches_fft_oracle(self, dims, kmax):
+        rng = np.random.default_rng(30 + kmax)
+        f = random_band_limited(len(dims), dims, 1.3, rng, kmax=kmax)
+        g = random_band_limited(len(dims), dims, 1.3, rng, kmax=kmax, mean_zero=False)
+        p = float(rng.uniform(1.3, 4.0))
+        assert_psw_matches_fft(f, g, p)
+        assert_psw_matches_fft(g, 1e-20 * f, p)
+
+    def test_cosine_mode(self):
+        mode = cosine_field(2, (32, 32), 1.0, [1, 0], mask=1)
+        assert_psw_matches_fft(mode, mode, 2.0)
+
+    def test_field_with_a_zero_row(self):
+        rng = np.random.default_rng(31)
+        f = random_band_limited(2, (16, 16), 1.0, rng, kmax=3)
+        g = random_band_limited(2, (16, 16), 1.0, rng, kmax=2)
+        f.data[1] = 0.0
+        assert_psw_matches_fft(f, g, 3.0)
+
+    def test_zero_fields(self):
+        zero = FormField.zeros(2, (8, 8))
+        g = random_band_limited(2, (8, 8), 1.0, np.random.default_rng(32), kmax=2)
+        assert psw_integral(zero, zero, 2.0, 1.0) == fourier.PswResult(0.0, 0.0, 0.0)
+        assert psw_integral(zero, g, 2.0, 1.0) == fourier.PswResult(0.0, 0.0, 0.0)
+
+    def test_lhs_scales_with_the_field(self):
+        # the band's cutoff is relative to each row, so a tiny field keeps its modes
+        rng = np.random.default_rng(33)
+        f = random_band_limited(2, (32, 32), 1.0, rng, kmax=2)
+        g = random_band_limited(2, (32, 32), 1.0, rng, kmax=2)
+        c = 1e-20
+        lhs = psw_integral(f, g, 2.5, 1.0).lhs
+        assert abs(psw_integral(c * f, g, 2.5, 1.0).lhs - c * lhs) <= 1e-14 * c * lhs
+
+    def test_independent_of_blas_thread_count(self):
+        # every band product runs on one OpenBLAS thread, so a
+        # single-threaded process gets the same bits as this one
+        cases = [((32, 32), 2), ((32, 32), 16)]
+        code = (
+            "import numpy as np\n"
+            "from heatforms.fields import random_band_limited\n"
+            "from heatforms.fourier import psw_integral\n"
+            f"for dims, kmax in {cases!r}:\n"
+            "    rng = np.random.default_rng(12)\n"
+            "    f, g = (random_band_limited(2, dims, 1.0, rng, kmax=kmax) for _ in range(2))\n"
+            "    res = psw_integral(f, g, 2.5, 1.0)\n"
+            "    print(*(float.hex(v) for v in (res.lhs, res.rhs, res.tail_bound)))\n"
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+
+        def result(dims, kmax):
+            rng = np.random.default_rng(12)
+            f, g = (random_band_limited(2, dims, 1.0, rng, kmax=kmax) for _ in range(2))
+            res = psw_integral(f, g, 2.5, 1.0)
+            return [float.hex(v) for v in (res.lhs, res.rhs, res.tail_bound)]
+
+        assert proc.stdout.split() == [h for case in cases for h in result(*case)]
+
+
 class TestPsw:
     def test_equality_case(self):
         f = cosine_field(2, (32, 32), 1.0, [1, 0], mask=1)
@@ -504,22 +638,26 @@ class TestPsw:
         assert abs(huge.lhs + huge.tail_bound - huge.rhs) < 1e-9
 
     def test_panel_count_bounded_by_the_underflow_time(self, monkeypatch):
-        # at most log2(745 max|k|^2) panels: 15 at 8^2, where max|k|^2 = 32
+        # at most log2(745 max|k|^2) panels: 15 at 8^2, where max|k|^2 = 32;
+        # each node evaluation ends in one last-axis band product
         calls = []
 
-        def counted(*args, _fn=fourier._inverse):
+        def counted(*args, _fn=fourier._last_axis):
             calls.append(args)
             return _fn(*args)
 
-        monkeypatch.setattr(fourier, "_inverse", counted)
+        monkeypatch.setattr(fourier, "_last_axis", counted)
         f = cosine_field(2, (8, 8), 1.0, [1, 0], mask=1)
         psw_integral(f, f, 2.0, t_max=1e300)
         assert len(calls) == 15 * GL_ORDER + 1  # every node, plus t = 0 for the tail
 
-    def test_one_inverse_transform_per_node(self, monkeypatch):
-        # two all-grade 32^2 fields, t_max 1: 15 panels of GL_ORDER nodes,
-        # plus the t = 0 gradients of the tail bound; each inverse is one
-        # in-place ifft pass and one irfft
+    def test_one_forward_fft_and_no_inverse_fft(self, monkeypatch):
+        # two all-grade 32^2 fields, t_max 1: one rfftn of the stacked
+        # fields, and every node inverted with the cached band matrices
+        rng = np.random.default_rng(10)
+        f = random_band_limited(2, (32, 32), 1.0, rng, kmax=2)
+        g = random_band_limited(2, (32, 32), 1.0, rng, kmax=2)
+        psw_integral(f, g, 2.5, t_max=1.0)  # builds the band matrices
         calls = {}
         for name in FFT_NAMES:
             def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
@@ -527,12 +665,8 @@ class TestPsw:
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, counted)
-        rng = np.random.default_rng(10)
-        f = random_band_limited(2, (32, 32), 1.0, rng, kmax=2)
-        g = random_band_limited(2, (32, 32), 1.0, rng, kmax=2)
-        calls.clear()
         psw_integral(f, g, 2.5, t_max=1.0)
-        assert calls == {"rfftn": 1, "ifft": 15 * GL_ORDER + 1, "irfft": 15 * GL_ORDER + 1}
+        assert calls == {"rfftn": 1}
 
     def test_grid_mismatch_rejected(self):
         f = FormField.zeros(2, (8, 8))
