@@ -32,12 +32,20 @@ FFLD_MAGIC = "FFLD1 "
 FFLD_ORDER = "ascending-mask"
 FFLD_LAYOUT = "component-major,row-major"
 FFLD_DTYPE = "f64le"
-_MODE_TOL = 1e-12  # TrigSeries drops modes with every row's |c_k| <= this * max(max |c_k|, 1)
+_MODE_TOL = 1e-12  # a mode is held when some row's |c_k| exceeds this times that row's max |c_k| (_held)
 _GEMM_SIZE = 1 << 18  # OpenBLAS runs a product with m * n * k at most this on one thread
 
 
-def _is_pow2(v: int) -> bool:
-    return v >= 2 and (v & (v - 1)) == 0
+def _grid(n: int, dims) -> tuple[int, ...]:
+    """dims as a tuple of ints, checked to be one power-of-two size per axis, n >= 1."""
+    if n < 1:
+        raise ValueError("dimension must be at least 1")
+    dims = tuple(int(d) for d in dims)
+    if len(dims) != n:
+        raise ValueError("need one grid size per axis")
+    if not all(d >= 2 and d & (d - 1) == 0 for d in dims):
+        raise ValueError("grid sizes must be powers of two (>= 2)")
+    return dims
 
 
 def masks_for_grades(n: int, grades) -> list[int]:
@@ -57,13 +65,7 @@ class FormField:
     data: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("dimension must be at least 1")
-        self.dims = tuple(int(d) for d in self.dims)
-        if len(self.dims) != self.n:
-            raise ValueError("need one grid size per axis")
-        if not all(_is_pow2(d) for d in self.dims):
-            raise ValueError("grid sizes must be powers of two (>= 2)")
+        self.dims = _grid(self.n, self.dims)
         if not 0 < self.L < np.inf:
             raise ValueError("period length must be positive and finite")
         self.masks = [int(m) for m in self.masks]
@@ -139,12 +141,11 @@ def lp_norm(field: FormField, p: float) -> float:
 
 def cosine_field(n, dims, L, kvec, mask, amplitude=1.0) -> FormField:
     """amplitude * cos(2 pi k.x / L) placed in one component."""
-    grids = np.meshgrid(
-        *[np.arange(d) * (L / d) for d in dims], indexing="ij", sparse=True
-    )
+    dims = _grid(n, dims)
+    grids = np.meshgrid(*[np.arange(d) * (L / d) for d in dims], indexing="ij", sparse=True)
     arg = sum(2.0 * np.pi * kvec[a] / L * grids[a] for a in range(n))
     comp = amplitude * np.cos(arg)
-    return FormField(n, tuple(dims), L, [mask], np.broadcast_to(comp, (1,) + tuple(dims)).copy())
+    return FormField(n, dims, L, [mask], np.broadcast_to(comp, (1,) + dims).copy())
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -177,11 +178,6 @@ def _real_band(d: int, keep: int):
     return _frozen(forward).view(float), _frozen(np.fft.irfft(units, n=d))
 
 
-def _band(d: int, kmax: int) -> np.ndarray:
-    """Indices of the frequencies |k| <= kmax among d samples, in fftfreq's order."""
-    return np.flatnonzero(np.abs(np.fft.fftfreq(d) * d) <= kmax)
-
-
 @lru_cache(maxsize=32)
 def _complex_band(d: int, kmax: int):
     """DFT matrices between d samples and the band |k| <= kmax, in fftfreq's order.
@@ -189,7 +185,7 @@ def _complex_band(d: int, kmax: int):
     forward is (B, d) and gives fft(x)[band]; back is (d, B) and gives the
     ifft of a spectrum that is zero outside the band.
     """
-    units = _unit_rows(d, _band(d, kmax))
+    units = _unit_rows(d, np.flatnonzero(np.abs(np.fft.fftfreq(d) * d) <= kmax))
     return _frozen(np.fft.fft(units)), _frozen(np.fft.ifft(units).T)
 
 
@@ -228,6 +224,30 @@ def _middle_axis(m: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
     return out.reshape(x.shape[:axis] + (m.shape[0],) + x.shape[axis + 1 :])
 
 
+def _band_inverse(spectra: np.ndarray, dims: tuple, kmax, out: np.ndarray) -> np.ndarray:
+    """Real grids, written into out, from spectra on the box |k_a| <= kmax[a].
+
+    The trailing len(dims) axes of spectra hold each other axis's band in
+    _complex_band's order and the last axis's rfft bins 0..kmax[-1]. The
+    passes run in irfftn's order: _complex_band's back matrix over each
+    axis but the last, first to last, then _real_band's over the last.
+    """
+    lead = spectra.ndim - len(dims)
+    for a, (d, k) in enumerate(zip(dims[:-1], kmax)):
+        spectra = _middle_axis(_complex_band(d, k)[1], spectra, lead + a)
+    return _last_axis(spectra.view(float), _real_band(dims[-1], kmax[-1] + 1)[1], out)
+
+
+def _held(spectra: np.ndarray) -> np.ndarray:
+    """Modes some row (index on axis 0) holds: |c| > _MODE_TOL * that row's max |c|.
+
+    Relative to each row, so independent of scale; a zero row holds nothing.
+    """
+    mags = np.abs(spectra)
+    peak = mags.max(axis=tuple(range(1, mags.ndim)), keepdims=True)
+    return np.any(mags > _MODE_TOL * peak, axis=0)
+
+
 def random_band_limited(
     n, dims, L, rng, kmax=3, grades=None, mean_zero=True
 ) -> FormField:
@@ -237,19 +257,19 @@ def random_band_limited(
     filter is a separable DFT restricted to the band, each pass a product
     with a cached band matrix: a real DFT over the last axis to the rfft
     bins 0..min(kmax, N/2), then a complex DFT over each other axis, last
-    to first, to its band |k_a| <= kmax; the inverse passes run in
-    irfftn's order on the band alone. This equals a full rfftn, filter and
-    irfftn to rounding, not bitwise. Every product runs in blocks that
-    OpenBLAS computes on one thread, so the field does not depend on the
-    BLAS thread count.
+    to first, to its band |k_a| <= kmax; _band_inverse returns from the
+    band alone. This equals a full rfftn, filter and irfftn to rounding,
+    not bitwise. Every product runs in blocks that OpenBLAS computes on
+    one thread, so the field does not depend on the BLAS thread count.
     """
+    dims = _grid(n, dims)
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     if grades is None:
         grades = range(n + 1)
-    dims = tuple(dims)
     masks = masks_for_grades(n, grades)
-    forward, back = _real_band(dims[-1], min(kmax, dims[-1] // 2) + 1)
+    band = (kmax,) * (n - 1) + (min(kmax, dims[-1] // 2),)
+    forward = _real_band(dims[-1], band[-1] + 1)[0]
     noise = rng.standard_normal((len(masks),) + dims)
     spectrum = np.empty(noise.shape[:-1] + forward.shape[1:])
     spectrum = _last_axis(noise, forward, spectrum).view(complex)
@@ -257,11 +277,9 @@ def random_band_limited(
         spectrum = _middle_axis(_complex_band(dims[a], kmax)[0], spectrum, a + 1)
     if mean_zero:
         spectrum[(slice(None),) + (0,) * n] = 0.0
-    for a in range(n - 1):
-        spectrum = _middle_axis(_complex_band(dims[a], kmax)[1], spectrum, a + 1)
     # the field overwrites the noise: no second grid-sized array, and no
     # grid-sized hole left in the heap under the caches a first call builds
-    return FormField(n, dims, L, masks, _last_axis(spectrum.view(float), back, noise))
+    return FormField(n, dims, L, masks, _band_inverse(spectrum, dims, band, noise))
 
 
 def write_ffld(field: FormField, path) -> None:
@@ -336,16 +354,15 @@ class TrigSeries:
 
     Evaluates every row of an (ncomp, *dims) stack, its heat extension and
     its gradient at arbitrary (off-grid) points; used by the path-simulation
-    checks where positions do not sit on the grid. A mode is kept when any
-    row's coefficient passes that row's cutoff, so all rows share one mode
-    list. Only real parts are returned, and Re(a e^{i theta} + b e^{-i theta})
-    = Re((a + conj b) e^{i theta}), so when both k and -k are kept the one
-    first in fftn order stays with coefficient c_k + conj(c_{-k}); the zero
-    mode, Nyquist modes (whose -k is not on the lattice) and modes whose
-    partner fell under the cutoff stay as they are. The waves are built per
-    axis: one complex exponential per point and distinct nonzero |k_a|, the
-    negative k_a by conjugation, and each mode's wave as the product of its
-    axes' factors.
+    checks where positions do not sit on the grid. All rows share one mode
+    list, the modes _held keeps. Only real parts are returned, and
+    Re(a e^{i theta} + b e^{-i theta}) = Re((a + conj b) e^{i theta}), so
+    when both k and -k are kept the one first in fftn order stays with
+    coefficient c_k + conj(c_{-k}); the zero mode, Nyquist modes (whose -k
+    is not on the lattice) and modes whose partner is not held stay as they
+    are. The waves are built per axis: one complex exponential per point
+    and distinct nonzero |k_a|, the negative k_a by conjugation, and each
+    mode's wave as the product of its axes' factors.
     """
 
     def __init__(self, stack, L):
@@ -353,8 +370,7 @@ class TrigSeries:
         self.L = float(L)
         dims = stack.shape[1:]
         coeff = (np.fft.fftn(stack, axes=range(1, stack.ndim)) / prod(dims)).reshape(len(stack), -1)
-        cutoff = _MODE_TOL * np.maximum(np.max(np.abs(coeff), axis=1), 1.0)
-        keep = np.flatnonzero(np.any(np.abs(coeff) > cutoff[:, None], axis=0))
+        keep = np.flatnonzero(_held(coeff))
         index = np.unravel_index(keep, dims)
         # integer wavenumbers in fftfreq's order; fftfreq(d) * d is off by an
         # ulp for some d (0.9999999999999999 at d = 49)

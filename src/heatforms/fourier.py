@@ -15,9 +15,10 @@ its real and imaginary parts. Complex fields go through as a batch of
 their real and imaginary parts, so every multiplier acts on them
 complex-linearly. psw_integral alone inverts otherwise: it needs the
 damped gradients at every quadrature node, so after its one forward FFT
-it cuts the half spectra to the box of frequencies its fields occupy and
-inverts each node there with the band DFT matrices of
-fields.random_band_limited.
+it cuts the half spectra to the box of the modes its fields hold
+(fields._held) and inverts each node there with fields._band_inverse,
+the inverse of the band-limited draw; its time panels follow the box's
+largest |xi|^2.
 
 The operator acts per frequency xi by the reflection
 
@@ -51,16 +52,7 @@ from functools import lru_cache
 import numpy as np
 
 from .exterior import MultiIndex, substitutions
-from .fields import (
-    _MODE_TOL,
-    FormField,
-    _band,
-    _complex_band,
-    _last_axis,
-    _middle_axis,
-    _real_band,
-    lp_norm,
-)
+from .fields import FormField, _band_inverse, _held, lp_norm
 from .heatmatrix import HeatMatrixSpec, build_full_matrix, conjugate_exponent
 
 GL_ORDER = 16  # Gauss-Legendre nodes per time panel
@@ -370,21 +362,19 @@ def psw_integral(
 
     lhs integrates ||grad u(., t)|| ||grad v(., t)|| over the torus and
     t in [0, T], T = min(t_max, _EXP_UNDERFLOW / r) with r = 4 pi^2 / L^2,
-    past which every mode has underflowed (composite Gauss-Legendre on at
-    most log2(_EXP_UNDERFLOW max|k|^2) panels refined geometrically toward
-    t = 0, where fast modes still matter); rhs = (p* - 1) ||f||_p ||g||_p'.
+    past which every mode has underflowed; rhs = (p* - 1) ||f||_p ||g||_p'.
     The discarded (T, inf) part is bounded by Cauchy-Schwarz and the
     slowest nonzero mode decay: exp(-r T)/r * ||grad f||_2 ||grad g||_2.
     Both fields must be real. One real FFT of their stacked components
-    finds the box |k_a| <= K_a of every mode that some row holds above
-    fields._MODE_TOL times that row's largest coefficient; the spectra,
-    |xi|^2 and the gradient multipliers are cut to that box once. Each
-    time node, and t = 0 for the tail, then damps the box and inverts all
-    damped gradients with the band DFT matrices of random_band_limited:
-    a complex pass over each other axis, first to last, then a real pass
-    over the last axis, in irfftn's order. Every product runs in blocks
-    that OpenBLAS computes on one thread, so the result does not depend
-    on the BLAS thread count.
+    finds the box |k_a| <= K_a of the modes fields._held keeps; the
+    spectra, |xi|^2 and the gradient multipliers are cut to that box once.
+    The time integral is composite Gauss-Legendre on at most
+    log2(_EXP_UNDERFLOW max|k|^2) panels, max|k|^2 the box's largest,
+    refined geometrically toward t = 0, where fast modes still matter.
+    Each time node, and t = 0 for the tail, damps the box and inverts all
+    damped gradients with fields._band_inverse, whose products run in
+    blocks that OpenBLAS computes on one thread, so the result does not
+    depend on the BLAS thread count.
     """
     if (field_f.n, field_f.dims, field_f.L) != (field_g.n, field_g.dims, field_g.L):
         raise ValueError("fields live on different grids")
@@ -399,34 +389,24 @@ def psw_integral(
     n, dims, L = field_f.n, field_f.dims, field_f.L
     cell = field_f.cell_volume
     xi_sq, grad_mult = _multipliers(dims, L)
-    rate_max = 4.0 * np.pi**2 * float(np.max(xi_sq))
     stack = np.concatenate([field_f.data, field_g.data])
     spectra = np.fft.rfftn(stack, axes=tuple(range(1, n + 1)))
     split = len(field_f.masks)
 
-    # the box |k_a| <= K_a of the modes some row holds above its cutoff;
-    # |k_a| is the same at a mode's Hermitian partner off the half lattice
-    mags = np.abs(spectra)
-    cutoff = _MODE_TOL * mags.reshape(len(stack), -1).max(axis=1)
-    held = np.any(mags > cutoff.reshape((-1,) + (1,) * n), axis=0)
-    kmax = []
-    for a, d in enumerate(dims):
-        bins = held.any(axis=tuple(b for b in range(n) if b != a))
-        kmax.append(int(np.abs(np.fft.fftfreq(d)[: len(bins)] * d)[bins].max(initial=0)))
-    box = np.ix_(*(_band(d, k) for d, k in zip(dims[:-1], kmax)), np.arange(kmax[-1] + 1))
+    # the box |k_a| <= K_a of the held modes; |k_a| is the same at a
+    # mode's Hermitian partner off the half lattice
+    held = _held(spectra)
+    ks = [np.abs(k) for k in _half_lattice(dims)[0]]
+    kmax = [int((held * k).max()) for k in ks]
+    box = np.ix_(*(np.flatnonzero(k <= K) for k, K in zip(ks, kmax)))
     spectra, xi_sq, grad_mult = (
         np.ascontiguousarray(arr[(Ellipsis,) + box]) for arr in (spectra, xi_sq, grad_mult)
     )
-    backs = [_complex_band(d, k)[1] for d, k in zip(dims[:-1], kmax)]
-    last = _real_band(dims[-1], kmax[-1] + 1)[1]
 
     def grad_norms_at(t):
         """Pointwise gradient lengths of the heat extensions of f and of g."""
         grads = (spectra * np.exp(-2.0 * np.pi**2 * xi_sq * t))[:, None] * grad_mult
-        for a, back in enumerate(backs):
-            grads = _middle_axis(back, grads, a + 2)
-        grads = _last_axis(grads.view(float), last, np.empty(grads.shape[:2] + dims))
-        sq = grads**2
+        sq = _band_inverse(grads, dims, kmax, np.empty(grads.shape[:2] + dims)) ** 2
         return np.sqrt(sq[:split].sum(axis=(0, 1))), np.sqrt(sq[split:].sum(axis=(0, 1)))
 
     def integrand(t):
@@ -434,6 +414,7 @@ def psw_integral(
         return cell * float(np.sum(norm_f * norm_g))
 
     rate_min = 4.0 * np.pi**2 / L**2
+    rate_max = 4.0 * np.pi**2 * float(np.max(xi_sq))  # the box's fastest mode
     t_end = min(t_max, _EXP_UNDERFLOW / rate_min)
     n_panels = max(int(np.ceil(np.log2(max(rate_max * t_end, 4.0)))), _MIN_PANELS)
     breaks = [0.0] + [t_end * 2.0 ** (j - n_panels + 1) for j in range(n_panels)]

@@ -306,6 +306,30 @@ class TestStrictJsonReports:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "--sigma-samples" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["psw", "--n", "0"], "dimension"),
+            (["psw", "--n", "-1"], "dimension"),
+            (["simulate", "markov", "--n", "0"], "dimension"),
+            (["simulate", "markov", "--grid", "0"], "powers of two"),
+            (["simulate", "ito", "--grid", "0"], "powers of two"),
+            (["norm-search", "--n", "2", "--p", "4", "--grid", "0"], "powers of two"),
+            (["norm-search", "--n", "2", "--p", "4", "--grid", "12"], "powers of two"),
+        ],
+        ids=[
+            "psw-n-0", "psw-n-negative", "markov-n-0", "markov-grid-0", "ito-grid-0",
+            "search-grid-0", "search-grid-12",
+        ],
+    )
+    def test_fields_need_a_dimension_and_a_power_of_two_grid(self, capsys, argv, message):
+        # checked before a field is built, so no traceback escapes
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and message in captured.err
+
     def test_markov_needs_two_paths(self, capsys):
         code = main(["simulate", "markov", "--grid", "8", "--steps", "5", "--paths", "1"])
         captured = capsys.readouterr()

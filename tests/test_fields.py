@@ -14,6 +14,7 @@ from heatforms.errors import FFLDError
 from heatforms.fields import (
     FormField,
     TrigSeries,
+    _band_inverse,
     _blocks,
     _complex_band,
     _real_band,
@@ -201,6 +202,38 @@ class TestRandomBandLimited:
     def test_rejects_negative_kmax(self):
         with pytest.raises(ValueError, match="kmax"):
             random_band_limited(2, (8, 8), 1.0, np.random.default_rng(0), kmax=-1)
+
+    @pytest.mark.parametrize(
+        "n, dims, message",
+        [(0, (), "dimension"), (-1, (), "dimension"), (2, (0, 0), "powers of two"),
+         (2, (8, 12), "powers of two"), (2, (8,), "one grid size")],
+    )
+    def test_rejects_a_bad_grid_before_drawing(self, n, dims, message):
+        with pytest.raises(ValueError, match=message):
+            random_band_limited(n, dims, 1.0, np.random.default_rng(0), kmax=2)
+
+
+class TestBandInverse:
+    # the draw's and psw_integral's inverse against irfftn of the zero-filled half spectrum
+
+    @pytest.mark.parametrize("lead", [(3,), (2, 3)], ids=["one-lead-axis", "two-lead-axes"])
+    @pytest.mark.parametrize("dims", [(16,), (8, 8), (16, 32), (32, 16), (8, 16, 8)])
+    def test_matches_irfftn(self, lead, dims):
+        rng = np.random.default_rng(len(lead) + len(dims))
+        half = dims[:-1] + (dims[-1] // 2 + 1,)
+        axes = tuple(range(len(lead), len(lead) + len(dims)))
+        for K in range(max(dims) // 2 + 1):  # from the zero mode to every Nyquist bin
+            kmax = [min(K, d // 2) for d in dims]
+            box = [np.flatnonzero(np.abs(np.rint(np.fft.fftfreq(d) * d)) <= k) for d, k in zip(dims, kmax)]
+            box[-1] = np.arange(kmax[-1] + 1)
+            shape = lead + tuple(len(b) for b in box)
+            spectra = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            full = np.zeros(lead + half, complex)
+            full[(Ellipsis,) + np.ix_(*box)] = spectra
+            want = np.fft.irfftn(full, s=dims, axes=axes)
+            out = np.empty(lead + dims)
+            assert _band_inverse(spectra, dims, kmax, out) is out
+            assert np.max(np.abs(out - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 class TestLpNorm:
@@ -472,6 +505,16 @@ class TestTrigSeries:
         # on a Nyquist line stay as they are and only the other 48 fold
         g = random_band_limited(2, dims, 1.0, np.random.default_rng(7), kmax=kmax, mean_zero=False)
         assert len(TrigSeries(g.components[0][None], 1.0).kvecs) == modes
+
+    def test_mode_set_does_not_depend_on_scale(self):
+        # each row's cutoff is relative to its largest coefficient, so a tiny
+        # field keeps its modes
+        f = random_band_limited(2, (16, 16), 1.0, np.random.default_rng(8), kmax=3, mean_zero=False)
+        series, tiny = TrigSeries(f.data, 1.0), TrigSeries(1e-20 * f.data, 1.0)
+        assert np.array_equal(tiny.kvecs, series.kvecs)
+        pts = np.random.default_rng(9).uniform(0.0, 1.0, (40, 2))
+        want = 1e-20 * series.value(pts, 0.01)
+        assert np.max(np.abs(tiny.value(pts, 0.01) - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_reproduces_grid_samples(self):
         rng = np.random.default_rng(3)

@@ -459,13 +459,19 @@ def fft_psw(f, g, p, t_max):
     """(lhs, rhs, tail) of psw_integral, every node inverted by irfftn on the whole half lattice.
 
     The per-node FFT evaluation the band inverse replaced, on the same
-    panels, nodes and summation order.
+    panels, nodes and summation order. The panels follow the largest
+    |xi|^2 on the box |k_a| <= K_a of the held modes: those with some
+    row's |c| above 1e-12 times that row's largest |c|.
     """
     n, dims, L = f.n, f.dims, f.L
     rfft_bins = (Ellipsis, slice(0, dims[-1] // 2 + 1))
     xi_sq, grad = (arr[rfft_bins] for arr in full_lattice_multipliers(dims, L))
     spectra = np.fft.rfftn(np.concatenate([f.data, g.data]), axes=tuple(range(1, n + 1)))
     split = len(f.masks)
+    mags = np.abs(spectra).reshape(len(spectra), -1)
+    held = np.any(mags > 1e-12 * mags.max(axis=1, keepdims=True), axis=0)
+    ks = np.meshgrid(*[np.rint(np.fft.fftfreq(d) * d) for d in dims], indexing="ij")
+    box_k = [np.abs(k[rfft_bins]).reshape(-1)[held].max(initial=0.0) for k in ks]
 
     def norms(t):
         damped = spectra * np.exp(-2.0 * np.pi**2 * xi_sq * t)
@@ -479,7 +485,7 @@ def fft_psw(f, g, p, t_max):
 
     rate_min = 4.0 * np.pi**2 / L**2
     t_end = min(t_max, fourier._EXP_UNDERFLOW / rate_min)
-    rate_max = 4.0 * np.pi**2 * float(np.max(xi_sq))
+    rate_max = 4.0 * np.pi**2 * sum((k / L) ** 2 for k in box_k)
     n_panels = max(int(np.ceil(np.log2(max(rate_max * t_end, 4.0)))), fourier._MIN_PANELS)
     breaks = [0.0] + [t_end * 2.0 ** (j - n_panels + 1) for j in range(n_panels)]
     nodes, weights = np.polynomial.legendre.leggauss(GL_ORDER)
@@ -638,18 +644,19 @@ class TestPsw:
         assert abs(huge.lhs + huge.tail_bound - huge.rhs) < 1e-9
 
     def test_panel_count_bounded_by_the_underflow_time(self, monkeypatch):
-        # at most log2(745 max|k|^2) panels: 15 at 8^2, where max|k|^2 = 32;
-        # each node evaluation ends in one last-axis band product
+        # at most log2(745 max|k|^2) panels, max|k|^2 over the box the fields
+        # hold: 10 for the (1, 0) cosine at 8^2, where max|k|^2 = 1 and the
+        # grid's is 32; each node evaluation is one band inverse
         calls = []
 
-        def counted(*args, _fn=fourier._last_axis):
+        def counted(*args, _fn=fourier._band_inverse):
             calls.append(args)
             return _fn(*args)
 
-        monkeypatch.setattr(fourier, "_last_axis", counted)
+        monkeypatch.setattr(fourier, "_band_inverse", counted)
         f = cosine_field(2, (8, 8), 1.0, [1, 0], mask=1)
         psw_integral(f, f, 2.0, t_max=1e300)
-        assert len(calls) == 15 * GL_ORDER + 1  # every node, plus t = 0 for the tail
+        assert len(calls) == 10 * GL_ORDER + 1  # every node, plus t = 0 for the tail
 
     def test_one_forward_fft_and_no_inverse_fft(self, monkeypatch):
         # two all-grade 32^2 fields, t_max 1: one rfftn of the stacked
