@@ -205,8 +205,13 @@ class TestRandomBandLimited:
 
     @pytest.mark.parametrize(
         "n, dims, message",
-        [(0, (), "dimension"), (-1, (), "dimension"), (2, (0, 0), "powers of two"),
-         (2, (8, 12), "powers of two"), (2, (8,), "one grid size")],
+        [
+            (0, (), "dimension"),
+            (-1, (), "dimension"),
+            (2, (0, 0), "powers of two"),
+            (2, (8, 12), "powers of two"),
+            (2, (8,), "one grid size"),
+        ],
     )
     def test_rejects_a_bad_grid_before_drawing(self, n, dims, message):
         with pytest.raises(ValueError, match=message):
