@@ -108,15 +108,10 @@ def cmd_matrix_verify(args, report: Report):
             closed = hm.grade_norm_closed_form(n, r, float(a))
             max_norm_dev = max(max_norm_dev, abs(numeric - closed))
             cells += 1
-            if r < n:
-                for i_tilde in hm.enumerate_grade(n, r + 1)[:4]:
-                    eig = np.sort(np.linalg.eigvalsh(hm.out_block(i_tilde, float(a))))
-                    ref = hm.closed_form_spectrum("out", n, r, float(a))
-                    max_spec_dev = max(max_spec_dev, float(np.max(np.abs(eig - ref))))
-            if r > 0:
-                for i_tilde in hm.enumerate_grade(n, r - 1)[:4]:
-                    eig = np.sort(np.linalg.eigvalsh(hm.in_block(i_tilde, float(a))))
-                    ref = hm.closed_form_spectrum("in", n, r, float(a))
+            for kind, block, grade in (("out", hm.out_block, r + 1), ("in", hm.in_block, r - 1)):
+                for i_tilde in hm.enumerate_grade(n, grade)[:4] if 0 <= grade <= n else []:
+                    eig = np.sort(np.linalg.eigvalsh(block(i_tilde, float(a))))
+                    ref = hm.closed_form_spectrum(kind, n, r, float(a))
                     max_spec_dev = max(max_spec_dev, float(np.max(np.abs(eig - ref))))
     report.add("cells", cells)
     report.add("max_norm_deviation", max_norm_dev)
@@ -237,6 +232,11 @@ def cmd_asymptotics(args, report: Report):
 
 
 def cmd_simulate(args, report: Report):
+    if args.experiment == "transform" and (args.n, args.grid) != (None, None):
+        raise ValueError("simulate transform takes no --n or --grid")
+    if args.experiment != "transform":  # markov and ito default to n = 2 on a 16-point grid
+        args.n, args.grid = 2 if args.n is None else args.n, 16 if args.grid is None else args.grid
+        report.inputs.update(n=args.n, grid=args.grid)
     if args.experiment == "markov":
         rng = np.random.default_rng(args.seed)
         grid = random_band_limited(args.n, (args.grid,) * args.n, 1.0, rng, kmax=2)
@@ -318,8 +318,8 @@ def build_parser() -> _Parser:
 
     p = add("simulate", cmd_simulate, help="Monte Carlo checks")
     p.add_argument("experiment", choices=("markov", "ito", "transform"))
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--grid", type=int, default=16)
+    p.add_argument("--n", type=int, help="markov and ito only (default 2)")
+    p.add_argument("--grid", type=int, help="markov and ito only (default 16)")
     p.add_argument("--h", type=_finite_float, default=0.02)
     p.add_argument("--steps", type=int, default=50)
     p.add_argument("--paths", type=int, default=20000)

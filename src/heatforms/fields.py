@@ -34,6 +34,7 @@ FFLD_LAYOUT = "component-major,row-major"
 FFLD_DTYPE = "f64le"
 _MODE_TOL = 1e-12  # a mode is held when some row's |c_k| exceeds this times that row's max |c_k| (_held)
 _GEMM_SIZE = 1 << 18  # OpenBLAS runs a product with m * n * k at most this on one thread
+_DENSE_SPAN = 8  # an axis is dense while 2K + 1 <= this * log2(d) (_band_axes), as measured on one core
 
 
 def _grid(n: int, dims) -> tuple[int, ...]:
@@ -224,28 +225,69 @@ def _middle_axis(m: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
     return out.reshape(x.shape[:axis] + (m.shape[0],) + x.shape[axis + 1 :])
 
 
-def _band_inverse(spectra: np.ndarray, dims: tuple, kmax, out: np.ndarray) -> np.ndarray:
-    """Real grids, written into out, from spectra on the box |k_a| <= kmax[a].
+@lru_cache(maxsize=64)
+def _band_axes(dims: tuple, kmax: tuple) -> tuple:
+    """Per axis, (index, k): the half-lattice points held for the box |k_a| <= kmax[a].
 
-    The trailing len(dims) axes of spectra hold each other axis's band in
-    _complex_band's order and the last axis's rfft bins 0..kmax[-1]. The
-    passes run in irfftn's order: _complex_band's back matrix over each
-    axis but the last, first to last, then _real_band's over the last.
+    The band layer's one per-axis rule: a d-point axis with 2K + 1 <=
+    _DENSE_SPAN log2(d) is dense, holds its band (index, in _complex_band's
+    order; rfft bins 0..K on the last axis) and is transformed by the band
+    matrices; a wider one holds every point (index None) and is transformed
+    by in-place FFT passes. k holds the integer frequencies held.
+    """
+    axes = []
+    for a, (d, K) in enumerate(zip(dims, kmax)):
+        k = np.rint(np.fft.fftfreq(d) * d).astype(int)[: d // 2 + 1 if a == len(dims) - 1 else d]
+        dense = 2 * min(K, d // 2) + 1 <= _DENSE_SPAN * (d.bit_length() - 1)
+        index = _frozen(np.flatnonzero(np.abs(k) <= K)) if dense else None
+        axes.append((index, _frozen(k if index is None else k[index])))
+    return tuple(axes)
+
+
+def _band_inverse(spectra: np.ndarray, dims: tuple, kmax, out: np.ndarray) -> np.ndarray:
+    """Real grids, written into out, from spectra on the points _band_axes holds for kmax.
+
+    Passes in irfftn's order, the last axis last: a dense axis takes
+    _complex_band's back matrix (_real_band's on the last) in blocks that
+    OpenBLAS runs on one thread, a wide one an ifft pass in place over
+    spectra (an irfft into out on the last), so no bit depends on the
+    BLAS thread count.
     """
     lead = spectra.ndim - len(dims)
-    for a, (d, k) in enumerate(zip(dims[:-1], kmax)):
-        spectra = _middle_axis(_complex_band(d, k)[1], spectra, lead + a)
+    axes = _band_axes(dims, tuple(kmax))
+    for a, ((index, _), d, k) in enumerate(zip(axes[:-1], dims, kmax)):
+        if index is None:
+            np.fft.ifft(spectra, axis=lead + a, out=spectra)
+        else:
+            spectra = _middle_axis(_complex_band(d, k)[1], spectra, lead + a)
+    if axes[-1][0] is None:
+        return np.fft.irfft(spectra, n=dims[-1], out=out)
     return _last_axis(spectra.view(float), _real_band(dims[-1], kmax[-1] + 1)[1], out)
 
 
 def _held(spectra: np.ndarray) -> np.ndarray:
-    """Modes some row (index on axis 0) holds: |c| > _MODE_TOL * that row's max |c|.
-
-    Relative to each row, so independent of scale; a zero row holds nothing.
-    """
+    """Modes some row (axis 0) holds: |c| > _MODE_TOL * that row's max |c|; a zero row holds none."""
     mags = np.abs(spectra)
     peak = mags.max(axis=tuple(range(1, mags.ndim)), keepdims=True)
     return np.any(mags > _MODE_TOL * peak, axis=0)
+
+
+def _held_band(spectra: np.ndarray, dims: tuple) -> tuple:
+    """(kmax, spectra cut to the points _band_axes holds for kmax), kmax the held modes' box.
+
+    The leading axes of the half spectra index rows. K_a is the largest
+    |k_a| of a mode _held keeps (0 for none); a wide axis is not cut.
+    """
+    n = len(dims)
+    held = _held(spectra.reshape((-1,) + spectra.shape[-n:]))
+    kmax = []
+    for a, d in enumerate(dims):
+        i = np.flatnonzero(held.any(axis=tuple(b for b in range(n) if b != a)))
+        kmax.append(int(np.minimum(i, d - i).max(initial=0)))  # |k_a| at index i in fftfreq's order
+    for a, (index, _) in enumerate(_band_axes(dims, tuple(kmax))):
+        if index is not None:
+            spectra = spectra.take(index, axis=spectra.ndim - n + a)
+    return tuple(kmax), spectra
 
 
 def random_band_limited(
@@ -254,13 +296,12 @@ def random_band_limited(
     """Gaussian field filtered to lattice frequencies |k_a| <= kmax.
 
     One normal draw fills every component, in ascending-mask order. The
-    filter is a separable DFT restricted to the band, each pass a product
-    with a cached band matrix: a real DFT over the last axis to the rfft
-    bins 0..min(kmax, N/2), then a complex DFT over each other axis, last
-    to first, to its band |k_a| <= kmax; _band_inverse returns from the
-    band alone. This equals a full rfftn, filter and irfftn to rounding,
-    not bitwise. Every product runs in blocks that OpenBLAS computes on
-    one thread, so the field does not depend on the BLAS thread count.
+    filter is a separable DFT onto the points _band_axes holds: a real DFT
+    over the last axis, then a complex DFT over each other axis, last to
+    first; a product with a cached band matrix on a dense axis, an FFT pass
+    zeroed outside the band on a wide one. _band_inverse returns from
+    there. This equals a full rfftn, filter and irfftn to rounding, not
+    bitwise, and does not depend on the BLAS thread count.
     """
     dims = _grid(n, dims)
     if kmax < 0:
@@ -268,13 +309,21 @@ def random_band_limited(
     if grades is None:
         grades = range(n + 1)
     masks = masks_for_grades(n, grades)
-    band = (kmax,) * (n - 1) + (min(kmax, dims[-1] // 2),)
-    forward = _real_band(dims[-1], band[-1] + 1)[0]
+    band = tuple(min(kmax, d // 2) for d in dims)
+    axes = _band_axes(dims, band)
+    forward = None if axes[-1][0] is None else _real_band(dims[-1], band[-1] + 1)[0]
     noise = rng.standard_normal((len(masks),) + dims)
-    spectrum = np.empty(noise.shape[:-1] + forward.shape[1:])
-    spectrum = _last_axis(noise, forward, spectrum).view(complex)
+    if forward is None:
+        spectrum = np.fft.rfft(noise)
+    else:
+        spectrum = _last_axis(noise, forward, np.empty(noise.shape[:-1] + forward.shape[1:])).view(complex)
     for a in reversed(range(n - 1)):
-        spectrum = _middle_axis(_complex_band(dims[a], kmax)[0], spectrum, a + 1)
+        if axes[a][0] is None:
+            np.fft.fft(spectrum, axis=a + 1, out=spectrum)
+        else:
+            spectrum = _middle_axis(_complex_band(dims[a], band[a])[0], spectrum, a + 1)
+    for a, (_, k) in enumerate(axes):  # zero a wide axis outside the band; a dense one holds no more
+        spectrum[(slice(None),) * (a + 1) + (np.abs(k) > band[a],)] = 0.0
     if mean_zero:
         spectrum[(slice(None),) + (0,) * n] = 0.0
     # the field overwrites the noise: no second grid-sized array, and no

@@ -4,21 +4,18 @@ Heat extensions, spectral gradients, the frequency-domain matrix of the
 Beurling-Ahlfors operator, its application to fields, and the bilinear
 gradient integral that pairs two heat extensions.
 
-Every grid multiplier (heat damping, gradients, the operator, and the
-Laplace-type multipliers in multipliers.py) takes one path: a real FFT
-of the field's component stack onto the half lattice that rfftn stores,
-the multiplier applied to those half spectra, and one inverse real FFT
-(_through_spectrum). Half spectra determine a real field only under a Hermitian
-multiplier, m(-k) = conj(m(k)) on the full lattice; real even symbols
-and i times real odd ones are, and a complex even symbol is applied as
-its real and imaginary parts. Complex fields go through as a batch of
-their real and imaginary parts, so every multiplier acts on them
-complex-linearly. psw_integral alone inverts otherwise: it needs the
-damped gradients at every quadrature node, so after its one forward FFT
-it cuts the half spectra to the box of the modes its fields hold
-(fields._held) and inverts each node there with fields._band_inverse,
-the inverse of the band-limited draw; its time panels follow the box's
-largest |xi|^2.
+Heat damping, gradients and the Laplace-type multipliers in
+multipliers.py take one path (_through_spectrum): a real FFT of the
+field's component stack onto the half lattice that rfftn stores, the
+multiplier applied to those half spectra, and one inverse real FFT. Half
+spectra determine a real field only under a Hermitian multiplier,
+m(-k) = conj(m(k)) on the full lattice; real even symbols and i times
+real odd ones are, and a complex even symbol is applied as its real and
+imaginary parts. Complex fields go through as a batch of their real and
+imaginary parts, so every multiplier acts on them complex-linearly. The
+operator and psw_integral take the same forward FFT, then cut it to the
+box of the modes their fields hold (fields._held_band) and invert there
+with fields._band_inverse, the draw's inverse.
 
 The operator acts per frequency xi by the reflection
 
@@ -52,7 +49,7 @@ from functools import lru_cache
 import numpy as np
 
 from .exterior import MultiIndex, substitutions
-from .fields import FormField, _band_inverse, _held, lp_norm
+from .fields import FormField, _band_axes, _band_inverse, _frozen, _held_band, lp_norm
 from .heatmatrix import HeatMatrixSpec, build_full_matrix, conjugate_exponent
 
 GL_ORDER = 16  # Gauss-Legendre nodes per time panel
@@ -61,85 +58,70 @@ _EXP_UNDERFLOW = 745.0  # exp(-x) is at most the smallest subnormal double for x
 _EIG_CHUNK = 65536  # symbol matrices per batched eigensolve
 
 
-@lru_cache(maxsize=32)
-def _half_lattice(dims: tuple):
-    """Frequencies and unit directions u = k/|k| on the real-FFT half lattice.
+@lru_cache(maxsize=8)
+def _directions(dims: tuple, kmax: tuple):
+    """(u, nyquist, u_alias) on the points fields._band_axes holds for the box kmax.
 
-    The last axis keeps the indices 0..N/2 that rfftn stores, the others
-    all N; every axis labels its Nyquist index k = -N/2, as fftfreq does.
-    Returns (ks, u, nyquist, u_alias): the integer frequencies k_a, one
-    array per axis shaped to broadcast over the half lattice; n direction
-    grids (zero at the origin); the flat half-lattice indices of points
-    with a Nyquist coordinate on any axis; and at those points the
-    direction of the other lattice vector the point stands for, with
-    every Nyquist coordinate negated.
+    u = k/|k| per axis (0 at the origin); nyquist, the flat indices of points
+    with a Nyquist coordinate; u_alias, the direction there of the lattice
+    vector with every Nyquist coordinate negated, which the point also is.
     """
-    n = len(dims)
-    half = dims[:-1] + (dims[-1] // 2 + 1,)
-    ks = []
-    for a, d in enumerate(dims):
-        shape = [1] * n
-        shape[a] = half[a]
-        ks.append((np.fft.fftfreq(d)[: half[a]] * d).reshape(shape))
-    norm = np.sqrt(sum(k**2 for k in ks))
-    norm[(0,) * n] = 1.0
-    u = tuple(np.broadcast_to(k / norm, half).copy() for k in ks)
-    at_nyquist = [np.broadcast_to(np.abs(k) == d // 2, half) for k, d in zip(ks, dims)]
-    nyquist = np.flatnonzero(np.logical_or.reduce(at_nyquist))
-    u_alias = tuple(
-        np.where(nyq.reshape(-1)[nyquist], -1.0, 1.0) * ua.reshape(-1)[nyquist]
-        for ua, nyq in zip(u, at_nyquist)
-    )
-    for arr in tuple(ks) + u + u_alias + (nyquist,):
-        arr.flags.writeable = False
-    return tuple(ks), u, nyquist, u_alias
+    ks = np.meshgrid(*(k for _, k in _band_axes(dims, kmax)), indexing="ij", sparse=True)
+    norm = np.sqrt(np.maximum(sum(k**2 for k in ks), 1))  # integer k: only the origin is raised
+    u = tuple(_frozen((k / norm).astype(complex)) for k in ks)
+    at_nyquist = [np.abs(k) == d // 2 for k, d in zip(ks, dims)]
+    nyquist = np.flatnonzero(np.logical_or.reduce(np.broadcast_arrays(*at_nyquist)))
+    u_alias = tuple(_frozen(np.where(nyq, -ua, ua).reshape(-1)[nyquist]) for ua, nyq in zip(u, at_nyquist))
+    return u, _frozen(nyquist), u_alias
 
 
 @lru_cache(maxsize=32)
-def _multipliers(dims: tuple, L: float):
-    """|xi|^2 and the gradient multipliers i 2 pi k_a / L on the half lattice.
+def _multipliers(dims: tuple, L: float, kmax=None):
+    """|xi|^2 and the gradient multipliers i 2 pi k_a / L on the points held for the box kmax.
 
-    The gradient multipliers form one (n, *half) array; each is zeroed at
-    the Nyquist index (k = -N/2), where i 2 pi k_a / L has no Hermitian
-    partner, so that real fields keep real derivatives.
+    The points are those fields._band_axes holds; kmax None is the whole
+    half lattice. The gradient multipliers form one (n, *points) array;
+    each is zeroed at the Nyquist index (k = -N/2), where i 2 pi k_a / L
+    has no Hermitian partner, so that real fields keep real derivatives.
     """
-    ks = _half_lattice(dims)[0]
+    ks = np.meshgrid(*(k for _, k in _band_axes(dims, kmax or dims)), indexing="ij", sparse=True)
     xi_sq = sum((k / L) ** 2 for k in ks)
     grad_mult = np.stack(
         np.broadcast_arrays(
             *(np.where(np.abs(k) == d // 2, 0.0, 1j * 2.0 * np.pi / L * k) for k, d in zip(ks, dims))
         )
     )
-    xi_sq.flags.writeable = False
-    grad_mult.flags.writeable = False
-    return xi_sq, grad_mult
+    return _frozen(xi_sq), _frozen(grad_mult)
 
 
-def _through_spectrum(data: np.ndarray, dims: tuple, act, alloc=np.empty) -> np.ndarray:
+def _half_spectra(data: np.ndarray, dims: tuple) -> np.ndarray:
+    """rfftn over the trailing len(dims) axes of a stack, as a new (batch, *rows, *half) array.
+
+    The batch holds real data, or the real and imaginary parts of complex data.
+    """
+    batch = np.stack([data.real, data.imag]) if np.iscomplexobj(data) else data[None]
+    spectra = np.empty(batch.shape[:-1] + (dims[-1] // 2 + 1,), complex)
+    return np.fft.rfftn(batch, axes=tuple(range(batch.ndim - len(dims), batch.ndim)), out=spectra)
+
+
+def _through_spectrum(data: np.ndarray, dims: tuple, act) -> np.ndarray:
     """Hermitian Fourier multiplier act over the trailing len(dims) axes of a stack.
 
-    One rfftn into a new (batch, *rows, *half) buffer, act on it, then
-    numpy irfftn's inverse passes in its order, but with the ifft passes
-    in place: irfftn would allocate a new array for each of them. The
-    batch axis holds real data alone, or the real and imaginary parts of
-    complex data. act may work in place and may insert axes after the
-    batch axis. The result goes into alloc(shape, dtype), which is called
-    once act has returned, so act's buffers are freed before it; alloc
-    may return a view into a larger array.
+    act on _half_spectra (in place, or inserting axes after the batch
+    axis), then irfftn's passes in its order, the ifft passes in place.
     """
-    complex_in = np.iscomplexobj(data)
-    batch = np.stack([data.real, data.imag]) if complex_in else data[None]
-    spectra = np.empty(batch.shape[:-1] + (dims[-1] // 2 + 1,), complex)
-    np.fft.rfftn(batch, axes=tuple(range(batch.ndim - len(dims), batch.ndim)), out=spectra)
-    spectra = act(spectra)
-    shape = spectra.shape[1:-1] + dims[-1:]
-    out = alloc(shape, complex if complex_in else float)
-    # complex output: the batch's real and imaginary parts are strided float views of it
-    parts = np.moveaxis(out.view(float).reshape(shape + (2,)), -1, 0) if complex_in else out[None]
+    spectra = act(_half_spectra(data, dims))
+    out = np.empty(spectra.shape[1:-1] + dims[-1:], complex if np.iscomplexobj(data) else float)
     for axis in range(spectra.ndim - len(dims), spectra.ndim - 1):
         np.fft.ifft(spectra, axis=axis, out=spectra)
-    np.fft.irfft(spectra, n=dims[-1], out=parts)
+    np.fft.irfft(spectra, n=dims[-1], out=_batch_parts(out))
     return out
+
+
+def _batch_parts(out: np.ndarray) -> np.ndarray:
+    """out as a batch of real grids: itself, or strided views of its real and imaginary parts."""
+    pairs = out.view(float).reshape(out.shape + (2,)) if np.iscomplexobj(out) else out[..., None]
+    return np.moveaxis(pairs, -1, 0)
 
 
 def heat_extension(field: FormField, t: float) -> FormField:
@@ -190,10 +172,7 @@ def _symbol_structure(n: int):
         dtype=int,
     ).reshape(-1, 4)
     entries, a, b, signs = offdiag.T
-    signs = signs.astype(float)
-    for arr in (diag_signs, entries, a, b, signs):
-        arr.flags.writeable = False
-    return diag_signs, entries, a, b, signs
+    return tuple(_frozen(arr) for arr in (diag_signs, entries, a, b, signs.astype(float)))
 
 
 def _dense_symbols(xi: np.ndarray) -> np.ndarray:
@@ -282,12 +261,14 @@ def apply_beurling_ahlfors(field: FormField) -> FormField:
 
     Grades 0 and n are eigen-grades, M = +I and -I at every nonzero
     frequency (Nyquist points too), so those rows are f_0 - mean(f_0) and
-    mean(f_n) - f_n, with no transform. Only the middle grades go through
-    one real FFT, n contractions and n wedge products with the
-    unit-direction grids, and one inverse real FFT written straight into
-    the output stack. The symbol couples only components of equal grade,
-    so a single-grade field stays single-grade. The mean of every
-    component is annihilated.
+    mean(f_n) - f_n, with no transform. The middle grades take one real
+    FFT, cut to the box of the modes they hold (fields._held_band: a dense
+    axis drops the modes below fields._MODE_TOL of their row's largest, a
+    wide one keeps all), n contractions and n wedge products with
+    unit-direction grids on the box, and fields._band_inverse into the
+    output stack. The symbol couples only components of equal grade, so a
+    single-grade field stays single-grade. The mean of every component is
+    annihilated.
     """
     if not field.is_finite():
         raise ValueError("field has non-finite samples")
@@ -295,33 +276,24 @@ def apply_beurling_ahlfors(field: FormField) -> FormField:
     # masks ascend, so the scalar row comes first and the top-grade row last
     lo = int(0 in masks)
     hi = len(masks) - int((1 << n) - 1 in masks)
-
-    def reflect(spectra):
-        # Cached after the spectra buffer: grids cached before it pinned the
-        # heap and raised peak RSS by ~2 MB over repeated 256^2 applies.
-        _, u, nyquist, u_alias = _half_lattice(dims)
+    if lo < hi:
+        kmax, spectra = _held_band(_half_spectra(data[lo:hi], dims), dims)
+        u, nyquist, u_alias = _directions(dims, kmax)
         lowered, plan = _reflection_plan(n, tuple(masks[lo:hi]))
         # A Nyquist point also stands for the lattice vector with its Nyquist
         # coordinates negated; a real field sees the mean of both symbols.
         flat = spectra.reshape(spectra.shape[:2] + (-1,))
-        aliased = _reflect(flat[..., nyquist], u_alias, plan, lowered)
+        aliased = _reflect(flat[..., nyquist], u_alias, plan, lowered) if len(nyquist) else None
         _reflect(spectra, u, plan, lowered)
-        flat[..., nyquist] = 0.5 * (flat[..., nyquist] + aliased)
+        if aliased is not None:
+            flat[..., nyquist] = 0.5 * (flat[..., nyquist] + aliased)
         spectra[(Ellipsis,) + (0,) * n] = 0.0
-        return spectra
-
-    def stack_rows(shape, dtype):
-        # the whole output stack, allocated once the reflection's buffers are
-        # freed: allocated before them, peak RSS over repeated n=3 64^3
-        # draw-apply-norm items rose from 95 to 103 MB
-        nonlocal out
-        out = np.empty(data.shape, dtype)
-        return out[lo:hi]
-
+    # allocated only now: allocated before the rfftn, the output raised peak
+    # RSS over 30 repeated n=3 64^3 draw-apply-norm items from 91 to 104 MB
+    out = np.empty(data.shape, complex if np.iscomplexobj(data) else float)
     if lo < hi:
-        _through_spectrum(data[lo:hi], dims, reflect, stack_rows)
-    else:
-        out = np.empty(data.shape, complex if np.iscomplexobj(data) else float)
+        for part, s in zip(_batch_parts(out[lo:hi]), spectra):
+            _band_inverse(s, dims, kmax, part)
     if lo:
         np.subtract(data[0], data[0].mean(), out=out[0])
     if hi < len(masks):
@@ -365,16 +337,15 @@ def psw_integral(
     past which every mode has underflowed; rhs = (p* - 1) ||f||_p ||g||_p'.
     The discarded (T, inf) part is bounded by Cauchy-Schwarz and the
     slowest nonzero mode decay: exp(-r T)/r * ||grad f||_2 ||grad g||_2.
-    Both fields must be real. One real FFT of their stacked components
-    finds the box |k_a| <= K_a of the modes fields._held keeps; the
-    spectra, |xi|^2 and the gradient multipliers are cut to that box once.
-    The time integral is composite Gauss-Legendre on at most
+    Both fields must be real. One real FFT of their stacked components is
+    cut once to the box |k_a| <= K_a of the modes the fields hold
+    (fields._held_band), where |xi|^2 and the gradient multipliers are
+    built. The time integral is composite Gauss-Legendre on at most
     log2(_EXP_UNDERFLOW max|k|^2) panels, max|k|^2 the box's largest,
     refined geometrically toward t = 0, where fast modes still matter.
     Each time node, and t = 0 for the tail, damps the box and inverts all
-    damped gradients with fields._band_inverse, whose products run in
-    blocks that OpenBLAS computes on one thread, so the result does not
-    depend on the BLAS thread count.
+    damped gradients with fields._band_inverse, whose bits do not depend
+    on the BLAS thread count.
     """
     if (field_f.n, field_f.dims, field_f.L) != (field_g.n, field_g.dims, field_g.L):
         raise ValueError("fields live on different grids")
@@ -388,20 +359,10 @@ def psw_integral(
         raise ValueError("psw_integral takes real fields only")
     n, dims, L = field_f.n, field_f.dims, field_f.L
     cell = field_f.cell_volume
-    xi_sq, grad_mult = _multipliers(dims, L)
-    stack = np.concatenate([field_f.data, field_g.data])
-    spectra = np.fft.rfftn(stack, axes=tuple(range(1, n + 1)))
     split = len(field_f.masks)
-
-    # the box |k_a| <= K_a of the held modes; |k_a| is the same at a
-    # mode's Hermitian partner off the half lattice
-    held = _held(spectra)
-    ks = [np.abs(k) for k in _half_lattice(dims)[0]]
-    kmax = [int((held * k).max()) for k in ks]
-    box = np.ix_(*(np.flatnonzero(k <= K) for k, K in zip(ks, kmax)))
-    spectra, xi_sq, grad_mult = (
-        np.ascontiguousarray(arr[(Ellipsis,) + box]) for arr in (spectra, xi_sq, grad_mult)
-    )
+    spectra = np.fft.rfftn(np.concatenate([field_f.data, field_g.data]), axes=tuple(range(1, n + 1)))
+    kmax, spectra = _held_band(spectra, dims)
+    xi_sq, grad_mult = _multipliers(dims, L, kmax)
 
     def grad_norms_at(t):
         """Pointwise gradient lengths of the heat extensions of f and of g."""
@@ -414,7 +375,7 @@ def psw_integral(
         return cell * float(np.sum(norm_f * norm_g))
 
     rate_min = 4.0 * np.pi**2 / L**2
-    rate_max = 4.0 * np.pi**2 * float(np.max(xi_sq))  # the box's fastest mode
+    rate_max = 4.0 * np.pi**2 * sum((K / L) * (K / L) for K in kmax)  # the box's fastest mode
     t_end = min(t_max, _EXP_UNDERFLOW / rate_min)
     n_panels = max(int(np.ceil(np.log2(max(rate_max * t_end, 4.0)))), _MIN_PANELS)
     breaks = [0.0] + [t_end * 2.0 ** (j - n_panels + 1) for j in range(n_panels)]

@@ -316,10 +316,12 @@ class TestStrictJsonReports:
             (["simulate", "ito", "--grid", "0"], "powers of two"),
             (["norm-search", "--n", "2", "--p", "4", "--grid", "0"], "powers of two"),
             (["norm-search", "--n", "2", "--p", "4", "--grid", "12"], "powers of two"),
+            (["simulate", "transform", "--p", "2", "--trials", "5000", "--steps", "16", "--n", "0"], "--n or --grid"),
+            (["simulate", "transform", "--trials", "5000", "--grid", "16"], "--n or --grid"),
         ],
         ids=[
             "psw-n-0", "psw-n-negative", "markov-n-0", "markov-grid-0", "ito-grid-0",
-            "search-grid-0", "search-grid-12",
+            "search-grid-0", "search-grid-12", "transform-n", "transform-grid",
         ],
     )
     def test_fields_need_a_dimension_and_a_power_of_two_grid(self, capsys, argv, message):
@@ -329,6 +331,22 @@ class TestStrictJsonReports:
         assert code == 1
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and message in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["markov", "--steps", "5", "--paths", "200"], (2, 16)),
+            (["ito", "--step-counts", "8,16", "--paths", "50", "--reps", "1"], (2, 16)),
+            (["transform", "--p", "2", "--trials", "5000", "--steps", "16"], (None, None)),
+        ],
+        ids=["markov", "ito", "transform"],
+    )
+    def test_report_echoes_the_grid_an_experiment_uses(self, capsys, argv, want):
+        # --n and --grid default to 2 and 16 for markov and ito; transform has no grid
+        code, out = run_cli(capsys, "simulate", *argv)
+        assert code in (0, 2)
+        inputs = parse_jsonl(out)[0]["inputs"]
+        assert (inputs["n"], inputs["grid"]) == want
 
     def test_markov_needs_two_paths(self, capsys):
         code = main(["simulate", "markov", "--grid", "8", "--steps", "5", "--paths", "1"])

@@ -14,6 +14,7 @@ from heatforms.errors import FFLDError
 from heatforms.fields import (
     FormField,
     TrigSeries,
+    _band_axes,
     _band_inverse,
     _blocks,
     _complex_band,
@@ -121,9 +122,12 @@ class TestRandomBandLimited:
             (1, (16,), 8, None, True),
             (2, (4, 16), 9, None, False),
             (1, (8,), 2, [1], False),
-            # blocks that do not divide the lines or the band (see test_blocks)
+            # wide axes (FFT passes, zeroed outside the band) and a dense 16
             (2, (256, 64), 100, None, True),
             (2, (16, 256), 128, [0, 1], False),
+            # dense bands whose block products do not divide the band or the lines
+            (2, (64, 256), 23, None, True),
+            (2, (256, 64), 31, [1], False),
         ]:
             f = random_band_limited(n, dims, 1.0, np.random.default_rng(5), kmax, grades, mean_zero)
             rng = np.random.default_rng(5)
@@ -143,10 +147,9 @@ class TestRandomBandLimited:
             side, step = _blocks(outer, inner, lines)
             assert 1 <= side <= outer and 1 <= step <= lines
             assert side * step * inner <= 1 << 18 or side == step == 1
-        # the wide cases of the filter test: at (256, 64) the middle pass
-        # splits its 201 band rows 6 x 32 + 9 and its 33 lines 32 + 1, and
-        # the last pass its 66 band columns 64 + 2; at (16, 256) the last
-        # pass splits its 48 rows 32 + 16 and its 258 band columns 8 x 32 + 2
+        # blocks that do not divide their side: 201 band rows over 256 points
+        # split 6 x 32 + 9 and 33 lines 32 + 1; 66 band columns over 64
+        # points split 64 + 2; 48 rows split 32 + 16, 258 columns 8 x 32 + 2
         assert _blocks(201, 256, 33) == (32, 32)
         assert _blocks(66, 64, 1024) == (64, 64)
         assert _blocks(258, 256, 48) == (32, 32)
@@ -239,6 +242,46 @@ class TestBandInverse:
             out = np.empty(lead + dims)
             assert _band_inverse(spectra, dims, kmax, out) is out
             assert np.max(np.abs(out - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize(
+        "dims, kmax",
+        [
+            ((256, 256), (31, 31)),
+            ((256, 256), (31, 32)),
+            ((256, 256), (32, 31)),
+            ((256, 256), (100, 128)),
+            ((256, 8, 256), (32, 4, 31)),
+            ((256, 8, 256), (31, 2, 32)),
+        ],
+    )
+    def test_matches_irfftn_across_the_dense_wide_threshold(self, dims, kmax):
+        # at d = 256 an axis is dense up to K = 31 (2K + 1 <= 8 log2 d) and
+        # wide, holding every point, from K = 32; the 8-point axis is dense
+        axes = _band_axes(dims, kmax)
+        assert [index is None for index, _ in axes] == [k >= 32 for k in kmax]
+        rng = np.random.default_rng(sum(kmax))
+        half = dims[:-1] + (dims[-1] // 2 + 1,)
+        box = [np.arange(h) if index is None else index for (index, _), h in zip(axes, half)]
+        shape = (2,) + tuple(len(b) for b in box)
+        spectra = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        full = np.zeros((2,) + half, complex)
+        full[(slice(None),) + np.ix_(*box)] = spectra
+        want = np.fft.irfftn(full, s=dims, axes=tuple(range(1, len(dims) + 1)))
+        out = np.empty((2,) + dims)
+        assert _band_inverse(spectra, dims, kmax, out) is out
+        assert np.max(np.abs(out - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_per_axis_rule(self):
+        # dense while 2K + 1 <= 8 log2(d): every K up to N/2 for d <= 32,
+        # K <= 23 at d = 64 and K <= 31 at d = 256
+        for d, densest in ((2, 1), (8, 4), (32, 16), (64, 23), (256, 31)):
+            labels = list(np.rint(np.fft.fftfreq(d) * d).astype(int))
+            for K in range(d // 2 + 1):
+                (index, k), (last_index, last_k) = _band_axes((d, d), (K, K))
+                assert (index is not None) == (last_index is not None) == (K <= densest)
+                # a dense axis holds its band in fftfreq's order, a wide one every point
+                assert list(k) == [j for j in labels if abs(j) <= K or index is None]
+                assert list(last_k) == [j for j in labels[: d // 2 + 1] if abs(j) <= K or index is None]
 
 
 class TestLpNorm:

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from heatforms import fourier
-from heatforms.fields import FormField, cosine_field, lp_norm, random_band_limited
+from heatforms.fields import FormField, _held_band, cosine_field, lp_norm, random_band_limited
 from heatforms.fourier import (
     GL_ORDER,
     apply_beurling_ahlfors,
@@ -356,6 +357,56 @@ class TestApply:
             want = dense_route(f).real
             for c, mask in enumerate(f.masks):
                 assert np.allclose(got.components[mask], want[c], atol=1e-12)
+
+    @pytest.mark.parametrize("grades", [None, [1], [2]], ids=["all-grades", "grade-1", "grade-2"])
+    @pytest.mark.parametrize("dims, kmax", [((16, 32), 8), ((8, 16, 32), 4)])
+    def test_box_reaching_nyquist_on_one_axis(self, dims, kmax, grades):
+        # the box reaches N/2 on the first axis only: it holds that axis's
+        # Nyquist points, where each real part sees the mean of the two
+        # aliased symbols, and cuts the other axes to |k_a| <= kmax
+        n = len(dims)
+        rng = np.random.default_rng(35)
+        f, g = (random_band_limited(n, dims, 1.3, rng, kmax=kmax, grades=grades, mean_zero=False) for _ in "fg")
+        box, _ = _held_band(np.fft.rfftn(f.data, axes=tuple(range(1, n + 1))), dims)
+        assert box == (kmax,) * n and dims[0] == 2 * kmax
+        want_f, want_g = dense_route(f).real, dense_route(g).real
+        assert np.allclose(apply_beurling_ahlfors(f).data, want_f, rtol=0.0, atol=1e-12)
+        got = apply_beurling_ahlfors(f.like(f.data + 1j * g.data)).data
+        assert np.allclose(got, want_f + 1j * want_g, rtol=0.0, atol=1e-12)
+
+    def test_white_noise_fills_the_box(self):
+        # every mode of 16^3 white noise is held: the box is the whole grid
+        rng = np.random.default_rng(36)
+        f, g = (FormField(3, (16,) * 3, 1.0, list(range(8)), rng.standard_normal((8, 16, 16, 16))) for _ in "fg")
+        want_f, want_g = dense_route(f).real, dense_route(g).real
+        assert np.allclose(apply_beurling_ahlfors(f).data, want_f, rtol=0.0, atol=1e-12)
+        got = apply_beurling_ahlfors(f.like(f.data + 1j * g.data)).data
+        assert np.allclose(got, want_f + 1j * want_g, rtol=0.0, atol=1e-12)
+
+    def test_independent_of_blas_thread_count(self):
+        # a dense box (64^3, kmax 4) and a wide one (256^2, kmax 127): band
+        # products run on one OpenBLAS thread and FFT passes on one thread,
+        # so a single-threaded process applies the operator to the same bits
+        cases = [(3, (64, 64, 64), 4), (2, (256, 256), 127)]
+        code = (
+            "import hashlib, numpy as np\n"
+            "from heatforms.fields import random_band_limited\n"
+            "from heatforms.fourier import apply_beurling_ahlfors\n"
+            f"for n, dims, kmax in {cases!r}:\n"
+            "    f = random_band_limited(n, dims, 1.0, np.random.default_rng(14), kmax=kmax)\n"
+            "    print(hashlib.sha256(apply_beurling_ahlfors(f).data.tobytes()).hexdigest())\n"
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+
+        def digest(n, dims, kmax):
+            f = random_band_limited(n, dims, 1.0, np.random.default_rng(14), kmax=kmax)
+            return hashlib.sha256(apply_beurling_ahlfors(f).data.tobytes()).hexdigest()
+
+        assert proc.stdout.split() == [digest(*case) for case in cases]
 
     @pytest.mark.parametrize("n, dims, kmax", [(2, (32, 32), 6), (3, (16, 16, 16), 3), (4, (8, 8, 8, 8), 3)])
     def test_involution_and_l2_isometry(self, n, dims, kmax):
