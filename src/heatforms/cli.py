@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -270,7 +271,9 @@ def cmd_simulate(args, report: Report):
             report.fail()
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> _Parser:
+    """The whole argparse tree, built once per process (about 70 add_argument calls) and shared."""
     parser = _Parser(prog="heatforms")
     sub = parser.add_subparsers(dest="command", required=True)
 

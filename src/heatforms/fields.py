@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt, prod
+from math import isqrt, prod, sqrt
 from types import MappingProxyType
 
 import numpy as np
@@ -35,6 +35,8 @@ FFLD_DTYPE = "f64le"
 _MODE_TOL = 1e-12  # a mode is held when some row's |c_k| exceeds this times that row's max |c_k| (_held)
 _GEMM_SIZE = 1 << 18  # OpenBLAS runs a product with m * n * k at most this on one thread
 _DENSE_SPAN = 8  # an axis is dense while 2K + 1 <= this * log2(d) (_band_axes), as measured on one core
+_BLOCK = 1 << 15  # points per block of lp_norm's sum and of _held_spectra's rffts, so they work in cache
+_PROBE_LINES = 4  # lines of _held_spectra's first look for a wide last axis
 
 
 def _grid(n: int, dims) -> tuple[int, ...]:
@@ -126,16 +128,26 @@ class FormField:
 
 
 def lp_norm(field: FormField, p: float) -> float:
-    """Riemann-sum L^p norm of the pointwise Euclidean length, finite p >= 1."""
+    """Riemann-sum L^p norm of the pointwise Euclidean length, finite p >= 1.
+
+    The p-th powers are summed over blocks of _BLOCK points, so no
+    grid-sized density or power array is made.
+    """
     if not (np.isfinite(p) and p >= 1):
         raise ValueError(f"exponent must be finite and >= 1, got {p}")
-    d = np.abs(field.data) if np.iscomplexobj(field.data) else field.data
-    density = np.einsum("i...,i...->...", d, d)  # sum_I |f_I(x)|^2
+    rows = field.data.reshape(len(field.masks), prod(field.dims))
+
+    def densities():  # sum_I |f_I(x)|^2, block by block
+        for start in range(0, rows.shape[1], _BLOCK):
+            block = rows[:, start : start + _BLOCK]
+            block = np.abs(block) if np.iscomplexobj(block) else block
+            yield np.einsum("ij,ij->j", block, block)
+
     with np.errstate(over="ignore"):
-        total = field.cell_volume * np.sum(density ** (p / 2.0))
+        total = field.cell_volume * sum(np.sum(density ** (p / 2.0)) for density in densities())
     if total == np.inf:
         raise ValueError(f"exponent {p} overflows the p-th power sum")
-    if total == 0.0 and np.any(density):
+    if total == 0.0 and any(density.any() for density in densities()):
         raise ValueError(f"exponent {p} underflows the p-th power sum")
     return float(total ** (1.0 / p))
 
@@ -225,6 +237,11 @@ def _middle_axis(m: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
     return out.reshape(x.shape[:axis] + (m.shape[0],) + x.shape[axis + 1 :])
 
 
+def _densest(d: int) -> int:
+    """The largest K for which a d-point axis is dense: 2K + 1 <= _DENSE_SPAN log2(d), K <= d/2."""
+    return min(d // 2, (_DENSE_SPAN * (d.bit_length() - 1) - 1) // 2)
+
+
 @lru_cache(maxsize=64)
 def _band_axes(dims: tuple, kmax: tuple) -> tuple:
     """Per axis, (index, k): the half-lattice points held for the box |k_a| <= kmax[a].
@@ -238,10 +255,14 @@ def _band_axes(dims: tuple, kmax: tuple) -> tuple:
     axes = []
     for a, (d, K) in enumerate(zip(dims, kmax)):
         k = np.rint(np.fft.fftfreq(d) * d).astype(int)[: d // 2 + 1 if a == len(dims) - 1 else d]
-        dense = 2 * min(K, d // 2) + 1 <= _DENSE_SPAN * (d.bit_length() - 1)
-        index = _frozen(np.flatnonzero(np.abs(k) <= K)) if dense else None
+        index = _frozen(np.flatnonzero(np.abs(k) <= K)) if min(K, d // 2) <= _densest(d) else None
         axes.append((index, _frozen(k if index is None else k[index])))
     return tuple(axes)
+
+
+def _held_points(dims: tuple, kmax) -> tuple:
+    """kmax with every wide axis set to d // 2: boxes that hold the same points share one cache key."""
+    return tuple(K if min(K, d // 2) <= _densest(d) else d // 2 for d, K in zip(dims, kmax))
 
 
 def _band_inverse(spectra: np.ndarray, dims: tuple, kmax, out: np.ndarray) -> np.ndarray:
@@ -288,6 +309,79 @@ def _held_band(spectra: np.ndarray, dims: tuple) -> tuple:
         if index is not None:
             spectra = spectra.take(index, axis=spectra.ndim - n + a)
     return tuple(kmax), spectra
+
+
+def _rfft_sums(stack: np.ndarray, points: int) -> tuple:
+    """Last-axis rffts of a real stack, and per bin the sums of |Re| and |Im| over runs of points lines.
+
+    The sums come interleaved, one row per run. The rffts go in
+    blocks of about _BLOCK samples, or the whole stack at once when it
+    fits, and each block is summed while it is in cache.
+    """
+    d = stack.shape[-1]
+    lines = stack.reshape(-1, d)
+    spectra = np.empty(stack.shape[:-1] + (d // 2 + 1,), complex)
+    out = spectra.reshape(len(lines), -1)
+    step = max(1, _BLOCK // d)  # both powers of two: a block holds whole runs or an equal part of one
+    if len(lines) <= step:
+        blocks = [(stack, spectra)]
+    else:
+        blocks = [(lines[i : i + step], out[i : i + step]) for i in range(0, len(lines), step)]
+    parts = np.zeros((len(lines) // points, 2 * out.shape[1]))
+    mags = np.empty((min(step, len(lines)), parts.shape[1]))
+    start = 0
+    for x, y in blocks:
+        block = np.fft.rfft(x, out=y).view(float).reshape(-1, parts.shape[1])
+        count = len(block)
+        sums = np.abs(block, out=mags[:count]).reshape(-1, min(count, points), parts.shape[1]).sum(axis=1)
+        parts[start // points : (start + count - 1) // points + 1] += sums
+        start += count
+    return spectra, parts
+
+
+def _last_live(parts: np.ndarray, points: int) -> int:
+    """The last last-axis bin that may hold a mode _held keeps, from _rfft_sums' parts.
+
+    parts holds, per row r and bin k, sum_x' |Re P_r(x', k)| and |Im P_r(x',
+    k)| over the points x' of the other axes. Their sum S_r(k) bounds every
+    coefficient of bin k in row r, and by Parseval and Cauchy-Schwarz
+    floor_r = max_k S_r(k) / sqrt(2 points) is at most that row's largest
+    |c|, so a bin with S_r(k) <= _MODE_TOL / 2 * floor_r in every row (zero
+    rows included) holds no mode; the half covers rounding.
+    """
+    bound = parts[:, 0::2] + parts[:, 1::2]
+    cut = bound.max(axis=1, keepdims=True) * (0.5 * _MODE_TOL / sqrt(2 * points))  # _MODE_TOL / 2 * floor_r
+    live = np.flatnonzero((bound > cut).any(axis=0))
+    return int(live[-1]) if len(live) else 0
+
+
+def _held_spectra(stack: np.ndarray, dims: tuple) -> tuple:
+    """_held_band of the rfftn of a real stack over its trailing len(dims) axes, bitwise.
+
+    The last-axis rffts come with _last_live's bound. The bins past the
+    last live one are dropped when the rest leave the last axis dense, and
+    the other axes' fft passes run on the kept bins only, in rfftn's
+    order; every line is transformed on its own, so the box and the cut
+    spectra are those of the whole rfftn. A stack of more than one block
+    first takes the same test on about _PROBE_LINES lines of each row
+    alone, and a live bin past the dense limit there skips the bound.
+    """
+    n, d = len(dims), dims[-1]
+    points = prod(dims[:-1])
+    wide = False
+    if stack.size > _BLOCK:
+        probe = np.fft.rfft(stack.reshape(-1, points, d)[:, :: max(1, points // _PROBE_LINES)])
+        wide = _last_live(np.abs(probe.view(float)).sum(axis=1), probe.shape[1]) > _densest(d)
+    if wide:
+        spectra = np.fft.rfft(stack)
+    else:
+        spectra, parts = _rfft_sums(stack, points)
+        last = _last_live(parts, points)
+        if last <= _densest(d):
+            spectra = np.ascontiguousarray(spectra[..., : last + 1])
+    for axis in reversed(range(spectra.ndim - n, spectra.ndim - 1)):
+        np.fft.fft(spectra, axis=axis, out=spectra)
+    return _held_band(spectra, dims)
 
 
 def random_band_limited(
@@ -356,10 +450,30 @@ def write_ffld(field: FormField, path) -> None:
 
 
 def read_ffld(path) -> FormField:
-    """Read an FFLD v1 file, rejecting any inconsistent header or payload."""
+    """Read an FFLD v1 file, rejecting any inconsistent header or payload.
+
+    The payload is read straight into the field's array, which the checked
+    header sizes; pages past a short payload are never touched.
+    """
     with open(path, "rb") as fh:
-        line = fh.readline()
-        payload = fh.read()
+        n, dims, length, masks = _ffld_header(fh.readline())
+        expected_bytes = len(masks) * prod(dims) * 8
+        try:
+            data = np.empty((len(masks),) + dims, "<f8")
+        except (MemoryError, ValueError) as exc:  # a header no array can hold
+            raise FFLDError(f"payload of {expected_bytes} bytes cannot be held: {exc}") from exc
+        got = fh.readinto(data)
+        got += len(fh.read())  # anything past the expected payload
+    if got != expected_bytes:
+        raise FFLDError(f"payload length {got} != expected {expected_bytes}")
+    try:
+        return FormField(n, dims, length, masks, data.astype(float, copy=False))
+    except ValueError as exc:
+        raise FFLDError(str(exc)) from exc
+
+
+def _ffld_header(line: bytes) -> tuple:
+    """(n, dims, L, masks) from an FFLD header line, every field checked."""
     if not line.startswith(FFLD_MAGIC.encode("ascii")):
         raise FFLDError("missing FFLD1 magic")
     try:
@@ -385,17 +499,11 @@ def read_ffld(path) -> FormField:
         raise FFLDError(f"dimension n={n} exceeds the supported cap 16")
     if any(not 0 <= g <= n for g in grades) or len(set(grades)) != len(grades):
         raise FFLDError("invalid grade list")
-    masks = masks_for_grades(n, grades)
-    expected_bytes = len(masks) * prod(dims) * 8
-    if len(payload) != expected_bytes:
-        raise FFLDError(
-            f"payload length {len(payload)} != expected {expected_bytes}"
-        )
     try:
-        data = np.frombuffer(payload, dtype="<f8").reshape((len(masks),) + dims)
-        return FormField(n, dims, length, masks, data.astype(float))
+        dims = _grid(n, dims)
     except ValueError as exc:
         raise FFLDError(str(exc)) from exc
+    return n, dims, length, masks_for_grades(n, grades)
 
 
 class TrigSeries:

@@ -13,9 +13,10 @@ m(-k) = conj(m(k)) on the full lattice; real even symbols and i times
 real odd ones are, and a complex even symbol is applied as its real and
 imaginary parts. Complex fields go through as a batch of their real and
 imaginary parts, so every multiplier acts on them complex-linearly. The
-operator and psw_integral take the same forward FFT, then cut it to the
-box of the modes their fields hold (fields._held_band) and invert there
-with fields._band_inverse, the draw's inverse.
+operator and psw_integral take one held forward transform
+(fields._held_spectra), bitwise the same FFT cut to the box of the modes
+their fields hold, and invert there with fields._band_inverse, the
+draw's inverse.
 
 The operator acts per frequency xi by the reflection
 
@@ -49,7 +50,7 @@ from functools import lru_cache
 import numpy as np
 
 from .exterior import MultiIndex, substitutions
-from .fields import FormField, _band_axes, _band_inverse, _frozen, _held_band, lp_norm
+from .fields import FormField, _band_axes, _band_inverse, _frozen, _held_points, _held_spectra, lp_norm
 from .heatmatrix import HeatMatrixSpec, build_full_matrix, conjugate_exponent
 
 GL_ORDER = 16  # Gauss-Legendre nodes per time panel
@@ -61,6 +62,9 @@ _EIG_CHUNK = 65536  # symbol matrices per batched eigensolve
 @lru_cache(maxsize=8)
 def _directions(dims: tuple, kmax: tuple):
     """(u, nyquist, u_alias) on the points fields._band_axes holds for the box kmax.
+
+    Callers key a box by fields._held_points, so boxes that hold the same
+    points share one entry.
 
     u = k/|k| per axis (0 at the origin); nyquist, the flat indices of points
     with a Nyquist coordinate; u_alias, the direction there of the lattice
@@ -79,10 +83,11 @@ def _directions(dims: tuple, kmax: tuple):
 def _multipliers(dims: tuple, L: float, kmax=None):
     """|xi|^2 and the gradient multipliers i 2 pi k_a / L on the points held for the box kmax.
 
-    The points are those fields._band_axes holds; kmax None is the whole
-    half lattice. The gradient multipliers form one (n, *points) array;
-    each is zeroed at the Nyquist index (k = -N/2), where i 2 pi k_a / L
-    has no Hermitian partner, so that real fields keep real derivatives.
+    The points are those fields._band_axes holds, keyed like _directions;
+    kmax None is the whole half lattice. The gradient multipliers form one
+    (n, *points) array; each is zeroed at the Nyquist index (k = -N/2),
+    where i 2 pi k_a / L has no Hermitian partner, so that real fields keep
+    real derivatives.
     """
     ks = np.meshgrid(*(k for _, k in _band_axes(dims, kmax or dims)), indexing="ij", sparse=True)
     xi_sq = sum((k / L) ** 2 for k in ks)
@@ -94,12 +99,17 @@ def _multipliers(dims: tuple, L: float, kmax=None):
     return _frozen(xi_sq), _frozen(grad_mult)
 
 
+def _real_batch(data: np.ndarray) -> np.ndarray:
+    """A stack as a batch of real stacks: itself, or its real and imaginary parts."""
+    return np.stack([data.real, data.imag]) if np.iscomplexobj(data) else data[None]
+
+
 def _half_spectra(data: np.ndarray, dims: tuple) -> np.ndarray:
     """rfftn over the trailing len(dims) axes of a stack, as a new (batch, *rows, *half) array.
 
-    The batch holds real data, or the real and imaginary parts of complex data.
+    The batch is _real_batch's.
     """
-    batch = np.stack([data.real, data.imag]) if np.iscomplexobj(data) else data[None]
+    batch = _real_batch(data)
     spectra = np.empty(batch.shape[:-1] + (dims[-1] // 2 + 1,), complex)
     return np.fft.rfftn(batch, axes=tuple(range(batch.ndim - len(dims), batch.ndim)), out=spectra)
 
@@ -261,14 +271,14 @@ def apply_beurling_ahlfors(field: FormField) -> FormField:
 
     Grades 0 and n are eigen-grades, M = +I and -I at every nonzero
     frequency (Nyquist points too), so those rows are f_0 - mean(f_0) and
-    mean(f_n) - f_n, with no transform. The middle grades take one real
-    FFT, cut to the box of the modes they hold (fields._held_band: a dense
-    axis drops the modes below fields._MODE_TOL of their row's largest, a
-    wide one keeps all), n contractions and n wedge products with
-    unit-direction grids on the box, and fields._band_inverse into the
-    output stack. The symbol couples only components of equal grade, so a
-    single-grade field stays single-grade. The mean of every component is
-    annihilated.
+    mean(f_n) - f_n, with no transform. The middle grades take the held
+    forward transform, a real FFT cut to the box of the modes they hold
+    (fields._held_spectra: a dense axis drops the modes below
+    fields._MODE_TOL of their row's largest, a wide one keeps all), n
+    contractions and n wedge products with unit-direction grids on the
+    box, and fields._band_inverse into the output stack. The symbol
+    couples only components of equal grade, so a single-grade field stays
+    single-grade. The mean of every component is annihilated.
     """
     if not field.is_finite():
         raise ValueError("field has non-finite samples")
@@ -277,8 +287,8 @@ def apply_beurling_ahlfors(field: FormField) -> FormField:
     lo = int(0 in masks)
     hi = len(masks) - int((1 << n) - 1 in masks)
     if lo < hi:
-        kmax, spectra = _held_band(_half_spectra(data[lo:hi], dims), dims)
-        u, nyquist, u_alias = _directions(dims, kmax)
+        kmax, spectra = _held_spectra(_real_batch(data[lo:hi]), dims)
+        u, nyquist, u_alias = _directions(dims, _held_points(dims, kmax))
         lowered, plan = _reflection_plan(n, tuple(masks[lo:hi]))
         # A Nyquist point also stands for the lattice vector with its Nyquist
         # coordinates negated; a real field sees the mean of both symbols.
@@ -337,11 +347,11 @@ def psw_integral(
     past which every mode has underflowed; rhs = (p* - 1) ||f||_p ||g||_p'.
     The discarded (T, inf) part is bounded by Cauchy-Schwarz and the
     slowest nonzero mode decay: exp(-r T)/r * ||grad f||_2 ||grad g||_2.
-    Both fields must be real. One real FFT of their stacked components is
-    cut once to the box |k_a| <= K_a of the modes the fields hold
-    (fields._held_band), where |xi|^2 and the gradient multipliers are
-    built. The time integral is composite Gauss-Legendre on at most
-    log2(_EXP_UNDERFLOW max|k|^2) panels, max|k|^2 the box's largest,
+    Both fields must be real. One held forward transform of their stacked
+    components (fields._held_spectra) gives them on the box |k_a| <= K_a
+    of the modes the fields hold, where |xi|^2 and the gradient
+    multipliers are built. The time integral is composite Gauss-Legendre
+    on at most log2(_EXP_UNDERFLOW max|k|^2) panels, max|k|^2 the box's largest,
     refined geometrically toward t = 0, where fast modes still matter.
     Each time node, and t = 0 for the tail, damps the box and inverts all
     damped gradients with fields._band_inverse, whose bits do not depend
@@ -360,9 +370,8 @@ def psw_integral(
     n, dims, L = field_f.n, field_f.dims, field_f.L
     cell = field_f.cell_volume
     split = len(field_f.masks)
-    spectra = np.fft.rfftn(np.concatenate([field_f.data, field_g.data]), axes=tuple(range(1, n + 1)))
-    kmax, spectra = _held_band(spectra, dims)
-    xi_sq, grad_mult = _multipliers(dims, L, kmax)
+    kmax, spectra = _held_spectra(np.concatenate([field_f.data, field_g.data]), dims)
+    xi_sq, grad_mult = _multipliers(dims, L, _held_points(dims, kmax))
 
     def grad_norms_at(t):
         """Pointwise gradient lengths of the heat extensions of f and of g."""

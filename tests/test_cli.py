@@ -2,6 +2,9 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -226,6 +229,31 @@ SMALL_RUNS = {
     "simulate-ito": ["simulate", "ito", "--grid", "8", "--step-counts", "8,16", "--paths", "50", "--reps", "1"],
     "simulate-transform": ["simulate", "transform", "--p", "2", "--trials", "5000", "--steps", "16"],
 }
+
+
+class TestSharedParser:
+    # main builds its argparse tree once per process and parses every call with it
+
+    def test_calls_in_one_process_match_fresh_processes(self, capsys):
+        runs = [SMALL_RUNS["simulate-transform"], SMALL_RUNS["simulate-markov"], SMALL_RUNS["bounds"]]
+        in_process = []
+        for argv in runs:
+            code = main(list(argv))
+            in_process.append((code, capsys.readouterr().out))
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        for argv, (code, out) in zip(runs, in_process):
+            command = [sys.executable, "-m", "heatforms.cli", *argv]
+            proc = subprocess.run(command, env=env, capture_output=True, text=True, timeout=300)
+            assert (proc.returncode, proc.stdout) == (code, out)
+
+    def test_usage_error_after_a_good_call(self, capsys):
+        assert main(list(SMALL_RUNS["bounds"])) == 0
+        capsys.readouterr()
+        assert main(["bounds", "--n", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "required" in captured.err
+        assert main(list(SMALL_RUNS["bounds"])) == 0
 
 
 class TestDeterminism:

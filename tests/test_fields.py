@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from math import prod
 from pathlib import Path
 
@@ -18,6 +19,9 @@ from heatforms.fields import (
     _band_inverse,
     _blocks,
     _complex_band,
+    _held_band,
+    _held_spectra,
+    _MODE_TOL,
     _real_band,
     cosine_field,
     lp_norm,
@@ -284,6 +288,91 @@ class TestBandInverse:
                 assert list(last_k) == [j for j in labels[: d // 2 + 1] if abs(j) <= K or index is None]
 
 
+def held_band_of_rfftn(stack, dims):
+    """_held_band of the whole rfftn over the trailing len(dims) axes, the held forward's reference."""
+    return _held_band(np.fft.rfftn(stack, axes=tuple(range(stack.ndim - len(dims), stack.ndim))), dims)
+
+
+class TestHeldSpectra:
+    # the held forward transform against _held_band of the whole rfftn:
+    # the same box and the same bits, whatever last-axis bins it skips
+
+    @pytest.mark.parametrize(
+        "dims, kmax",
+        [((64, 64, 64), 4), ((256, 256), 8), ((256, 256), 127), ((32, 32, 32), 4), ((16, 32), 8)],
+    )
+    @pytest.mark.parametrize("kind", ["real", "complex", "noise", "zero-row", "zeros"])
+    def test_matches_held_band_of_rfftn(self, dims, kmax, kind):
+        # (16, 32) at kmax 8 reaches Nyquist on its first axis only
+        n = len(dims)
+        rng = np.random.default_rng(kmax + n)
+        f, g = (random_band_limited(n, dims, 1.0, rng, kmax=kmax, mean_zero=False).data for _ in "fg")
+        stack = {
+            "real": f[None],
+            "complex": np.stack([f, g]),  # a complex field goes as its real and imaginary parts
+            "noise": rng.standard_normal(f.shape),
+            "zero-row": np.concatenate([f[:1], np.zeros_like(f[:1]), f[1:]]),
+            "zeros": np.zeros(f.shape),
+        }[kind]
+        box, spectra = _held_spectra(stack, dims)
+        want_box, want = held_band_of_rfftn(stack, dims)
+        assert box == want_box
+        assert spectra.shape == want.shape and np.array_equal(spectra, want)
+
+    @pytest.mark.parametrize(
+        "scale, box, bins",
+        [(1.01, (3, 20), 21), (0.99, (1, 1), 21), (0.01, (1, 1), 2)],
+        ids=["above-the-cut", "below-the-cut", "below-the-bound"],
+    )
+    def test_a_high_bin_mode_near_the_cut(self, monkeypatch, scale, box, bins):
+        # cos(2 pi (x + y)) on 64^2 plus a mode at k = (3, 20) whose |c| is
+        # scale * _MODE_TOL times the row's largest: it is held above the
+        # cut and not below, as the whole rfftn decides. Bin 20 is left out
+        # of the other axis's pass only where its bound, sum_x |Re| + |Im|,
+        # clears _MODE_TOL / 2 of the floor on the row's largest |c|.
+        x = np.arange(64) / 64
+        small = scale * _MODE_TOL * np.cos(2 * np.pi * (3 * x[:, None] + 20 * x))
+        row = np.cos(2 * np.pi * (x[:, None] + x)) + small
+        seen = []
+
+        def recorded(a, *args, _fn=np.fft.fft, **kwargs):
+            seen.append(a.shape[-1])
+            return _fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", recorded)
+        got_box, got = _held_spectra(row[None], (64, 64))
+        assert seen == [bins]
+        monkeypatch.undo()
+        want_box, want = held_band_of_rfftn(row[None], (64, 64))
+        assert got_box == want_box == box
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "n, dims, kmax, bins",
+        [
+            (3, (64, 64, 64), 4, 5),
+            (2, (256, 256), 8, 9),
+            (2, (256, 256), 127, 129),
+            (3, (64, 64, 64), 31, 33),
+        ],
+    )
+    def test_other_axes_see_only_the_live_bins(self, monkeypatch, n, dims, kmax, bins):
+        # a band-limited draw leaves the last-axis bins past kmax empty: they
+        # skip the other axes' passes while the last axis stays dense (K <= 23
+        # at d = 64, K <= 31 at d = 256), and a wide box transforms them all
+        f = random_band_limited(n, dims, 1.0, np.random.default_rng(kmax), kmax=kmax)
+        seen = []
+
+        def recorded(a, *args, _fn=np.fft.fft, **kwargs):
+            seen.append(a.shape[-1])
+            return _fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", recorded)
+        box, _ = _held_spectra(f.data[None], dims)
+        assert box == (kmax,) * n
+        assert seen == [bins] * (n - 1)
+
+
 class TestLpNorm:
     def test_zero_field(self):
         assert lp_norm(FormField.zeros(2, (8, 8)), 3.0) == 0.0
@@ -332,6 +421,31 @@ class TestLpNorm:
         rng = np.random.default_rng(42)
         f = random_band_limited(2, (8, 8), 1.0, rng)
         assert np.isclose(lp_norm(scale * f, p), scale * lp_norm(f, p), rtol=1e-10)
+
+    def test_blocks_match_one_sum_over_the_grid(self):
+        # 64^3 holds eight blocks of points; the norm stays within 1e-15 of
+        # one sum over a grid-sized density
+        rng = np.random.default_rng(8)
+        f, g = (random_band_limited(3, (64, 64, 64), 1.0, rng, kmax=4) for _ in "fg")
+        for field in (f, f.like(f.data + 1j * g.data)):
+            d = np.abs(field.data)
+            density = np.einsum("i...,i...->...", d, d)
+            for p in (1.0, 4.0 / 3.0, 2.0, 4.0, 7.5):
+                want = (field.cell_volume * np.sum(density ** (p / 2.0))) ** (1.0 / p)
+                assert abs(lp_norm(field, p) / want - 1.0) <= 1e-15
+
+    def test_no_grid_sized_array(self):
+        # a 1024^2 grade-1 field, whose density alone takes 8 MiB: the
+        # blocks' arrays stay under a quarter of that, complex fields too
+        rng = np.random.default_rng(9)
+        f = FormField(2, (1024, 1024), 1.0, [1, 2], rng.standard_normal((2, 1024, 1024)))
+        for field in (f, f.like(f.data + 1j * f.data[::-1])):
+            for p in (1.0, 3.5):
+                tracemalloc.start()
+                lp_norm(field, p)
+                peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+                assert peak < (8 << 20) // 4
 
     @pytest.mark.parametrize("complex_data", [False, True])
     def test_density_matches_row_loop(self, complex_data):
@@ -438,6 +552,30 @@ class TestFFLD:
             fh.write(b"\x00" * 8)
         with pytest.raises(FFLDError, match="payload length"):
             read_ffld(path)
+
+    @pytest.mark.parametrize("change", [0, -8, 8, "huge"], ids=["exact", "short", "long", "huge"])
+    def test_payload_length_from_a_pipe(self, tmp_path, change):
+        # a pipe's length is known only once it is read, and a header whose
+        # payload no array can hold is refused before reading
+        f = random_band_limited(2, (4, 4), 1.0, np.random.default_rng(4))
+        path = tmp_path / "f.ffld"
+        write_ffld(f, path)
+        data = path.read_bytes()
+        if change == "huge":
+            data = data.replace(b'"dims": [4, 4]', b'"dims": [1073741824, 1073741824]')
+        else:
+            data = data[:change] if change < 0 else data + b"\0" * change
+        read_end, write_end = os.pipe()
+        with open(write_end, "wb") as fh:  # ~600 bytes: fits in the pipe's buffer
+            fh.write(data)
+        try:
+            if change:
+                with pytest.raises(FFLDError, match="payload"):
+                    read_ffld(f"/dev/fd/{read_end}")
+            else:
+                assert read_ffld(f"/dev/fd/{read_end}").data.tobytes() == f.data.tobytes()
+        finally:
+            os.close(read_end)
 
     def test_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ffld"

@@ -383,6 +383,15 @@ class TestApply:
         got = apply_beurling_ahlfors(f.like(f.data + 1j * g.data)).data
         assert np.allclose(got, want_f + 1j * want_g, rtol=0.0, atol=1e-12)
 
+    def test_wide_boxes_share_one_direction_grid(self):
+        # at 64^3 an axis is wide from K = 24 on and then holds every point,
+        # so the boxes of kmax 31 and 32 share one cache entry
+        fourier._directions.cache_clear()
+        for kmax in (31, 32):
+            f = random_band_limited(3, (64, 64, 64), 1.0, np.random.default_rng(kmax), kmax=kmax)
+            apply_beurling_ahlfors(f)
+        assert fourier._directions.cache_info().currsize == 1
+
     def test_independent_of_blas_thread_count(self):
         # a dense box (64^3, kmax 4) and a wide one (256^2, kmax 127): band
         # products run on one OpenBLAS thread and FFT passes on one thread,
@@ -475,11 +484,11 @@ class TestEigenGrades:
         edges = random_band_limited(n, dims, 1.0, rng, kmax=2, grades=[0, n])
         seen = []
 
-        def recorded(a, *args, _fn=np.fft.rfftn, **kwargs):
+        def recorded(a, *args, _fn=np.fft.rfft, **kwargs):
             seen.append(np.array(a))
             return _fn(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.fft, "rfftn", recorded)
+        monkeypatch.setattr(np.fft, "rfft", recorded)
         apply_beurling_ahlfors(f)
         apply_beurling_ahlfors(f.like(f.data + 1j * g.data))
         assert len(seen) == 2
@@ -710,8 +719,9 @@ class TestPsw:
         assert len(calls) == 10 * GL_ORDER + 1  # every node, plus t = 0 for the tail
 
     def test_one_forward_fft_and_no_inverse_fft(self, monkeypatch):
-        # two all-grade 32^2 fields, t_max 1: one rfftn of the stacked
-        # fields, and every node inverted with the cached band matrices
+        # two all-grade 32^2 fields, t_max 1: the forward transform of the
+        # stacked fields (one rfft, then one fft pass over the bins it
+        # keeps), and every node inverted with the cached band matrices
         rng = np.random.default_rng(10)
         f = random_band_limited(2, (32, 32), 1.0, rng, kmax=2)
         g = random_band_limited(2, (32, 32), 1.0, rng, kmax=2)
@@ -724,7 +734,15 @@ class TestPsw:
 
             monkeypatch.setattr(np.fft, name, counted)
         psw_integral(f, g, 2.5, t_max=1.0)
-        assert calls == {"rfftn": 1}
+        assert calls == {"rfft": 1, "fft": 1}
+
+    def test_wide_boxes_share_one_multiplier_grid(self):
+        # at 64^2 the boxes of kmax 30 and 31 are wide on both axes: one entry
+        fourier._multipliers.cache_clear()
+        for kmax in (30, 31):
+            f = random_band_limited(2, (64, 64), 1.0, np.random.default_rng(kmax), kmax=kmax, grades=[1])
+            psw_integral(f, f, 2.0, t_max=1.0)
+        assert fourier._multipliers.cache_info().currsize == 1
 
     def test_grid_mismatch_rejected(self):
         f = FormField.zeros(2, (8, 8))
