@@ -9,16 +9,22 @@ operator bound of order that constant times (p - 1).
 
 The symmetric weight 1/2 is hard-wired here; projection makes the weight
 split collapse anyway.
+
+One index plan per n (_projection_plan), built once from substitutions,
+places every entry sigma[source] * sign; grouped by column group, it
+makes the projection one flat assignment and a group's block one slice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import lgamma, sqrt
 
 import numpy as np
 
-from .exterior import MultiIndex, substitutions
+from .exterior import MultiIndex, enumerate_all, substitutions
+from .fields import _frozen
 from .heatmatrix import conjugate_exponent
 
 
@@ -34,7 +40,7 @@ class UnitDirection:
         object.__setattr__(self, "sigma", sigma)
         if sigma.shape != (1 << self.n,):
             raise ValueError(f"need 2^{self.n} coefficients")
-        if abs(float(sigma @ sigma) - 1.0) > 1e-12:
+        if not abs(float(sigma @ sigma) - 1.0) <= 1e-12:  # nan fails this too
             raise ValueError("coefficients must have unit length")
 
 
@@ -43,23 +49,28 @@ def random_direction(n, rng) -> UnitDirection:
     return UnitDirection(vec / np.linalg.norm(vec), n)
 
 
-def _column_group(sigma, J: MultiIndex) -> np.ndarray:
-    """The n x n block of the projection on the columns (J, 1..n).
-
-    sigma_J times +1 (axis in J) or -1 on the diagonal, and for each
-    substitution J -> T = J\\k+l the entry sigma_T * sign at (k, l) and
-    at (l, k).
-    """
-    block = np.diag([sigma[J.mask] * (1.0 if i in J else -1.0) for i in range(1, J.n + 1)])
-    for k, l, T, sign in substitutions(J):
-        block[k - 1, l - 1] = block[l - 1, k - 1] = sigma[T.mask] * sign
-    return block
+@lru_cache(maxsize=16)
+def _projection_plan(n: int):
+    """(at, local, src, signs, start): sigma[src] * signs at flat positions at
+    (local in a group's block); group J is start[J]:start[J + 1], its diagonal,
+    then (k, l) per substitution J -> J\\k+l (S row by row), then (l, k)."""
+    entries = []  # (row, column, group, source, sign)
+    for J in enumerate_all(n):
+        subs = [(k - 1, l - 1, J.mask, T.mask, sign) for k, l, T, sign in substitutions(J)]
+        entries += [(i, i, J.mask, J.mask, 1 if J.mask >> i & 1 else -1) for i in range(n)]
+        entries += subs + [(l, k, *rest) for k, l, *rest in subs]
+    row, col, group, src, signs = np.array(entries, dtype=int).reshape(-1, 5).T
+    at = row * (n << n) + group * n + col
+    start = np.searchsorted(group, np.arange((1 << n) + 1))
+    return tuple(_frozen(a) for a in (at, row * n + col, src, signs.astype(float), start))
 
 
 def sigma_dot_matrix(direction: UnitDirection) -> np.ndarray:
     """n x (n 2^n) projection; columns ordered (mask ascending, then axis)."""
-    n = direction.n
-    return np.hstack([_column_group(direction.sigma, MultiIndex(mask, n)) for mask in range(1 << n)])
+    at, _, src, signs, _ = _projection_plan(direction.n)
+    m = np.zeros((direction.n, direction.n << direction.n))
+    np.put(m, at, direction.sigma[src] * signs)
+    return m
 
 
 def sigma_block(direction: UnitDirection, J: MultiIndex):
@@ -68,17 +79,21 @@ def sigma_block(direction: UnitDirection, J: MultiIndex):
     In the basis that lists the axes inside J first, the block is
     [[sigma_J I, S], [S^T, -sigma_J I]] with S the substitution pattern;
     squaring it shows the norm is sqrt(sigma_J^2 + ||S||^2) exactly.
+    ||S|| is 0 for an empty S and the length of a single row or column.
     Returns the block in natural axis order together with that value.
     """
     n = direction.n
-    sigma = direction.sigma
-    block = _column_group(sigma, J)
-    inside = [e - 1 for e in J.elements()]
-    outside = [e for e in range(n) if e + 1 not in J]
-    cross = block[np.ix_(inside, outside)]
-    cross_norm = np.linalg.svd(cross, compute_uv=False)[0] if cross.size else 0.0
-    norm = sqrt(float(sigma[J.mask]) ** 2 + float(cross_norm) ** 2)
-    return block, norm
+    if J.n != n:
+        raise ValueError(f"subset of {{1, ..., {J.n}}} for a direction in dimension {n}")
+    _, local, src, signs, start = _projection_plan(n)
+    group = slice(start[J.mask], start[J.mask + 1])
+    values = direction.sigma[src[group]] * signs[group]
+    block = np.zeros((n, n))
+    np.put(block, local[group], values)
+    m = J.grade
+    cross = values[n : n + m * (n - m)].reshape(m, n - m)
+    cross_norm = np.linalg.svd(cross, compute_uv=False)[0] if min(m, n - m) > 1 else np.linalg.norm(cross)
+    return block, sqrt(float(direction.sigma[J.mask]) ** 2 + float(cross_norm) ** 2)
 
 
 def aggregate_bound(direction: UnitDirection) -> float:

@@ -9,6 +9,7 @@ row/column layout of every matrix built elsewhere in the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 
 @dataclass(frozen=True)
@@ -30,8 +31,7 @@ class MultiIndex:
     def from_elements(cls, elements, n):
         mask = 0
         for e in elements:
-            if not 1 <= e <= n:
-                raise ValueError(f"element {e} outside {{1, ..., {n}}}")
+            _check_element(n, e)
             mask |= 1 << (e - 1)
         return cls(mask, n)
 
@@ -49,16 +49,22 @@ class MultiIndex:
         return f"MultiIndex({{{', '.join(map(str, self.elements()))}}}, n={self.n})"
 
 
+@lru_cache(maxsize=128)
+def _subsets(n: int, r: int | None) -> tuple[MultiIndex, ...]:
+    """The grade-r subsets (every subset for r None), ascending mask; cached and frozen."""
+    return tuple(MultiIndex(m, n) for m in range(1 << n) if r is None or m.bit_count() == r)
+
+
 def enumerate_grade(n: int, r: int) -> list[MultiIndex]:
-    """All grade-r subsets of {1, ..., n}, in ascending mask order."""
+    """All grade-r subsets of {1, ..., n}, in ascending mask order (a new list per call)."""
     if not 0 <= r <= n:
         raise ValueError(f"grade {r} outside [0, {n}]")
-    return [MultiIndex(m, n) for m in range(1 << n) if m.bit_count() == r]
+    return list(_subsets(n, r))
 
 
 def enumerate_all(n: int) -> list[MultiIndex]:
-    """All 2^n subsets in ascending mask order (mixed grades)."""
-    return [MultiIndex(m, n) for m in range(1 << n)]
+    """All 2^n subsets in ascending mask order (mixed grades; a new list per call)."""
+    return list(_subsets(n, None))
 
 
 def interval_count(K: MultiIndex, k: int, l: int) -> int:

@@ -1,13 +1,13 @@
 """Fourier engine on the periodic grid.
 
-Heat extensions, spectral gradients, the frequency-domain matrix of the
-Beurling-Ahlfors operator, its application to fields, and the bilinear
-gradient integral that pairs two heat extensions.
+The frequency-domain matrix of the Beurling-Ahlfors operator, its
+application to fields, and the bilinear gradient integral that pairs two
+heat extensions.
 
-Heat damping, gradients and the Laplace-type multipliers in
-multipliers.py take one path (_through_spectrum): a real FFT of the
-field's component stack onto the half lattice that rfftn stores, the
-multiplier applied to those half spectra, and one inverse real FFT. Half
+The Laplace-type multipliers in multipliers.py take one path
+(_through_spectrum): a real FFT of the field's component stack onto the
+half lattice that rfftn stores, the multiplier applied to those half
+spectra, and one inverse real FFT. Half
 spectra determine a real field only under a Hermitian multiplier,
 m(-k) = conj(m(k)) on the full lattice; real even symbols and i times
 real odd ones are, and a complex even symbol is applied as its real and
@@ -49,7 +49,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exterior import MultiIndex, substitutions
+from .exterior import enumerate_all, substitutions
 from .fields import FormField, _band_axes, _band_inverse, _frozen, _held_points, _held_spectra, lp_norm
 from .heatmatrix import HeatMatrixSpec, build_full_matrix, conjugate_exponent
 
@@ -134,27 +134,6 @@ def _batch_parts(out: np.ndarray) -> np.ndarray:
     return np.moveaxis(pairs, -1, 0)
 
 
-def heat_extension(field: FormField, t: float) -> FormField:
-    """Damp every Fourier mode by exp(-2 pi^2 |xi|^2 t)."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    if t == 0.0:
-        return field.copy()
-    xi_sq, _ = _multipliers(field.dims, field.L)
-    damp = np.exp(-2.0 * np.pi**2 * xi_sq * t)
-    return field.like(_through_spectrum(field.data, field.dims, lambda s: s * damp))
-
-
-def spectral_gradient(field: FormField) -> np.ndarray:
-    """Exact spectral derivative along every axis of every component.
-
-    Returns an array of shape (len(field.masks), n, *dims): entry [c, a]
-    is the derivative of component row c along axis a.
-    """
-    _, grad_mult = _multipliers(field.dims, field.L)
-    return _through_spectrum(field.data, field.dims, lambda s: s[:, :, None] * grad_mult)
-
-
 @dataclass(frozen=True)
 class SymbolMatrix:
     """Frequency-domain matrix of the operator at one frequency."""
@@ -173,16 +152,9 @@ def _symbol_structure(n: int):
     entry -2 * signs * xi_{a+1} xi_{b+1} / |xi|^2.
     """
     diag_signs = 1.0 - 2.0 * (np.arange(1 << n)[:, None] >> np.arange(n) & 1)
-    offdiag = np.array(
-        [
-            ((T.mask << n) + mask, k - 1, l - 1, sign)
-            for mask in range(1 << n)
-            for k, l, T, sign in substitutions(MultiIndex(mask, n))
-        ],
-        dtype=int,
-    ).reshape(-1, 4)
-    entries, a, b, signs = offdiag.T
-    return tuple(_frozen(arr) for arr in (diag_signs, entries, a, b, signs.astype(float)))
+    subs = [(J.mask, k - 1, l - 1, T.mask, s) for J in enumerate_all(n) for k, l, T, s in substitutions(J)]
+    mask, a, b, target, signs = np.array(subs, dtype=int).reshape(-1, 5).T
+    return tuple(_frozen(arr) for arr in (diag_signs, (target << n) + mask, a, b, signs.astype(float)))
 
 
 def _dense_symbols(xi: np.ndarray) -> np.ndarray:

@@ -36,6 +36,7 @@ import numpy as np
 
 from .errors import CapError
 from .exterior import MultiIndex, enumerate_grade, substitute_with_sign, substitutions
+from .fields import _frozen
 
 GRADE_BLOCK_CAP = 10_000  # max rows of one grade block
 FULL_MATRIX_CAP_N = 10  # max dimension for materializing the full matrix
@@ -102,17 +103,11 @@ def _grade_structure(n: int, r: int):
     pos = {I.mask: idx for idx, I in enumerate(subsets)}
     size = len(subsets) * n
     diag = np.array([1.0 if i in J else -1.0 for J in subsets for i in range(1, n + 1)])
-    subs = np.array(
-        [(pos[T.mask], pos[J.mask], k, l, sign) for J in subsets for k, l, T, sign in substitutions(J)],
-        dtype=int,
-    ).reshape(-1, 5)
-    row_s, col_s, k, l, signs = subs.T
+    subs = [(pos[T.mask], pos[J.mask], k, l, sign) for J in subsets for k, l, T, sign in substitutions(J)]
+    row_s, col_s, k, l, signs = np.array(subs, dtype=int).reshape(-1, 5).T
     out_at = (row_s * n + k - 1) * size + col_s * n + l - 1
     in_at = (row_s * n + l - 1) * size + col_s * n + k - 1
-    signs = signs.astype(float)
-    for arr in (diag, out_at, in_at, signs):
-        arr.flags.writeable = False
-    return diag, out_at, in_at, signs
+    return tuple(_frozen(a) for a in (diag, out_at, in_at, signs.astype(float)))
 
 
 def build_grade_matrix(spec: HeatMatrixSpec, r: int) -> np.ndarray:
@@ -130,6 +125,22 @@ def build_grade_matrix(spec: HeatMatrixSpec, r: int) -> np.ndarray:
     return block
 
 
+@lru_cache(maxsize=16)
+def _full_structure(n: int):
+    """(at, scale, signs): every grade structure's P and Q entries in the full matrix.
+
+    Entry e is signs[e] times [2 alpha_0 .. 2 alpha_n, 2 (1 - alpha_0) .. 2 (1 - alpha_n)][scale[e]].
+    """
+    parts = []
+    for r in range(n + 1):
+        _, out_at, in_at, signs = _grade_structure(n, r)
+        idx = np.array([I.mask * n + i - 1 for I, i in grade_pairs(n, r)])
+        for local, scale in ((out_at, r), (in_at, n + 1 + r)):
+            rows, cols = np.divmod(local, len(idx))
+            parts.append((idx[rows] * (n << n) + idx[cols], np.full(len(local), scale), signs))
+    return tuple(_frozen(np.concatenate(a)) for a in zip(*parts))
+
+
 def build_full_matrix(spec: HeatMatrixSpec) -> np.ndarray:
     """Full matrix on all pairs, global index = mask * n + (axis - 1).
 
@@ -138,12 +149,10 @@ def build_full_matrix(spec: HeatMatrixSpec) -> np.ndarray:
     n = spec.n
     if n > FULL_MATRIX_CAP_N:
         raise CapError(f"full matrix for n={n} exceeds cap n<={FULL_MATRIX_CAP_N}")
-    size = n * (1 << n)
-    full = np.zeros((size, size))
-    for r in range(n + 1):
-        block = build_grade_matrix(spec, r)
-        idx = [I.mask * n + i - 1 for I, i in grade_pairs(n, r)]
-        full[np.ix_(idx, idx)] = block
+    at, scale, signs = _full_structure(n)
+    scales = 2.0 * np.array([*spec.alpha, *(1.0 - a for a in spec.alpha)], dtype=float)
+    full = np.diag(2.0 * (np.arange(1 << n)[:, None] >> np.arange(n) & 1).reshape(-1) - 1.0)
+    np.put(full, at, scales[scale] * signs)
     return full
 
 
@@ -179,7 +188,7 @@ def in_block(i_tilde: MultiIndex, alpha: float) -> np.ndarray:
     - (b - a), so e_a = (-1)**(outside[a] - a) carries their parity, and
     conjugation by diag(e) turns the block into the all-plus rank-one form.
     """
-    outside = [x for x in range(1, i_tilde.n + 1) if x not in i_tilde]
+    outside = [x for x in range(1, i_tilde.n + 1) if not i_tilde.mask >> (x - 1) & 1]
     block = (2.0 * (1.0 - alpha)) * _parity_outer(tuple(x - a for a, x in enumerate(outside)))
     np.fill_diagonal(block, 1.0)
     return block

@@ -25,7 +25,8 @@ from .heatmatrix import conjugate_exponent
 # lambda at once. The weight integrates to 1 over R; the grid's trapezoid
 # weights miss about e^{V_LO} of it on the left and exp(-e^{V_HI}) on the
 # right, and the profile can turn that missed weight into an error of at
-# most sup|A| times it.
+# most sup|A| times it. A declared sup|A| lowers the left end (_left_end);
+# below e^{V_LO} = eps the weight sum no longer resolves the missed weight.
 _V_LO = -23.0
 _V_HI = 3.5
 _H_START = 0.25
@@ -41,15 +42,6 @@ class SpectralSymbol:
     profile: Callable[[np.ndarray], np.ndarray]
     sup_profile: float | None = None
     zero_limit: complex | None = None  # value used at the zero frequency
-
-
-def identity_symbol() -> SpectralSymbol:
-    """Profile 1; the multiplier is identically 1."""
-    return SpectralSymbol(
-        profile=lambda t: np.ones_like(t),
-        sup_profile=1.0,
-        zero_limit=1.0,
-    )
 
 
 def _gamma_one_minus_is(s: float) -> complex:
@@ -83,14 +75,23 @@ def imaginary_power_symbol(s: float) -> SpectralSymbol:
     )
 
 
-def _grid(h):
+def _left_end(sup) -> float:
+    """_V_LO lowered in _H_START steps while sup e^{V_LO} > _TARGET / 2 and e^{V_LO} > eps."""
+    v_lo = _V_LO
+    while sup is not None and sup * np.exp(v_lo) > _TARGET / 2 and np.exp(v_lo) > np.finfo(float).eps:
+        v_lo -= _H_START
+    return v_lo
+
+
+def _grid(h, v_lo):
     """Trapezoid nodes v and weights exp(v - e^v) h at step h.
 
-    The nodes run from _V_LO to _V_HI exactly for every step that divides
+    The nodes run from v_lo to _V_HI exactly for every step that divides
     the interval, and each halving keeps the previous nodes, so successive
-    sums in the halving loop cover the same interval.
+    sums in the halving loop, which evaluates only the new odd-indexed
+    nodes, cover the same interval.
     """
-    v = _V_LO + h * np.arange(round((_V_HI - _V_LO) / h) + 1)
+    v = v_lo + h * np.arange(round((_V_HI - v_lo) / h) + 1)
     weight = np.exp(v - np.exp(v)) * h
     weight[0] *= 0.5
     weight[-1] *= 0.5
@@ -102,37 +103,40 @@ def _profile_at(profile, lams, v):
     return profile(np.exp(v)[None, :] / lams[:, None])
 
 
-def _trapezoid_values(profile, lams, h):
-    v, weight = _grid(h)
-    return _profile_at(profile, lams, v) @ weight.astype(complex)
-
-
 def laplace_symbol_eval_many(sym: SpectralSymbol, lams):
     """Vectorized quadrature of the multiplier at many positive lambdas.
 
     Trapezoid in v = log(lambda t), halving the step until the change is
-    below _TARGET (relative). The returned relative error estimate is the
-    last change plus the truncation bound sup|A| * (1 - sum of the final
-    trapezoid weights) / |a|, with sup|A| the declared sup_profile or
-    else the largest |A| on the final grid. Raises AccuracyError with the
-    last change if the halving cap is hit.
+    below _TARGET (relative); each halving adds its new nodes to half the
+    previous sum (Numerical Recipes' trapzd). The returned relative error
+    estimate is the last change plus the truncation bound sup|A| * (1 -
+    sum of the final trapezoid weights) / |a|, with sup|A| the declared
+    sup_profile or else the largest |A| on the final grid. Raises
+    AccuracyError with the last change if the halving cap is hit.
     """
     lams = np.asarray(lams, dtype=float)
-    if np.any(lams <= 0):
+    if not np.all(lams > 0):  # nan included
         raise ValueError("lambda must be positive")
     flat = lams.reshape(-1)
     out = np.empty(flat.shape, dtype=complex)
     errs = np.empty(flat.shape)
+    v_lo = _left_end(sym.sup_profile)
     for start in range(0, flat.size, _CHUNK):
         block = flat[start : start + _CHUNK]
         h = _H_START
-        prev = _trapezoid_values(sym.profile, block, h)
+        v, weight = _grid(h, v_lo)
+        values = _profile_at(sym.profile, block, v)
+        sup = sym.sup_profile if sym.sup_profile is not None else np.max(np.abs(values), axis=1)
+        cur = values @ weight.astype(complex)
         for _ in range(_MAX_HALVINGS):
             h *= 0.5
-            cur = _trapezoid_values(sym.profile, block, h)
+            v, weight = _grid(h, v_lo)
+            values = _profile_at(sym.profile, block, v[1::2])
+            if sym.sup_profile is None:
+                sup = np.maximum(sup, np.max(np.abs(values), axis=1))
+            prev, cur = cur, 0.5 * cur + values @ weight[1::2].astype(complex)
             scale = np.maximum(np.abs(cur), 1e-30)
             err = np.abs(cur - prev) / scale
-            prev = cur
             if np.max(err) <= _TARGET:
                 break
         else:
@@ -140,10 +144,6 @@ def laplace_symbol_eval_many(sym: SpectralSymbol, lams):
                 f"quadrature stalled at relative error {np.max(err):.3e}",
                 achieved=float(np.max(err)),
             )
-        v, weight = _grid(h)
-        sup = sym.sup_profile
-        if sup is None:
-            sup = np.max(np.abs(_profile_at(sym.profile, block, v)), axis=1)
         out[start : start + _CHUNK] = cur
         errs[start : start + _CHUNK] = err + sup * (1.0 - weight.sum()) / scale
     return out.reshape(lams.shape), errs.reshape(lams.shape)
@@ -151,8 +151,6 @@ def laplace_symbol_eval_many(sym: SpectralSymbol, lams):
 
 def laplace_symbol_eval(sym: SpectralSymbol, lam: float) -> complex:
     """Quadrature value of the multiplier at a single lambda > 0."""
-    if not lam > 0:
-        raise ValueError("lambda must be positive")
     values, _ = laplace_symbol_eval_many(sym, np.array([lam]))
     return complex(values[0])
 

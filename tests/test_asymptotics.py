@@ -13,14 +13,27 @@ from heatforms.asymptotics import (
     sigma_dot_matrix,
     sphere_coordinate_lp_norm,
 )
-from heatforms.exterior import MultiIndex, enumerate_all
+from heatforms.exterior import MultiIndex, enumerate_all, substitutions
 from heatforms.heatmatrix import HeatMatrixSpec, build_full_matrix, spectral_norm
+
+
+def column_group_oracle(sigma, J):
+    """The column group of J, entry by entry from substitutions (the loop the plan replaced)."""
+    block = np.diag([sigma[J.mask] * (1.0 if i in J else -1.0) for i in range(1, J.n + 1)])
+    for k, l, T, sign in substitutions(J):
+        block[k - 1, l - 1] = block[l - 1, k - 1] = sigma[T.mask] * sign
+    return block
 
 
 class TestUnitDirection:
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError):
             UnitDirection(np.ones(4), 2)
+
+    def test_rejects_nan(self):
+        # abs(nan - 1) > 1e-12 is False, so a nan length used to pass
+        with pytest.raises(ValueError):
+            UnitDirection(np.full(4, np.nan), 2)
 
     def test_normalized(self):
         # random_direction divides its normal draw by the draw's length
@@ -63,6 +76,22 @@ class TestSigmaDotMatrix:
                 ref = np.einsum("I,IiJj->iJj", d.sigma, full4).reshape(n, -1)
                 assert np.allclose(sigma_dot_matrix(d), ref, atol=1e-13)
 
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_plan_matches_substitution_oracle(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            d = random_direction(n, rng)
+            oracle = [column_group_oracle(d.sigma, J) for J in enumerate_all(n)]
+            assert np.array_equal(sigma_dot_matrix(d), np.hstack(oracle))
+            for J, want in zip(enumerate_all(n), oracle):
+                assert np.array_equal(sigma_block(d, J)[0], want)
+
+    def test_block_rejects_a_subset_of_another_dimension(self):
+        d = random_direction(3, np.random.default_rng(6))
+        for J in (MultiIndex(1, 2), MultiIndex(0b1000, 4)):
+            with pytest.raises(ValueError, match="dimension 3"):
+                sigma_block(d, J)
+
     def test_two_axis_cross_block(self):
         d = UnitDirection(np.array([0.0, 1.0, 1.0, 0.0]) / sqrt(2.0), 2)
         block, norm = sigma_block(d, MultiIndex.from_elements([1], 2))
@@ -72,8 +101,9 @@ class TestSigmaDotMatrix:
 
 class TestBlockIdentity:
     def test_norm_identity_random(self):
+        # n = 5 and 6 reach cross blocks of 2 x 3 and 3 x 3, past criterion 9's n <= 4
         rng = np.random.default_rng(1)
-        for n in (2, 3, 4):
+        for n in range(2, 7):
             for _ in range(30):
                 d = random_direction(n, rng)
                 for J in enumerate_all(n):

@@ -442,12 +442,19 @@ class TestLargeArguments:
         assert captured.err.count("\n") == 1 and "AccuracyError" in captured.err
 
     def test_impow_is_undecided_where_the_quadrature_estimate_misses_tol(self, capsys):
-        # at s = 10 the truncation term puts the estimate near 8.6e-5 > 1e-6
-        code = main(["impow", "--s", "10", "--p", "2"])
+        # at s = 10 the estimate is near 1.1e-8: the last change plus a
+        # truncation term kept below _TARGET / 2 by the lowered left end
+        code = main(["impow", "--s", "10", "--p", "2", "--tol", "1e-9"])
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "AccuracyError" in captured.err
+
+    @pytest.mark.parametrize("s", ["8", "12.6"])
+    def test_impow_passes_past_s_7(self, capsys, s):
+        # the truncation bound at a fixed left end read 4.2e-6 > 1e-6 at s = 8
+        code, out = run_cli(capsys, "impow", "--s", s, "--p", "2")
+        assert code == 0 and parse_jsonl(out)[2] == {"status": "pass"}
 
     def test_impow_passes_where_the_quadrature_estimate_meets_tol(self, capsys):
         # the report is the one built from the single-lambda quadrature

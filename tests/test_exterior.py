@@ -38,6 +38,14 @@ class TestEnumerate:
                 masks = [I.mask for I in got]
                 assert masks == sorted(masks)
 
+    def test_returned_lists_are_the_callers(self):
+        # the subsets are cached; each call hands out a new list of them
+        for enumerate_ in (lambda: enumerate_grade(4, 2), lambda: enumerate_all(3)):
+            first = enumerate_()
+            want = list(first)
+            first.clear()
+            assert enumerate_() == want
+
     def test_bad_grade(self):
         with pytest.raises(ValueError):
             enumerate_grade(3, 4)

@@ -12,22 +12,26 @@ from heatforms.fields import FormField, _held_band, cosine_field, lp_norm, rando
 from heatforms.fourier import (
     GL_ORDER,
     apply_beurling_ahlfors,
+    _through_spectrum,
     beurling_ahlfors_symbol,
-    heat_extension,
     psw_integral,
-    spectral_gradient,
     symbol_from_heat_matrix,
     symbol_norms_on_grid,
 )
 from heatforms.heatmatrix import HeatMatrixSpec, conjugate_exponent
 from heatforms.multipliers import (
+    SpectralSymbol,
     apply_spectral_multiplier,
-    identity_symbol,
     imaginary_power_symbol,
     laplace_symbol_eval_many,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def identity_symbol():
+    """Profile 1; the multiplier is identically 1."""
+    return SpectralSymbol(profile=np.ones_like, sup_profile=1.0, zero_limit=1.0)
 
 
 def dense_route(f):
@@ -98,20 +102,24 @@ def assert_rel_close(got, want, rel=1e-13):
 
 
 class TestFullLatticeOracle:
-    # the half-spectrum path against full complex fftn/ifftn of the same multipliers
+    # the half-spectrum path against full complex fftn/ifftn of the same
+    # multipliers: heat damping (real even) and the gradient (i times real odd)
 
     @pytest.mark.parametrize("n, dims, L, kmax", ORACLE_CASES)
     def test_heat_extension(self, n, dims, L, kmax):
         xi_sq, _ = full_lattice_multipliers(dims, L)
+        damp = np.exp(-2.0 * np.pi**2 * fourier._multipliers(dims, L)[0] * 0.01)
         for field in oracle_fields(n, dims, L, kmax, 21):
             want = full_lattice_route(field.data, np.exp(-2.0 * np.pi**2 * xi_sq * 0.01), n)
-            assert_rel_close(heat_extension(field, 0.01).data, want)
+            assert_rel_close(_through_spectrum(field.data, dims, lambda s: s * damp), want)
 
     @pytest.mark.parametrize("n, dims, L, kmax", ORACLE_CASES)
     def test_spectral_gradient(self, n, dims, L, kmax):
         _, grad = full_lattice_multipliers(dims, L)
+        _, grad_mult = fourier._multipliers(dims, L)
         for field in oracle_fields(n, dims, L, kmax, 22):
-            assert_rel_close(spectral_gradient(field), full_lattice_route(field.data[:, None], grad, n))
+            got = _through_spectrum(field.data, dims, lambda s: s[:, :, None] * grad_mult)
+            assert_rel_close(got, full_lattice_route(field.data[:, None], grad, n))
 
     @pytest.mark.parametrize("n, dims, L, kmax", ORACLE_CASES)
     @pytest.mark.parametrize("sym", [identity_symbol(), imaginary_power_symbol(1.0)], ids=["identity", "power"])
@@ -132,80 +140,9 @@ class TestFullLatticeOracle:
         monkeypatch.setattr(np.fft, "fftn", refuse)
         monkeypatch.setattr(np.fft, "ifftn", refuse)
         for field in (f, h):
-            heat_extension(field, 0.1)
-            spectral_gradient(field)
             apply_beurling_ahlfors(field)
             apply_spectral_multiplier(imaginary_power_symbol(1.0), field)
         psw_integral(f, f, 2.0, t_max=0.1)
-
-
-class TestHeatExtension:
-    def test_single_mode_decay(self):
-        L = 2.0
-        f = cosine_field(2, (16, 16), L, [1, 0], mask=1)
-        t = 0.3
-        u = heat_extension(f, t)
-        assert np.allclose(
-            u.components[1], np.exp(-2 * np.pi**2 * t / L**2) * f.components[1]
-        )
-
-    def test_time_zero_identity(self):
-        rng = np.random.default_rng(0)
-        f = random_band_limited(2, (8, 8), 1.0, rng)
-        u = heat_extension(f, 0.0)
-        for m in f.masks:
-            assert np.array_equal(u.components[m], f.components[m])
-
-    def test_constant_unchanged(self):
-        f = FormField.zeros(2, (8, 8), grades=[0])
-        f.components[0][:] = 4.2
-        u = heat_extension(f, 1.7)
-        assert np.allclose(u.components[0], 4.2)
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            heat_extension(FormField.zeros(2, (4, 4)), -0.1)
-
-    def test_semigroup(self):
-        rng = np.random.default_rng(1)
-        f = random_band_limited(2, (16, 16), 1.0, rng)
-        a = heat_extension(heat_extension(f, 0.1), 0.2)
-        b = heat_extension(f, 0.3)
-        for m in f.masks:
-            assert np.allclose(a.components[m], b.components[m], atol=1e-12)
-
-
-class TestSpectralGradient:
-    def test_cosine(self):
-        L = 1.0
-        f = cosine_field(2, (32, 32), L, [1, 0], mask=1)
-        g = spectral_gradient(f)
-        x = np.arange(32) / 32
-        want = -2 * np.pi * np.sin(2 * np.pi * x)[:, None] * np.ones((1, 32))
-        assert g.shape == (1, 2, 32, 32)
-        assert np.allclose(g[0, 0], want, atol=1e-10)
-        assert np.allclose(g[0, 1], 0.0, atol=1e-12)
-
-    def test_constant_zero_gradient(self):
-        f = FormField.zeros(2, (8, 8), grades=[0])
-        f.components[0][:] = 3.0
-        g = spectral_gradient(f)
-        assert np.allclose(g, 0.0, atol=1e-13)
-
-    def test_discrete_plancherel(self):
-        # independent oracle: energy of i 2 pi xi f_hat summed in frequency
-        rng = np.random.default_rng(2)
-        L = 1.5
-        f = random_band_limited(2, (16, 16), L, rng, kmax=5)
-        g = spectral_gradient(f)
-        lhs = float(np.sum(g**2))
-        rhs = 0.0
-        k1 = np.fft.fftfreq(16) * 16
-        ksq = (k1[:, None] ** 2 + k1[None, :] ** 2) / L**2
-        for m in f.masks:
-            chat = np.fft.fftn(f.components[m]) / f.components[m].size
-            rhs += float(np.sum(4 * np.pi**2 * ksq * np.abs(chat) ** 2)) * 16 * 16
-        assert abs(lhs - rhs) < 1e-10 * max(1.0, rhs)
 
 
 class TestSymbolMatrix:

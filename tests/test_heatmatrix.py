@@ -397,6 +397,17 @@ class TestNormSweep:
             )
             assert abs(full - per_grade) < 1e-10
 
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_full_matrix_is_the_grade_blocks_scattered(self, n):
+        # the per-grade np.ix_ scatter the cached full structure replaced
+        rng = np.random.default_rng(n)
+        spec = HeatMatrixSpec(n, tuple(rng.uniform(0.0, 1.0, n + 1)))
+        want = np.zeros((n << n, n << n))
+        for r in range(n + 1):
+            idx = [I.mask * n + i - 1 for I, i in grade_pairs(n, r)]
+            want[np.ix_(idx, idx)] = build_grade_matrix(spec, r)
+        assert np.array_equal(build_full_matrix(spec), want)
+
     def test_full_matrix_cap(self):
         with pytest.raises(CapError):
             build_full_matrix(HeatMatrixSpec(11, (0.5,) * 12))

@@ -1,21 +1,29 @@
 import numpy as np
 import pytest
 
+from heatforms import multipliers
 from heatforms.errors import AccuracyError
 from heatforms.fields import cosine_field, lp_norm, random_band_limited
 from heatforms.multipliers import (
     _H_START,
+    _MAX_HALVINGS,
+    _TARGET,
     _V_HI,
     _V_LO,
     SpectralSymbol,
     _grid,
+    _left_end,
     apply_spectral_multiplier,
-    identity_symbol,
     imaginary_power_constant,
     imaginary_power_symbol,
     laplace_symbol_eval,
     laplace_symbol_eval_many,
 )
+
+
+def identity_symbol():
+    """Profile 1; the multiplier is identically 1."""
+    return SpectralSymbol(profile=np.ones_like, sup_profile=1.0, zero_limit=1.0)
 
 
 def closed_form_power_constant(s, p):
@@ -24,6 +32,26 @@ def closed_form_power_constant(s, p):
     if s == 0.0:
         return p_star - 1.0
     return (p_star - 1.0) * np.sqrt(np.sinh(np.pi * s) / (np.pi * s))
+
+
+def full_reevaluation(sym, lams):
+    """The halving loop evaluating the profile on every node of every step.
+
+    Returns the values and the number of halvings taken.
+    """
+    v_lo = _left_end(sym.sup_profile)
+    h = _H_START
+    v, weight = _grid(h, v_lo)
+    prev = sym.profile(np.exp(v)[None, :] / lams[:, None]) @ weight.astype(complex)
+    for halving in range(1, _MAX_HALVINGS + 1):
+        h *= 0.5
+        v, weight = _grid(h, v_lo)
+        cur = sym.profile(np.exp(v)[None, :] / lams[:, None]) @ weight.astype(complex)
+        done = np.max(np.abs(cur - prev) / np.maximum(np.abs(cur), 1e-30)) <= _TARGET
+        prev = cur
+        if done:
+            return cur, halving
+    raise AssertionError("no convergence")
 
 
 class TestQuadrature:
@@ -71,15 +99,65 @@ class TestQuadrature:
 
     @pytest.mark.parametrize("halvings", range(8))
     def test_grid_ends_fixed_and_nodes_nested(self, halvings):
-        # every halving's sum covers [_V_LO, _V_HI] and keeps the old nodes
+        # every halving's sum covers [v_lo, _V_HI] and keeps the old nodes
         h = _H_START / 2**halvings
-        v, _ = _grid(h)
-        assert v[0] == _V_LO and v[-1] == _V_HI
-        assert np.array_equal(_grid(h / 2)[0][::2], v)
+        for v_lo in (_V_LO, _V_LO - 27 * _H_START):
+            v, _ = _grid(h, v_lo)
+            assert v[0] == v_lo and v[-1] == _V_HI
+            assert np.array_equal(_grid(h / 2, v_lo)[0][::2], v)
+
+    @pytest.mark.parametrize(
+        "sym",
+        [
+            identity_symbol(),
+            SpectralSymbol(profile=lambda t: 1.0 / (1.0 + t), sup_profile=None),
+            *(imaginary_power_symbol(s) for s in (0.5, 1.0, 2.0, 8.0)),
+        ],
+        ids=["identity", "undeclared-sup", "power-0.5", "power-1", "power-2", "power-8"],
+    )
+    def test_node_reuse_matches_full_reevaluation(self, sym, monkeypatch):
+        lams = np.geomspace(1e-3, 1e4, 40)
+        want, halvings = full_reevaluation(sym, lams)
+        calls = []
+        profile_at = multipliers._profile_at
+
+        def counted(profile, lams, v):
+            calls.append(v.size)
+            return profile_at(profile, lams, v)
+
+        monkeypatch.setattr(multipliers, "_profile_at", counted)
+        got, _ = laplace_symbol_eval_many(sym, lams)
+        # the sums cancel a profile of modulus up to sup to a value of modulus ~1,
+        # so their rounding scales with sup (5e-13 at s = 8, sup ~ 4e4)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14 * max(1.0, sym.sup_profile or 1.0)
+        assert len(calls) == 1 + halvings  # the same step; no node evaluated twice
+        assert sum(calls) == _grid(_H_START / 2**halvings, _left_end(sym.sup_profile))[0].size
+
+    def test_left_end(self):
+        # lowered in whole steps to sup e^{v_lo} <= _TARGET / 2, and only then
+        assert _left_end(None) == _left_end(1.0) == _V_LO
+        for s in (0.5, 1.0, 2.0, 3.0):  # criterion 8's and the benchmark's s keep the grid
+            assert _left_end(imaginary_power_symbol(s).sup_profile) == _V_LO
+        sup = imaginary_power_symbol(8.0).sup_profile
+        v_lo = _left_end(sup)
+        assert v_lo == _V_LO - 27 * _H_START
+        assert sup * np.exp(v_lo) <= _TARGET / 2 < sup * np.exp(v_lo + _H_START)
+        # e^{v_lo} below the double epsilon is not resolved by the weight sum
+        assert np.exp(_left_end(np.inf)) < np.finfo(float).eps < np.exp(_left_end(np.inf) + _H_START)
+
+    def test_truncation_estimate_meets_the_target_at_s_8(self):
+        # at _V_LO the bound read 4.2e-6 against a true error of 5.1e-7
+        sym = imaginary_power_symbol(8.0)
+        lams = np.array([0.1, 1.0, 10.0])
+        values, errs = laplace_symbol_eval_many(sym, lams)
+        true = np.abs(values - lams ** 8j)
+        assert np.all(true <= errs) and np.all(errs < 1e-8)
 
     def test_rejects_nonpositive_lambda(self):
         with pytest.raises(ValueError):
             laplace_symbol_eval(identity_symbol(), 0.0)
+        with pytest.raises(ValueError):  # nan fails lams > 0 too
+            laplace_symbol_eval_many(identity_symbol(), [1.0, np.nan])
 
     def test_accuracy_error_on_impossible_target(self, monkeypatch):
         # a rough profile defeats the node cap at an extreme target
