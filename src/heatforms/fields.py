@@ -581,12 +581,14 @@ class TrigSeries:
         """sum_k exp(2 pi i k.x / L - 2 pi^2 |k|^2 t / L^2) weights[k], real part.
 
         weights has shape (modes, m) and the result (*points.shape[:-1], m).
-        t is a scalar or one time per leading index of points; the latter
-        batches the matmul over that index.
+        t is a scalar or one time per leading index of points. The sum is
+        an einsum, not a matmul: BLAS would hand it to a worker thread that
+        keeps a core after the call (see the stochastic module).
         """
+        t = np.asarray(t)
+        t = t.reshape(t.shape + (1,) * (points.ndim - 1 - t.ndim))  # broadcasts over points
         decay = np.exp(-2.0 * np.pi**2 * np.multiply.outer(t, self.ksq))
-        waves = np.moveaxis(self._waves(points), 0, -1)
-        return (waves @ (decay[..., None] * weights)).real
+        return np.einsum("m...,...mc->...c", self._waves(points), decay[..., None] * weights).real
 
     def value(self, points, t=0.0) -> np.ndarray:
         """Heat extension at time t at points of shape (..., n); shape (..., ncomp)."""

@@ -24,10 +24,26 @@ them, unwrapped since the series is periodic, and one gradient evaluation
 the terms of every component, added in step order (see TrigSeries for how
 its modes and waves are built). The bootstrap turns each resample into a
 count vector and takes both moment sums with one product.
+
+The draws run on two threads: the caller's and one helper thread, started
+on first use. Each stream is drawn whole by one thread into arrays the
+caller allocated, so every result is bitwise what one thread would draw.
+simulate_paths gives the helper every other PATH_BLOCK block; the Ito
+study has it draw the next ensemble while the caller checks the current
+one; the transform experiment has it draw the bootstrap counts, stream
+(seed, 1), while the caller runs the walk on stream (seed, 0). The helper
+calls no public function. No step of these checks calls a threaded BLAS
+routine either (TrigSeries contracts with einsum): an OpenBLAS worker
+keeps spinning on the second core after a call and would take it from the
+helper.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+import threading
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +65,59 @@ def _philox(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _serve():
+    while True:
+        with _wake:
+            _wake.wait_for(lambda: _jobs)
+            job = _jobs.popleft()
+        job()
+        del job  # an idle helper keeps no array alive
+
+
+def _forget_helper():
+    """A forked child has no helper thread; it starts its own."""
+    global _jobs, _wake, _helper
+    _jobs, _wake, _helper = deque(), threading.Condition(), None
+
+
+_forget_helper()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+@contextlib.contextmanager
+def _on_helper(fn, *args):
+    """Run fn(*args) on the helper thread, started on first use, during the with-body.
+
+    The exit waits for the call and re-raises its exception, the same
+    object, unless the body raised one of its own.
+    """
+    global _helper
+    done, errors = threading.Lock(), []
+    done.acquire()
+
+    def job():
+        try:
+            fn(*args)
+        except BaseException as exc:  # handed to the caller, not lost with the thread
+            errors.append(exc)
+        finally:
+            done.release()
+
+    with _wake:
+        if _helper is None:
+            _helper = threading.Thread(target=_serve, name="heatforms-draws", daemon=True)
+            _helper.start()
+        _jobs.append(job)
+        _wake.notify()
+    try:
+        yield
+    finally:
+        done.acquire()
+    if errors:
+        raise errors[0]
+
+
 @dataclass
 class PathEnsemble:
     """Gaussian increments and uniform torus starts for many paths."""
@@ -68,39 +137,77 @@ class PathEnsemble:
         return np.mod(pos, self.L)
 
 
-def _standard_normal_step_major(rng, out):
-    """Fill out, shaped (steps, paths, d), with a (paths, steps, d) normal draw.
+def _standard_normal_step_major(rng, out, scale=1.0):
+    """Fill out, shaped (steps, paths, d), with a (paths, steps, d) normal draw times scale.
 
     Chunks of paths read the stream in one draw's order, so out is bitwise
-    standard_normal((paths, steps, d)).swapaxes(0, 1).
+    standard_normal((paths, steps, d)).swapaxes(0, 1) * scale.
     """
     steps, paths, d = out.shape
     buf = np.empty((min(paths, _DRAW_PATHS), steps, d))
     for p0 in range(0, paths, _DRAW_PATHS):
         chunk = buf[: paths - p0]
         rng.standard_normal(out=chunk)
-        out[:, p0 : p0 + len(chunk)] = chunk.swapaxes(0, 1)
+        np.multiply(chunk.swapaxes(0, 1), scale, out=out[:, p0 : p0 + len(chunk)])
 
 
-def simulate_paths(n, h, steps, paths, seed, L=1.0) -> PathEnsemble:
-    """Euler ensemble: N(0, h I) increments, uniform starts, torus wrap."""
-    if h <= 0:
-        raise ValueError("step size must be positive")
-    if steps < 1 or paths < 1:
-        raise ValueError("counts must be at least 1")
-    starts = np.empty((paths, n))
-    increments = np.empty((steps, paths, n))
-    for block_idx, lo in enumerate(range(0, paths, PATH_BLOCK)):
-        hi = min(lo + PATH_BLOCK, paths)
-        rng = _philox(seed, block_idx)
+def _empty_ensemble(n, h, steps, paths, L) -> PathEnsemble:
+    return PathEnsemble(h, steps, paths, L, np.empty((paths, n)), np.empty((steps, paths, n)))
+
+
+def _draw_blocks(ens: PathEnsemble, seed, first=0, stride=1):
+    """Draw the starts and increments of blocks first, first + stride, ... of ens."""
+    for block in range(first, -(-ens.paths // PATH_BLOCK), stride):
+        lo, hi = block * PATH_BLOCK, min((block + 1) * PATH_BLOCK, ens.paths)
+        rng = _philox(seed, block)
         # draw the starts of the full block even when only part is used, so
         # the normals start at the same stream position for every path
         # count; they are then a prefix of the full block's normals, and the
         # ensemble a bitwise prefix of any larger one with the same seed
-        starts[lo:hi] = rng.uniform(0.0, L, size=(PATH_BLOCK, n))[: hi - lo]
-        _standard_normal_step_major(rng, increments[:, lo:hi])
-    increments *= np.sqrt(h)
-    return PathEnsemble(h, steps, paths, L, starts, increments)
+        ens.starts[lo:hi] = rng.uniform(0.0, ens.L, size=(PATH_BLOCK, ens.starts.shape[1]))[: hi - lo]
+        _standard_normal_step_major(rng, ens.increments[:, lo:hi], np.sqrt(ens.h))
+
+
+def simulate_paths(n, h, steps, paths, seed, L=1.0) -> PathEnsemble:
+    """Euler ensemble: N(0, h I) increments, uniform starts, torus wrap.
+
+    Past one PATH_BLOCK, the helper thread draws every other block.
+    """
+    if n < 1:
+        raise ValueError("dimension must be at least 1")
+    if not 0 < h < np.inf:
+        raise ValueError("step size must be positive and finite")
+    if not 0 < L < np.inf:
+        raise ValueError("torus length must be positive and finite")
+    if steps < 1 or paths < 1:
+        raise ValueError("counts must be at least 1")
+    ens = _empty_ensemble(n, h, steps, paths, L)
+    if paths <= PATH_BLOCK:
+        _draw_blocks(ens, seed)
+    else:
+        with _on_helper(_draw_blocks, ens, seed, 1, 2):
+            _draw_blocks(ens, seed, 0, 2)
+    return ens
+
+
+def _drawn_one_ahead(n, paths, L, runs):
+    """Yield the drawn ensemble of each (h, steps, seed) in runs, in order.
+
+    While the caller works on one ensemble, the helper draws the next, so
+    at most two are alive at once; the caller draws the first itself.
+    """
+    ens = _empty_ensemble(n, *runs[0][:2], paths, L)
+    for i, (*_, seed) in enumerate(runs):
+        if i + 1 < len(runs):
+            nxt = _empty_ensemble(n, *runs[i + 1][:2], paths, L)
+            ahead = _on_helper(_draw_blocks, nxt, runs[i + 1][2])
+        else:
+            nxt, ahead = None, contextlib.nullcontext()
+        with ahead:
+            if i == 0:
+                _draw_blocks(ens, seed)
+            yield ens
+        ens = nxt
 
 
 @dataclass(frozen=True)
@@ -165,9 +272,12 @@ def ito_terminal_check(field: FormField, tau, ensemble: PathEnsemble) -> float:
 def ito_convergence_study(field, tau, step_counts, paths, seed, seeds_per_h=10):
     """Pooled RMS per step size and the log-log slope across them.
 
-    Raises StatisticalPowerError for fewer than two paths, whose RMS is one
-    path's gap and cannot decide the slope.
+    The helper thread draws each ensemble while the check of the one
+    before runs. Raises StatisticalPowerError for fewer than two paths,
+    whose RMS is one path's gap and cannot decide the slope.
     """
+    if not 0 < tau < np.inf:
+        raise ValueError("tau must be positive and finite")
     if len(set(step_counts)) < 2:
         raise ValueError("a slope needs at least two distinct step counts")
     if min(step_counts) < 1:
@@ -176,14 +286,18 @@ def ito_convergence_study(field, tau, step_counts, paths, seed, seeds_per_h=10):
         raise ValueError("seeds per step size and paths must be at least 1")
     if paths < 2:
         raise StatisticalPowerError("a pooled RMS needs at least two paths")
+    runs = [
+        (tau / steps, steps, seed + 1000 * idx + rep)
+        for idx, steps in enumerate(step_counts)
+        for rep in range(seeds_per_h)
+    ]
+    ensembles = _drawn_one_ahead(field.n, paths, field.L, runs)
     hs, rmss = [], []
-    for idx, steps in enumerate(step_counts):
-        h = tau / steps
+    for steps in step_counts:
         pooled = 0.0
-        for rep in range(seeds_per_h):
-            ens = simulate_paths(field.n, h, steps, paths, seed + 1000 * idx + rep, L=field.L)
-            pooled += ito_terminal_check(field, tau, ens) ** 2
-        hs.append(h)
+        for _ in range(seeds_per_h):
+            pooled += ito_terminal_check(field, tau, next(ensembles)) ** 2
+        hs.append(tau / steps)
         rmss.append(np.sqrt(pooled / seeds_per_h))
     slope = float(np.polyfit(np.log(hs), np.log(rmss), 1)[0])
     return np.array(hs), np.array(rmss), slope
@@ -276,21 +390,42 @@ class TransformResult:
         return self.ratio <= self.ceiling * (1.0 + 3.0 * self.rel_ci_half_width)
 
 
+def _bootstrap_counts(rng, trials, counts, wide):
+    """Fill each uint8 row of counts with one resample's index multiplicities.
+
+    A resample with a multiplicity above 255 goes whole into wide[row]
+    instead, so every row is exact.
+    """
+    for b, row in enumerate(counts):
+        # one draw per resample: a single (_N_BOOT, trials) draw is another stream
+        mult = np.bincount(rng.integers(0, trials, trials), minlength=trials)
+        if mult.max() > 255:
+            wide[b] = mult
+        else:
+            row[...] = mult
+
+
 def martingale_transform_experiment(p, steps, trials, transform, seed) -> TransformResult:
     """Moment ratio of a transformed walk against the (p* - 1) ceiling.
 
     Builds a scalar pair via transform_walk (which enforces subordination
     pathwise) and bootstraps a confidence interval for
-    (E|Y|^p / E|U|^p)^(1/p). Raises StatisticalPowerError when the
+    (E|Y|^p / E|U|^p)^(1/p); the helper thread draws the resamples'
+    counts while the walk runs. Raises StatisticalPowerError when the
     relative half-width exceeds MAX_REL_CI, too wide to support a ceiling
     comparison, and for fewer than two trials, whose every resample is the
     one trial itself.
     """
     p = float(p)
     p_star = conjugate_exponent(p)
-    pair = transform_walk(steps, trials, transform, seed)
+    if steps < 1 or trials < 1:
+        raise ValueError("counts must be at least 1")
     if trials < 2:
         raise StatisticalPowerError("a bootstrap interval needs at least two trials")
+    counts = np.empty((_N_BOOT, trials), np.uint8)
+    wide = {}
+    with _on_helper(_bootstrap_counts, _philox(seed, 1), trials, counts, wide):
+        pair = transform_walk(steps, trials, transform, seed)
     with np.errstate(over="ignore"):
         u_p = np.sum(pair.base**2, axis=1) ** (p / 2.0)
         y_p = np.sum(pair.transformed**2, axis=1) ** (p / 2.0)
@@ -298,12 +433,9 @@ def martingale_transform_experiment(p, steps, trials, transform, seed) -> Transf
         raise ValueError(f"exponent {p} overflows the walk's p-th moments")
     ratio = float((y_p.mean() / u_p.mean()) ** (1.0 / p))
     moments = np.stack([y_p, u_p], axis=1)
-    boot_rng = _philox(seed, 1)
     boots = np.empty(_N_BOOT)
     for b in range(_N_BOOT):
-        # one draw per resample: a single (_N_BOOT, trials) draw is another stream
-        counts = np.bincount(boot_rng.integers(0, trials, trials), minlength=trials)
-        y_sum, u_sum = counts @ moments
+        y_sum, u_sum = wide.get(b, counts[b]) @ moments
         boots[b] = (y_sum / u_sum) ** (1.0 / p)
     half = float((np.quantile(boots, 0.975) - np.quantile(boots, 0.025)) / 2.0)
     rel_half = half / ratio if ratio > 0 else np.inf

@@ -1,14 +1,26 @@
+import os
+import subprocess
+import sys
+import threading
+import time
+import weakref
+
 import numpy as np
 import pytest
 
+from heatforms import stochastic
 from heatforms.errors import StatisticalPowerError
 from heatforms.fields import FormField, TrigSeries, cosine_field, random_band_limited
 from heatforms.stochastic import (
     _DRAW_PATHS,
+    _N_BOOT,
+    PATH_BLOCK,
     STEP_BLOCK,
     TRANSFORMS,
+    _bootstrap_counts,
     _philox,
     _standard_normal_step_major,
+    _on_helper,
     alternating_transform,
     identity_transform,
     ito_convergence_study,
@@ -78,6 +90,164 @@ class TestSimulatePaths:
             simulate_paths(2, -0.1, 10, 10, 0)
         with pytest.raises(ValueError):
             simulate_paths(2, 0.1, 0, 10, 0)
+
+    @pytest.mark.parametrize(
+        "n, h, L, match",
+        [
+            (0, 0.1, 1.0, "dimension"),
+            (-1, 0.1, 1.0, "dimension"),
+            (2, np.nan, 1.0, "step size"),
+            (2, np.inf, 1.0, "step size"),
+            (2, 0.1, np.nan, "torus length"),
+            (2, 0.1, 0.0, "torus length"),
+            (2, 0.1, -1.0, "torus length"),
+        ],
+    )
+    def test_rejects_before_drawing(self, n, h, L, match, monkeypatch):
+        # n = 0 and h = nan once returned an empty or all-nan ensemble, n < 1
+        # leaked numpy's "negative dimensions" error, and a nan or negative L
+        # numpy's OverflowError or "high - low < 0"
+        monkeypatch.setattr(stochastic, "_philox", _no_draw)
+        monkeypatch.setattr(stochastic, "_on_helper", _no_draw)
+        with pytest.raises(ValueError, match=match):
+            simulate_paths(n, h, 10, 3 * PATH_BLOCK, 0, L=L)
+
+    @pytest.mark.parametrize("n, steps, paths", [(2, 7, 2 * PATH_BLOCK + 100), (1, 3, 4 * PATH_BLOCK)])
+    def test_matches_serial_block_draw(self, n, steps, paths):
+        # three blocks with a partial one, and four full ones: the helper
+        # thread's blocks are bitwise the ones one thread draws in order
+        h, seed, L = 0.03, 11, 2.0
+        ens = simulate_paths(n, h, steps, paths, seed, L=L)
+        for block, lo in enumerate(range(0, paths, PATH_BLOCK)):
+            hi = min(lo + PATH_BLOCK, paths)
+            rng = _philox(seed, block)
+            starts = rng.uniform(0.0, L, size=(PATH_BLOCK, n))[: hi - lo]
+            incs = rng.standard_normal((hi - lo, steps, n)).swapaxes(0, 1) * np.sqrt(h)
+            assert np.array_equal(ens.starts[lo:hi], starts)
+            assert np.array_equal(ens.increments[:, lo:hi], incs)
+
+
+def _no_draw(*args):
+    raise AssertionError("drew or queued a job before validating")
+
+
+class TestHelperThread:
+    def test_helper_exception_reaches_the_caller_unchanged(self, monkeypatch):
+        # an error on the helper is the caller's error, and the helper
+        # thread survives it
+        error = RuntimeError("helper failed")
+        want = simulate_paths(2, 0.01, 5, 2 * PATH_BLOCK, seed=1)
+        draw_blocks = stochastic._draw_blocks
+
+        def fail_off_main(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise error
+            draw_blocks(*args)
+
+        monkeypatch.setattr(stochastic, "_draw_blocks", fail_off_main)
+        with pytest.raises(RuntimeError) as info:
+            simulate_paths(2, 0.01, 5, 2 * PATH_BLOCK, seed=1)
+        assert info.value is error
+        monkeypatch.undo()
+        got = simulate_paths(2, 0.01, 5, 2 * PATH_BLOCK, seed=1)
+        assert np.array_equal(got.increments, want.increments)
+        assert np.array_equal(got.starts, want.starts)
+
+    def test_body_exception_wins_and_waits_for_the_job(self):
+        done = []
+        with pytest.raises(KeyError):
+            with _on_helper(done.append, 1):
+                raise KeyError("body")
+        assert done == [1]  # the exit waited for the job
+        with pytest.raises(ZeroDivisionError):
+            with _on_helper(lambda: 1 / 0):
+                pass
+
+    def test_idle_helper_keeps_no_array_alive(self):
+        # the helper once held its last job, and with it a whole ensemble or
+        # the bootstrap counts, until the next job came
+        out = np.zeros(3)
+        ref = weakref.ref(out)
+        with _on_helper(np.copyto, out, 1.0):
+            pass
+        del out
+        for _ in range(200):
+            if ref() is None:
+                break
+            time.sleep(0.005)
+        assert ref() is None
+
+    def test_concurrent_callers_share_the_helper(self):
+        # more caller threads than cores queue jobs on the one helper; each
+        # ensemble stays the one a lone caller draws
+        want = simulate_paths(1, 0.01, 3, 2 * PATH_BLOCK + 10, seed=7)
+        results = []
+
+        def call():
+            for _ in range(5):
+                results.append(simulate_paths(1, 0.01, 3, 2 * PATH_BLOCK + 10, seed=7))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call) for _ in range(4)]
+            for c in callers:
+                c.start()
+            for c in callers:
+                c.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(c.is_alive() for c in callers)
+        assert len(results) == 20
+        for got in results:
+            assert np.array_equal(got.increments, want.increments)
+            assert np.array_equal(got.starts, want.starts)
+
+    def test_one_helper_thread(self):
+        simulate_paths(2, 0.01, 3, 3 * PATH_BLOCK, seed=0)
+        martingale_transform_experiment(2.0, 8, 2000, "identity", seed=0)
+        helpers = [t for t in threading.enumerate() if t.name == "heatforms-draws"]
+        assert len(helpers) == 1 and helpers[0].daemon
+
+    def test_public_functions_run_on_the_main_thread(self, monkeypatch):
+        # a span recorder wraps public functions and its stack is not
+        # thread-safe, so the helper may call none of them
+        threads = []
+
+        def on_main(fn):
+            def wrapped(*args, **kwargs):
+                threads.append(threading.current_thread())
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        for name in ("simulate_paths", "ito_terminal_check", "transform_walk"):
+            monkeypatch.setattr(stochastic, name, on_main(getattr(stochastic, name)))
+        for name in ("gradient", "value"):
+            monkeypatch.setattr(TrigSeries, name, on_main(getattr(TrigSeries, name)))
+        f = cosine_field(2, (8, 8), 1.0, [1, 0], mask=1)
+        ens = stochastic.simulate_paths(2, 0.05, 4, 3 * PATH_BLOCK, seed=2)
+        markov_identity_check(np.ones((8, 8)), 1.0, 0.2, ens)
+        ito_convergence_study(f, 0.2, [4, 8], 200, seed=3, seeds_per_h=2)
+        martingale_transform_experiment(3.0, 16, 3000, "sign", seed=4)
+        assert len(threads) > 10
+        assert all(t is threading.main_thread() for t in threads)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+    def test_forked_child_starts_its_own_helper(self):
+        # the parent's helper thread does not exist in a forked child
+        code = (
+            "import os, sys\n"
+            "from heatforms.stochastic import PATH_BLOCK, simulate_paths\n"
+            "a = simulate_paths(2, 0.01, 3, 2 * PATH_BLOCK, seed=5)\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    b = simulate_paths(2, 0.01, 3, 2 * PATH_BLOCK, seed=5)\n"
+            "    os._exit(0 if (a.increments == b.increments).all() else 1)\n"
+            "sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
 
 
 class TestStepMajorDraw:
@@ -227,6 +397,37 @@ class TestItoTerminal:
             ito_terminal_check(f, 0.5, ens)
 
 
+class TestItoStudy:
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, 0.0, -0.5])
+    def test_rejects_bad_tau_before_drawing(self, tau, monkeypatch):
+        # tau = nan once escaped as LinAlgError after LAPACK wrote to stderr
+        monkeypatch.setattr(stochastic, "_philox", _no_draw)
+        monkeypatch.setattr(stochastic, "_on_helper", _no_draw)
+        f = cosine_field(2, (8, 8), 1.0, [1, 0], mask=1)
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            ito_convergence_study(f, tau, [8, 16], 100, seed=0)
+
+    @pytest.mark.parametrize("paths", [300, PATH_BLOCK + 50])
+    def test_matches_serial_loop(self, paths):
+        # each ensemble drawn one ahead on the helper is the one the serial
+        # simulate_paths draws, and the pooling order is the loop's
+        f = cosine_field(2, (16, 16), 1.0, [1, 0], mask=1)
+        tau, counts, seed, reps = 0.3, [6, 12, 24], 9, 2
+        hs, rmss, slope = ito_convergence_study(f, tau, counts, paths, seed, seeds_per_h=reps)
+        want_h, want_rms = [], []
+        for idx, steps in enumerate(counts):
+            h = tau / steps
+            pooled = 0.0
+            for rep in range(reps):
+                ens = simulate_paths(f.n, h, steps, paths, seed + 1000 * idx + rep, L=f.L)
+                pooled += ito_terminal_check(f, tau, ens) ** 2
+            want_h.append(h)
+            want_rms.append(np.sqrt(pooled / reps))
+        assert np.array_equal(hs, want_h)
+        assert np.array_equal(rmss, want_rms)
+        assert slope == float(np.polyfit(np.log(want_h), np.log(want_rms), 1)[0])
+
+
 class TestMartingalePair:
     def test_base_variation_dominates(self):
         for d in (1, 3):
@@ -296,11 +497,44 @@ class TestTransformExperiment:
         with pytest.raises(StatisticalPowerError):
             martingale_transform_experiment(4.0, 32, 40, sign_transform, seed=0)
 
-    def test_one_trial_is_undecided(self):
+    def test_one_trial_is_undecided(self, monkeypatch):
         # every bootstrap resample of one trial is that trial: a zero-width
-        # interval around the identity's exact ratio 1 would pass at p = 2
+        # interval around the identity's exact ratio 1 would pass at p = 2;
+        # it is rejected before the walk runs or a job is queued
+        monkeypatch.setattr(stochastic, "transform_walk", _no_draw)
+        monkeypatch.setattr(stochastic, "_on_helper", _no_draw)
         with pytest.raises(StatisticalPowerError, match="two trials"):
             martingale_transform_experiment(2.0, 8, 1, "identity", seed=0)
+        with pytest.raises(ValueError, match="at least 1"):
+            martingale_transform_experiment(2.0, 0, 100, "identity", seed=0)
+
+    @pytest.mark.parametrize(
+        "p, transform, trials", [(3.0, "sign", 3000), (4.0, "alternating", 5000), (1.5, "identity", 700)]
+    )
+    def test_matches_per_resample_loop(self, p, transform, trials):
+        # the loop the uint8 counts replaced: one int64 bincount per resample
+        steps, seed = 16, 21
+        res = martingale_transform_experiment(p, steps, trials, transform, seed)
+        ratio, rel_half = _reference_experiment(p, steps, trials, transform, seed, _philox(seed, 1))
+        assert res.ratio == ratio
+        assert res.rel_ci_half_width == rel_half
+
+    def test_wide_counts_fallback_is_exact(self, monkeypatch):
+        # a resample that takes index 0 trials times overflows uint8
+        trials, steps, seed = 3000, 16, 4
+        monkeypatch.setattr(stochastic, "_philox", _philox_piling_up_resample(3))
+        res = martingale_transform_experiment(2.0, steps, trials, "sign", seed)
+        ratio, rel_half = _reference_experiment(2.0, steps, trials, "sign", seed, stochastic._philox(seed, 1))
+        assert res.ratio == ratio
+        assert res.rel_ci_half_width == rel_half
+        counts, wide = np.empty((_N_BOOT, trials), np.uint8), {}
+        _bootstrap_counts(stochastic._philox(seed, 1), trials, counts, wide)
+        assert list(wide) == [3]
+        assert wide[3][0] == trials
+        ref = stochastic._philox(seed, 1)
+        for b in range(_N_BOOT):
+            want = np.bincount(ref.integers(0, trials, trials), minlength=trials)
+            assert np.array_equal(wide.get(b, counts[b]), want)
 
     def test_rejects_infinite_exponent(self):
         with pytest.raises(ValueError, match=r"\(1, inf\)"):
@@ -315,3 +549,39 @@ class TestTransformExperiment:
         assert martingale_transform_experiment(1.5, 8, 2000, "identity", seed=0).ceiling == 2.0
         assert martingale_transform_experiment(3.0, 8, 2000, "identity", seed=0).ceiling == 2.0
         assert martingale_transform_experiment(4.0, 8, 2000, "identity", seed=0).ceiling == 3.0
+
+
+def _reference_experiment(p, steps, trials, transform, seed, boot_rng):
+    """Ratio and relative CI half-width by the per-resample int64 loop."""
+    pair = transform_walk(steps, trials, transform, seed)
+    u_p = np.sum(pair.base**2, axis=1) ** (p / 2.0)
+    y_p = np.sum(pair.transformed**2, axis=1) ** (p / 2.0)
+    ratio = float((y_p.mean() / u_p.mean()) ** (1.0 / p))
+    moments = np.stack([y_p, u_p], axis=1)
+    boots = np.empty(_N_BOOT)
+    for b in range(_N_BOOT):
+        counts = np.bincount(boot_rng.integers(0, trials, trials), minlength=trials)
+        y_sum, u_sum = counts @ moments
+        boots[b] = (y_sum / u_sum) ** (1.0 / p)
+    half = float((np.quantile(boots, 0.975) - np.quantile(boots, 0.025)) / 2.0)
+    return ratio, half / ratio
+
+
+def _philox_piling_up_resample(pile):
+    """_philox whose bootstrap stream draws only index 0 for resample `pile`."""
+    real = stochastic._philox
+
+    class Piled:
+        def __init__(self, rng):
+            self.rng, self.calls = rng, 0
+
+        def integers(self, low, high, size):
+            draw = self.rng.integers(low, high, size)
+            self.calls += 1
+            return np.zeros_like(draw) if self.calls == pile + 1 else draw
+
+    def philox(seed, stream):
+        rng = real(seed, stream)
+        return Piled(rng) if stream == 1 else rng
+
+    return philox
