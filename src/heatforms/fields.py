@@ -128,28 +128,36 @@ class FormField:
 
 
 def lp_norm(field: FormField, p: float) -> float:
-    """Riemann-sum L^p norm of the pointwise Euclidean length, finite p >= 1.
-
-    The p-th powers are summed over blocks of _BLOCK points, so no
-    grid-sized density or power array is made.
-    """
+    """Riemann-sum L^p norm of the pointwise Euclidean length, finite p >= 1."""
     if not (np.isfinite(p) and p >= 1):
         raise ValueError(f"exponent must be finite and >= 1, got {p}")
-    rows = field.data.reshape(len(field.masks), prod(field.dims))
+    return float(_power_sums(field.data.reshape(len(field.masks), -1), (p,), field.cell_volume)[0] ** (1 / p))
 
-    def densities():  # sum_I |f_I(x)|^2, block by block
-        for start in range(0, rows.shape[1], _BLOCK):
-            block = rows[:, start : start + _BLOCK]
-            block = np.abs(block) if np.iscomplexobj(block) else block
-            yield np.einsum("ij,ij->j", block, block)
 
+def _power_sums(stack: np.ndarray, exponents, cell: float) -> np.ndarray:
+    """cell * sum_x (sum_I |f_I(x)|^2)^(p/2) per exponent p and field of a (..., rows, points) stack.
+
+    Shape (len(exponents), ...). Each block of _BLOCK points is read once
+    and summed to every power in cache. Raises ValueError when a field's
+    sum overflows, or is 0 while its density is not.
+    """
+    sums = [0.0] * len(exponents)
     with np.errstate(over="ignore"):
-        total = field.cell_volume * sum(np.sum(density ** (p / 2.0)) for density in densities())
-    if total == np.inf:
-        raise ValueError(f"exponent {p} overflows the p-th power sum")
-    if total == 0.0 and any(density.any() for density in densities()):
-        raise ValueError(f"exponent {p} underflows the p-th power sum")
-    return float(total ** (1.0 / p))
+        for start in range(0, stack.shape[-1], _BLOCK):
+            block = stack[..., start : start + _BLOCK]
+            block = np.abs(block) if np.iscomplexobj(block) else block
+            density = np.einsum("...ij,...ij->...j", block, block)  # sum_I |f_I(x)|^2
+            sums = [total + np.sum(density ** (p / 2.0), axis=-1) for total, p in zip(sums, exponents)]
+        totals = cell * np.array(sums)
+    if totals.all() and np.isfinite(totals).all():
+        return totals
+    live = np.abs(stack).max(axis=(-2, -1)) ** 2 > 0.0  # a nonzero density: some |f_I(x)|^2 > 0
+    for p, total in zip(exponents, totals):
+        if np.any(total == np.inf):
+            raise ValueError(f"exponent {p} overflows the p-th power sum")
+        if np.any(live & (total == 0.0)):
+            raise ValueError(f"exponent {p} underflows the p-th power sum")
+    return totals
 
 
 def cosine_field(n, dims, L, kvec, mask, amplitude=1.0) -> FormField:
@@ -384,42 +392,52 @@ def _held_spectra(stack: np.ndarray, dims: tuple) -> tuple:
     return _held_band(spectra, dims)
 
 
-def random_band_limited(
-    n, dims, L, rng, kmax=3, grades=None, mean_zero=True
-) -> FormField:
-    """Gaussian field filtered to lattice frequencies |k_a| <= kmax.
+def _band_spectrum(noise: np.ndarray, dims: tuple, band: tuple, mean_zero: bool) -> np.ndarray:
+    """Spectra of a real (..., rows, *dims) stack on the points _band_axes holds for band.
 
-    One normal draw fills every component, in ascending-mask order. The
-    filter is a separable DFT onto the points _band_axes holds: a real DFT
-    over the last axis, then a complex DFT over each other axis, last to
-    first; a product with a cached band matrix on a dense axis, an FFT pass
-    zeroed outside the band on a wide one. _band_inverse returns from
-    there. This equals a full rfftn, filter and irfftn to rounding, not
-    bitwise, and does not depend on the BLAS thread count.
+    A real DFT over the last axis, then a complex DFT over each other axis,
+    last to first: a band-matrix product on a dense axis, an FFT pass
+    zeroed outside the band on a wide one. _band_inverse returns.
     """
-    dims = _grid(n, dims)
-    if kmax < 0:
-        raise ValueError("kmax must be nonnegative")
-    if grades is None:
-        grades = range(n + 1)
-    masks = masks_for_grades(n, grades)
-    band = tuple(min(kmax, d // 2) for d in dims)
+    n, lead = len(dims), noise.ndim - len(dims)
     axes = _band_axes(dims, band)
-    forward = None if axes[-1][0] is None else _real_band(dims[-1], band[-1] + 1)[0]
-    noise = rng.standard_normal((len(masks),) + dims)
-    if forward is None:
+    if axes[-1][0] is None:
         spectrum = np.fft.rfft(noise)
     else:
+        forward = _real_band(dims[-1], band[-1] + 1)[0]
         spectrum = _last_axis(noise, forward, np.empty(noise.shape[:-1] + forward.shape[1:])).view(complex)
     for a in reversed(range(n - 1)):
         if axes[a][0] is None:
-            np.fft.fft(spectrum, axis=a + 1, out=spectrum)
+            np.fft.fft(spectrum, axis=lead + a, out=spectrum)
         else:
-            spectrum = _middle_axis(_complex_band(dims[a], band[a])[0], spectrum, a + 1)
+            spectrum = _middle_axis(_complex_band(dims[a], band[a])[0], spectrum, lead + a)
     for a, (_, k) in enumerate(axes):  # zero a wide axis outside the band; a dense one holds no more
-        spectrum[(slice(None),) * (a + 1) + (np.abs(k) > band[a],)] = 0.0
+        spectrum[(slice(None),) * (lead + a) + (np.abs(k) > band[a],)] = 0.0
     if mean_zero:
-        spectrum[(slice(None),) + (0,) * n] = 0.0
+        spectrum[(Ellipsis,) + (0,) * n] = 0.0
+    return spectrum
+
+
+def _draw_band(n, dims, kmax) -> tuple:
+    """(dims, band) of a draw: dims checked by _grid, band[a] = min(kmax, dims[a] // 2)."""
+    dims = _grid(n, dims)
+    if kmax < 0:
+        raise ValueError("kmax must be nonnegative")
+    return dims, tuple(min(kmax, d // 2) for d in dims)
+
+
+def random_band_limited(n, dims, L, rng, kmax=3, grades=None, mean_zero=True) -> FormField:
+    """Gaussian field filtered to lattice frequencies |k_a| <= kmax.
+
+    One normal draw fills every component, in ascending-mask order;
+    _band_spectrum filters it and _band_inverse returns. This equals a
+    full rfftn, filter and irfftn to rounding, not bitwise, and does not
+    depend on the BLAS thread count.
+    """
+    dims, band = _draw_band(n, dims, kmax)
+    masks = masks_for_grades(n, range(n + 1) if grades is None else grades)
+    noise = rng.standard_normal((len(masks),) + dims)
+    spectrum = _band_spectrum(noise, dims, band, mean_zero)
     # the field overwrites the noise: no second grid-sized array, and no
     # grid-sized hole left in the heap under the caches a first call builds
     return FormField(n, dims, L, masks, _band_inverse(spectrum, dims, band, noise))

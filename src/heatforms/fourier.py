@@ -238,6 +238,29 @@ def _reflect(spectra: np.ndarray, u, plan, lowered: int) -> np.ndarray:
     return spectra
 
 
+def _reflect_box(spectra: np.ndarray, n: int, dims: tuple, box: tuple, masks) -> np.ndarray:
+    """M(xi) applied in place to contiguous (batch, rows, *points) spectra, which it returns.
+
+    Points as fields._band_axes holds them for the box, a row per ascending
+    mask: scalar rows kept, top-grade rows negated, the others reflected,
+    and the origin zeroed.
+    """
+    lo, hi = int(masks[0] == 0), len(masks) - int(masks[-1] == (1 << n) - 1)
+    if lo < hi:
+        u, nyquist, u_alias = _directions(dims, _held_points(dims, box))
+        lowered, plan = _reflection_plan(n, tuple(masks[lo:hi]))
+        # A Nyquist point also stands for the lattice vector with its Nyquist
+        # coordinates negated; a real field sees the mean of both symbols.
+        flat = spectra.reshape(spectra.shape[:2] + (-1,))[:, lo:hi]
+        aliased = _reflect(flat[..., nyquist], u_alias, plan, lowered) if len(nyquist) else None
+        _reflect(spectra[:, lo:hi], u, plan, lowered)
+        if aliased is not None:
+            flat[..., nyquist] = 0.5 * (flat[..., nyquist] + aliased)
+    np.negative(spectra[:, hi:], out=spectra[:, hi:])
+    spectra[(Ellipsis,) + (0,) * n] = 0.0
+    return spectra
+
+
 def apply_beurling_ahlfors(field: FormField) -> FormField:
     """Apply the operator as the reflection f^ - 2 u^(u _| f^) per frequency.
 
@@ -246,9 +269,8 @@ def apply_beurling_ahlfors(field: FormField) -> FormField:
     mean(f_n) - f_n, with no transform. The middle grades take the held
     forward transform, a real FFT cut to the box of the modes they hold
     (fields._held_spectra: a dense axis drops the modes below
-    fields._MODE_TOL of their row's largest, a wide one keeps all), n
-    contractions and n wedge products with unit-direction grids on the
-    box, and fields._band_inverse into the output stack. The symbol
+    fields._MODE_TOL of their row's largest, a wide one keeps all), the
+    reflection there (_reflect_box) and fields._band_inverse. The symbol
     couples only components of equal grade, so a single-grade field stays
     single-grade. The mean of every component is annihilated.
     """
@@ -260,16 +282,7 @@ def apply_beurling_ahlfors(field: FormField) -> FormField:
     hi = len(masks) - int((1 << n) - 1 in masks)
     if lo < hi:
         kmax, spectra = _held_spectra(_real_batch(data[lo:hi]), dims)
-        u, nyquist, u_alias = _directions(dims, _held_points(dims, kmax))
-        lowered, plan = _reflection_plan(n, tuple(masks[lo:hi]))
-        # A Nyquist point also stands for the lattice vector with its Nyquist
-        # coordinates negated; a real field sees the mean of both symbols.
-        flat = spectra.reshape(spectra.shape[:2] + (-1,))
-        aliased = _reflect(flat[..., nyquist], u_alias, plan, lowered) if len(nyquist) else None
-        _reflect(spectra, u, plan, lowered)
-        if aliased is not None:
-            flat[..., nyquist] = 0.5 * (flat[..., nyquist] + aliased)
-        spectra[(Ellipsis,) + (0,) * n] = 0.0
+        _reflect_box(spectra, n, dims, kmax, masks[lo:hi])
     # allocated only now: allocated before the rfftn, the output raised peak
     # RSS over 30 repeated n=3 64^3 draw-apply-norm items from 91 to 104 MB
     out = np.empty(data.shape, complex if np.iscomplexobj(data) else float)

@@ -5,21 +5,30 @@ Random band-limited fields plus hill climbing give an empirical ratio
 probe only brackets the norm from below. Three out of four evaluations
 draw fresh fields on the unit torus, every fourth perturbs the incumbent
 by a fresh field scaled to MUTATION_SCALE of its L^2 norm.
+
+Candidates come in chunks whose f and Tf hold at most CHUNK_SAMPLES
+samples (at least one candidate), one normal draw each in the stream's
+per-candidate order; twice the cap raised peak RSS by 2 MB at 64^2 and
+was no faster. A chunk's band spectra (fields._band_spectrum) and a
+reflected copy (fourier._reflect_box) give f and Tf with no forward
+transform, and a mutation takes T by linearity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
 from .errors import SearchError
-from .fields import lp_norm, random_band_limited
-from .fourier import apply_beurling_ahlfors
+from .fields import _band_inverse, _band_spectrum, _draw_band, _power_sums, masks_for_grades
+from .fourier import _reflect_box
 from .heatmatrix import bound_constants
 
 DEGENERATE_NORM = 1e-12
 MUTATION_SCALE = 0.25
+CHUNK_SAMPLES = 1 << 17  # samples of f and Tf in one chunk
 
 
 @dataclass(frozen=True)
@@ -38,36 +47,36 @@ def norm_search(n, p, dims, budget=200, seed=0, kmax=3) -> SearchResult:
         raise ValueError("budget must be at least 1")
     rng = np.random.default_rng(seed)
     report = bound_constants(n, p)
-    best_ratio = -np.inf
-    best_field = None
-    best_index = -1
-    best_kind = "fresh"
-    degenerate = 0
-    for i in range(budget):
-        mutate = i % 4 == 3 and best_field is not None
-        fresh = random_band_limited(n, dims, 1.0, rng, kmax=kmax)
-        if mutate:
-            norm_best = lp_norm(best_field, 2)
-            norm_fresh = lp_norm(fresh, 2)
-            if norm_fresh <= DEGENERATE_NORM:
+    dims, band = _draw_band(n, dims, kmax)
+    masks = masks_for_grades(n, range(n + 1))
+    cell = prod(1.0 / d for d in dims)  # the unit torus
+    best_ratio, best, best_index, best_kind, degenerate = -np.inf, None, -1, "fresh", 0  # best: (f, Tf)
+    chunk = max(1, CHUNK_SAMPLES // (2 * len(masks) * prod(dims)))
+    for start in range(0, budget, chunk):
+        pairs = np.empty((2, min(chunk, budget - start), len(masks)) + dims)  # f and Tf per candidate
+        spectra = _band_spectrum(rng.standard_normal(out=pairs[0]), dims, band, mean_zero=True)
+        _band_inverse(_reflect_box(spectra.copy(), n, dims, band, masks), dims, band, pairs[1])
+        _band_inverse(spectra, dims, band, pairs[0])  # f overwrites its noise
+        sums = _power_sums(pairs.reshape(pairs.shape[:3] + (-1,)), (p, 2.0), cell)
+        for j, i in enumerate(range(start, start + pairs.shape[1])):
+            pair, (f_p, tf_p), f_2, kind = pairs[:, j], sums[0, :, j], sums[1, 0, j], "fresh"
+            if i % 4 == 3 and best is not None:
+                norm_fresh = f_2 ** (1.0 / 2.0)
+                if norm_fresh <= DEGENERATE_NORM:
+                    degenerate += 1
+                    continue
+                pair = best + pair * (MUTATION_SCALE * best_norm / norm_fresh)  # T by linearity
+                (f_p, tf_p), (f_2, _) = _power_sums(pair.reshape(2, len(masks), -1), (p, 2.0), cell)
+                kind = "mutation"
+            denom = f_p ** (1.0 / p)
+            if denom <= DEGENERATE_NORM:
                 degenerate += 1
                 continue
-            candidate = best_field + (MUTATION_SCALE * norm_best / norm_fresh) * fresh
-            kind = "mutation"
-        else:
-            candidate = fresh
-            kind = "fresh"
-        denom = lp_norm(candidate, p)
-        if denom <= DEGENERATE_NORM:
-            degenerate += 1
-            continue
-        ratio = lp_norm(apply_beurling_ahlfors(candidate), p) / denom
-        if ratio > best_ratio:
-            best_ratio = ratio
-            best_field = candidate
-            best_index = i
-            best_kind = kind
-    if best_field is None:
+            ratio = tf_p ** (1.0 / p) / denom
+            if ratio > best_ratio:
+                best_ratio, best_index, best_kind = ratio, i, kind
+                best, best_norm = pair.copy(), f_2 ** (1.0 / 2.0)
+    if best is None:
         raise SearchError("all candidates were numerically degenerate")
     return SearchResult(
         best_ratio=float(best_ratio),

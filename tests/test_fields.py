@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from math import prod
 from pathlib import Path
 
@@ -17,11 +18,13 @@ from heatforms.fields import (
     TrigSeries,
     _band_axes,
     _band_inverse,
+    _band_spectrum,
     _blocks,
     _complex_band,
     _held_band,
     _held_spectra,
     _MODE_TOL,
+    _power_sums,
     _real_band,
     cosine_field,
     lp_norm,
@@ -205,6 +208,27 @@ class TestRandomBandLimited:
             return hashlib.sha256(f.data.tobytes()).hexdigest()
 
         assert proc.stdout.split() == [digest(*case) for case in cases]
+
+    @pytest.mark.parametrize(
+        "n, dims, kmax, grades, mean_zero",
+        [
+            (2, (64, 64), 3, None, True),
+            (3, (16, 16, 16), 3, [1, 2], False),
+            (2, (64, 64), 30, None, True),  # wide axes
+            (2, (32, 32), 16, [1], False),  # dense, with the Nyquist points
+        ],
+    )
+    def test_is_band_inverse_of_band_spectrum(self, n, dims, kmax, grades, mean_zero):
+        f = random_band_limited(n, dims, 1.0, np.random.default_rng(5), kmax, grades, mean_zero)
+        noise = np.random.default_rng(5).standard_normal((3,) + f.data.shape)
+        band = tuple(min(kmax, d // 2) for d in dims)
+        spectra = _band_spectrum(noise[0], dims, band, mean_zero)
+        assert np.array_equal(_band_inverse(spectra, dims, band, np.empty(f.data.shape)), f.data)
+        # a stack of three draws: each one's spectrum to rounding
+        stacked = _band_spectrum(noise, dims, band, mean_zero)
+        for one, x in zip(stacked, noise):
+            want = _band_spectrum(x, dims, band, mean_zero)
+            assert np.max(np.abs(one - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_rejects_negative_kmax(self):
         with pytest.raises(ValueError, match="kmax"):
@@ -414,6 +438,40 @@ class TestLpNorm:
             lp_norm(f, 2000.0)
         assert lp_norm(f, 1000.0) == pytest.approx(0.5)
         assert lp_norm(FormField.zeros(2, (8, 8)), 2000.0) == 0.0
+
+    def test_is_the_one_field_power_sum(self):
+        rng = np.random.default_rng(12)
+        for n, dims in [(1, (16,)), (2, (64, 64)), (3, (64, 32, 32))]:  # the last has two blocks
+            f = random_band_limited(n, dims, 1.5, rng)
+            for field in (f, f.like(f.data + 0.5j * f.data[::-1])):
+                rows = field.data.reshape(1, len(field.masks), -1)
+                for p in (1.0, 4.0 / 3.0, 2.0, 4.0, 7.5):
+                    total = _power_sums(rows, (p,), field.cell_volume)[0, 0]
+                    assert lp_norm(field, p) == float(total ** (1.0 / p))
+
+    def test_power_sums_of_a_stack_match_each_field(self):
+        rng = np.random.default_rng(13)
+        stack = rng.standard_normal((2, 3, 4, 64 * 32 * 32))  # two blocks of points
+        exponents = (4.0, 1.0, 2.0, 4.0 / 3.0)
+        sums = _power_sums(stack, exponents, 0.5)  # the cell volume at L = 32
+        assert sums.shape == (4, 2, 3)
+        for index in np.ndindex(2, 3):
+            field = FormField(3, (64, 32, 32), 32.0, [1, 2, 4, 7], stack[index].reshape(4, 64, 32, 32))
+            for p, total in zip(exponents, sums[(slice(None),) + index]):
+                assert lp_norm(field, p) == float(total ** (1.0 / p))
+
+    @pytest.mark.parametrize("value, message", [(1e3, "overflows"), (1e-3, "underflows")])
+    def test_power_sums_blame_one_field_of_a_stack(self, value, message):
+        # one field of three trips the exponent 300; a RuntimeWarning would be an error here
+        stack = np.ones((3, 2, 64))
+        stack[1] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"exponent 300.0 {message} the p-th power sum"):
+                _power_sums(stack, (2.0, 300.0), 1.0 / 64)
+            assert np.all(_power_sums(stack[[0, 2]], (2.0, 300.0), 1.0 / 64) > 0)
+            stack[1] = 0.0  # a zero field sums to 0 without underflowing
+            assert np.array_equal(_power_sums(stack, (2.0, 300.0), 1.0 / 64)[:, 1], [0.0, 0.0])
 
     @given(st.floats(0.1, 10.0), st.floats(1.0, 6.0))
     @settings(max_examples=20, deadline=None)

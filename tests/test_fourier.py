@@ -8,9 +8,18 @@ import numpy as np
 import pytest
 
 from heatforms import fourier
-from heatforms.fields import FormField, _held_band, cosine_field, lp_norm, random_band_limited
+from heatforms.fields import (
+    FormField,
+    _band_inverse,
+    _band_spectrum,
+    _held_band,
+    cosine_field,
+    lp_norm,
+    random_band_limited,
+)
 from heatforms.fourier import (
     GL_ORDER,
+    _reflect_box,
     apply_beurling_ahlfors,
     _through_spectrum,
     beurling_ahlfors_symbol,
@@ -228,6 +237,31 @@ class TestApply:
         f = cosine_field(2, (16, 16), 1.0, [1, 0], mask=0)
         out = apply_beurling_ahlfors(f)
         assert np.allclose(out.components[0], f.components[0], atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "n, dims, kmax, grades",
+        [
+            (2, (64, 64), 3, None),  # dense
+            (2, (64, 64), 30, None),  # wide
+            (2, (32, 32), 16, None),  # dense, with the Nyquist points
+            (2, (64, 64), 32, [1]),  # wide, with the Nyquist points
+            (3, (16, 16, 16), 3, None),
+            (3, (64, 16, 16), 30, [1, 2]),
+            (3, (8, 8, 8), 4, None),
+        ],
+    )
+    def test_reflect_box_on_the_draw_spectrum_matches_apply(self, n, dims, kmax, grades):
+        # the probe's path: reflect the draw's band spectra in place of a
+        # forward transform of the drawn field; a stack of two draws
+        f = random_band_limited(n, dims, 1.0, np.random.default_rng(21), kmax, grades)
+        noise = np.random.default_rng(21).standard_normal((2,) + f.data.shape)
+        band = tuple(min(kmax, d // 2) for d in dims)
+        spectra = _reflect_box(_band_spectrum(noise, dims, band, True), n, dims, band, f.masks)
+        got = _band_inverse(spectra, dims, band, np.empty(noise.shape))
+        want = apply_beurling_ahlfors(f).data
+        assert np.max(np.abs(got[0] - want)) <= 1e-13 * np.max(np.abs(f.data))
+        g = f.like(_band_inverse(_band_spectrum(noise, dims, band, True), dims, band, noise)[1])
+        assert np.max(np.abs(got[1] - apply_beurling_ahlfors(g).data)) <= 1e-13 * np.max(np.abs(g.data))
 
     def test_real_output(self):
         # the full-lattice symbol maps real fields to real fields, and the

@@ -4,7 +4,35 @@ import pytest
 from heatforms.errors import SearchError
 from heatforms.fields import lp_norm, random_band_limited
 from heatforms.fourier import apply_beurling_ahlfors
-from heatforms.normsearch import norm_search
+from heatforms.normsearch import DEGENERATE_NORM, MUTATION_SCALE, norm_search
+
+
+def per_candidate_search(n, p, dims, budget, seed, kmax):
+    """The probe one candidate at a time: draw, apply, lp_norm, mutate as best + c fresh.
+
+    Returns (best_ratio, best_index, best_kind, degenerate).
+    """
+    rng = np.random.default_rng(seed)
+    best_ratio, best_field, best_index, best_kind, degenerate = -np.inf, None, -1, "fresh", 0
+    for i in range(budget):
+        mutate = i % 4 == 3 and best_field is not None
+        fresh = random_band_limited(n, dims, 1.0, rng, kmax=kmax)
+        candidate, kind = fresh, "fresh"
+        if mutate:
+            norm_best, norm_fresh = lp_norm(best_field, 2), lp_norm(fresh, 2)
+            if norm_fresh <= DEGENERATE_NORM:
+                degenerate += 1
+                continue
+            candidate = best_field + (MUTATION_SCALE * norm_best / norm_fresh) * fresh
+            kind = "mutation"
+        denom = lp_norm(candidate, p)
+        if denom <= DEGENERATE_NORM:
+            degenerate += 1
+            continue
+        ratio = lp_norm(apply_beurling_ahlfors(candidate), p) / denom
+        if ratio > best_ratio:
+            best_ratio, best_field, best_index, best_kind = ratio, candidate, i, kind
+    return best_ratio, best_index, best_kind, degenerate
 
 
 class TestNormSearch:
@@ -44,3 +72,31 @@ class TestNormSearch:
     def test_mutations_occur(self):
         r = norm_search(2, 4.0, dims=(16, 16), budget=200, seed=3)
         assert r.evaluations == 200
+        assert r.best_kind == "mutation" and r.best_index % 4 == 3
+
+
+class TestChunkedSearch:
+    @pytest.mark.parametrize(
+        "n, p, dims, budget, kmax",
+        [
+            (2, 4.0, (64, 64), 100, 3),
+            (2, 4.0 / 3.0, (64, 64), 100, 3),
+            (3, 4.0, (16, 16, 16), 60, 3),
+            # a chunk (CHUNK_SAMPLES = 2^17 samples of f and Tf) holds 4 candidates at 64^2,
+            # so this budget ends mid-chunk
+            (2, 4.0, (64, 64), 13, 3),
+            # one candidate fills a chunk exactly (2 x 4 rows x 2^14 points), and overfills one
+            (2, 4.0, (128, 128), 9, 3),
+            (2, 4.0, (256, 256), 6, 3),
+            # kmax >= d/2 holds the Nyquist points; kmax 30 makes both 64-point axes wide
+            (2, 4.0, (32, 32), 40, 16),
+            (2, 4.0, (64, 64), 40, 30),
+            (2, 4.0, (64, 64), 20, 32),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_candidate_search(self, n, p, dims, budget, kmax, seed):
+        want_ratio, *want = per_candidate_search(n, p, dims, budget, seed, kmax)
+        got = norm_search(n, p, dims, budget=budget, seed=seed, kmax=kmax)
+        assert [got.best_index, got.best_kind, got.degenerate] == want
+        assert abs(got.best_ratio / want_ratio - 1.0) <= 1e-12
