@@ -108,21 +108,6 @@ class FormField:
     def copy(self) -> "FormField":
         return self.like(self.data.copy())
 
-    def _check_compatible(self, other):
-        if (self.n, self.dims, self.masks) != (other.n, other.dims, other.masks) or (
-            self.L != other.L
-        ):
-            raise ValueError("fields have different grids or components")
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        return self.like(self.data + other.data)
-
-    def __mul__(self, scalar):
-        return self.like(self.data * scalar)
-
-    __rmul__ = __mul__
-
     def is_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.data)))
 

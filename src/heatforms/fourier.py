@@ -4,19 +4,17 @@ The frequency-domain matrix of the Beurling-Ahlfors operator, its
 application to fields, and the bilinear gradient integral that pairs two
 heat extensions.
 
-The Laplace-type multipliers in multipliers.py take one path
-(_through_spectrum): a real FFT of the field's component stack onto the
-half lattice that rfftn stores, the multiplier applied to those half
-spectra, and one inverse real FFT. Half
-spectra determine a real field only under a Hermitian multiplier,
+Every symbol takes one path. The operator, psw_integral and the
+Laplace-type multipliers in multipliers.py take one held forward
+transform (fields._held_spectra): a real FFT of the component stack, cut
+to the box of the modes the field holds. The symbol is applied on that
+box, and fields._band_inverse, the draw's inverse, returns the grids.
+Half spectra determine a real field only under a Hermitian multiplier,
 m(-k) = conj(m(k)) on the full lattice; real even symbols and i times
 real odd ones are, and a complex even symbol is applied as its real and
 imaginary parts. Complex fields go through as a batch of their real and
-imaginary parts, so every multiplier acts on them complex-linearly. The
-operator and psw_integral take one held forward transform
-(fields._held_spectra), bitwise the same FFT cut to the box of the modes
-their fields hold, and invert there with fields._band_inverse, the
-draw's inverse.
+imaginary parts (_real_batch), so every multiplier acts on them
+complex-linearly.
 
 The operator acts per frequency xi by the reflection
 
@@ -80,16 +78,15 @@ def _directions(dims: tuple, kmax: tuple):
 
 
 @lru_cache(maxsize=32)
-def _multipliers(dims: tuple, L: float, kmax=None):
+def _multipliers(dims: tuple, L: float, kmax: tuple):
     """|xi|^2 and the gradient multipliers i 2 pi k_a / L on the points held for the box kmax.
 
-    The points are those fields._band_axes holds, keyed like _directions;
-    kmax None is the whole half lattice. The gradient multipliers form one
-    (n, *points) array; each is zeroed at the Nyquist index (k = -N/2),
-    where i 2 pi k_a / L has no Hermitian partner, so that real fields keep
-    real derivatives.
+    The points are those fields._band_axes holds, keyed like _directions.
+    The gradient multipliers form one (n, *points) array; each is zeroed at
+    the Nyquist index (k = -N/2), where i 2 pi k_a / L has no Hermitian
+    partner, so that real fields keep real derivatives.
     """
-    ks = np.meshgrid(*(k for _, k in _band_axes(dims, kmax or dims)), indexing="ij", sparse=True)
+    ks = np.meshgrid(*(k for _, k in _band_axes(dims, kmax)), indexing="ij", sparse=True)
     xi_sq = sum((k / L) ** 2 for k in ks)
     grad_mult = np.stack(
         np.broadcast_arrays(
@@ -102,30 +99,6 @@ def _multipliers(dims: tuple, L: float, kmax=None):
 def _real_batch(data: np.ndarray) -> np.ndarray:
     """A stack as a batch of real stacks: itself, or its real and imaginary parts."""
     return np.stack([data.real, data.imag]) if np.iscomplexobj(data) else data[None]
-
-
-def _half_spectra(data: np.ndarray, dims: tuple) -> np.ndarray:
-    """rfftn over the trailing len(dims) axes of a stack, as a new (batch, *rows, *half) array.
-
-    The batch is _real_batch's.
-    """
-    batch = _real_batch(data)
-    spectra = np.empty(batch.shape[:-1] + (dims[-1] // 2 + 1,), complex)
-    return np.fft.rfftn(batch, axes=tuple(range(batch.ndim - len(dims), batch.ndim)), out=spectra)
-
-
-def _through_spectrum(data: np.ndarray, dims: tuple, act) -> np.ndarray:
-    """Hermitian Fourier multiplier act over the trailing len(dims) axes of a stack.
-
-    act on _half_spectra (in place, or inserting axes after the batch
-    axis), then irfftn's passes in its order, the ifft passes in place.
-    """
-    spectra = act(_half_spectra(data, dims))
-    out = np.empty(spectra.shape[1:-1] + dims[-1:], complex if np.iscomplexobj(data) else float)
-    for axis in range(spectra.ndim - len(dims), spectra.ndim - 1):
-        np.fft.ifft(spectra, axis=axis, out=spectra)
-    np.fft.irfft(spectra, n=dims[-1], out=_batch_parts(out))
-    return out
 
 
 def _batch_parts(out: np.ndarray) -> np.ndarray:

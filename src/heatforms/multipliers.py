@@ -15,8 +15,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import AccuracyError
-from .fields import FormField
-from .fourier import _multipliers, _through_spectrum
+from .fields import FormField, _band_inverse, _held_points, _held_spectra
+from .fourier import _batch_parts, _multipliers, _real_batch
 from .heatmatrix import conjugate_exponent
 
 # Substituting t = e^v / lambda turns the defining integral into
@@ -158,30 +158,38 @@ def laplace_symbol_eval(sym: SpectralSymbol, lam: float) -> complex:
 def apply_spectral_multiplier(sym: SpectralSymbol, field: FormField) -> FormField:
     """Multiply every Fourier mode by a(4 pi^2 |xi|^2).
 
-    The zero frequency is scaled by the symbol's declared zero limit, or
-    annihilated when none is declared. a is even in xi but may be complex,
-    so its real and imaginary parts go through the real-FFT path as two
-    real multipliers stacked on one forward transform; the imaginary part
-    joins only when some value has a nonzero imaginary part. The output is
-    real for a real field and real multiplier values, complex otherwise; a
-    complex field keeps its imaginary part.
+    The operator's route: one held forward transform of the field's real
+    batch (fields._held_spectra), the product on the box of the modes it
+    holds, and fields._band_inverse; the quadrature sees only the box's
+    distinct lambda. The zero frequency, the box's first point, is scaled
+    by the symbol's declared zero limit, or annihilated when none is
+    declared. a is even in xi but may be complex, and half spectra carry
+    only Hermitian multipliers, so its real and imaginary parts go as two
+    real multipliers stacked on the one forward transform; the imaginary
+    part joins only when some value has a nonzero imaginary part. The
+    output is real for a real field and real multiplier values, complex
+    otherwise; a complex field keeps its imaginary part.
     """
     if not field.is_finite():
         raise ValueError("field has non-finite samples")
-    xi_sq, _ = _multipliers(field.dims, field.L)
-    flat = (4.0 * np.pi**2 * xi_sq).reshape(-1)
-    positive = flat > 0.0
-    unique, inverse = np.unique(flat[positive], return_inverse=True)
-    values, _ = laplace_symbol_eval_many(sym, unique)
-    mult = np.empty(flat.shape, dtype=complex)
-    mult[positive] = values[inverse]
-    mult[~positive] = 0.0 if sym.zero_limit is None else sym.zero_limit
+    dims, data = field.dims, field.data
+    kmax, spectra = _held_spectra(_real_batch(data), dims)
+    xi_sq, _ = _multipliers(dims, field.L, _held_points(dims, kmax))
+    lam = 4.0 * np.pi**2 * xi_sq.reshape(-1)
+    unique, inverse = np.unique(lam[1:], return_inverse=True)  # the origin is the box's first point
+    mult = np.empty(lam.shape, complex)
+    mult[0] = 0.0 if sym.zero_limit is None else sym.zero_limit
+    mult[1:] = laplace_symbol_eval_many(sym, unique)[0][inverse]
     mult = mult.reshape(xi_sq.shape)
-    if not np.any(mult.imag):
-        return field.like(_through_spectrum(field.data, field.dims, lambda s: s * mult.real))
-    parts = np.stack([mult.real, mult.imag])
-    out = _through_spectrum(field.data, field.dims, lambda s: s[:, None] * parts[:, None])
-    return field.like(out[0] + 1j * out[1])
+    two_parts = bool(np.any(mult.imag))
+    if two_parts:
+        spectra = spectra[:, None] * np.stack([mult.real, mult.imag])[:, None]
+    else:
+        spectra *= mult.real
+    out = np.empty(spectra.shape[1:-len(dims)] + dims, complex if np.iscomplexobj(data) else float)
+    for part, s in zip(_batch_parts(out), spectra):
+        _band_inverse(s, dims, kmax, part)
+    return field.like(out[0] + 1j * out[1] if two_parts else out)
 
 
 def imaginary_power_constant(s: float, p: float) -> float:

@@ -108,14 +108,6 @@ class TestFormField:
         assert (f == f.copy()) is False
         assert (f != f.copy()) is True
 
-    def test_arithmetic(self):
-        rng = np.random.default_rng(0)
-        f = random_band_limited(2, (8, 8), 1.0, rng)
-        g = random_band_limited(2, (8, 8), 1.0, rng)
-        h = f + 2.0 * g
-        for m in f.masks:
-            assert np.array_equal(h.components[m], f.components[m] + 2.0 * g.components[m])
-
 
 class TestRandomBandLimited:
     def test_matches_per_component_full_fft_filter(self):
@@ -478,7 +470,7 @@ class TestLpNorm:
     def test_homogeneous(self, scale, p):
         rng = np.random.default_rng(42)
         f = random_band_limited(2, (8, 8), 1.0, rng)
-        assert np.isclose(lp_norm(scale * f, p), scale * lp_norm(f, p), rtol=1e-10)
+        assert np.isclose(lp_norm(f.like(scale * f.data), p), scale * lp_norm(f, p), rtol=1e-10)
 
     def test_blocks_match_one_sum_over_the_grid(self):
         # 64^3 holds eight blocks of points; the norm stays within 1e-15 of

@@ -13,15 +13,18 @@ from heatforms.fields import (
     _band_inverse,
     _band_spectrum,
     _held_band,
+    _held_points,
+    _held_spectra,
     cosine_field,
     lp_norm,
     random_band_limited,
 )
 from heatforms.fourier import (
     GL_ORDER,
+    _batch_parts,
+    _real_batch,
     _reflect_box,
     apply_beurling_ahlfors,
-    _through_spectrum,
     beurling_ahlfors_symbol,
     psw_integral,
     symbol_from_heat_matrix,
@@ -90,11 +93,14 @@ def full_lattice_symbol(sym, dims, L):
 
 
 # Real and complex fields with content on the Nyquist planes (kmax = N/2),
-# uneven grids and L != 1.
+# uneven grids and L != 1; the last two hold a wide 64-point axis, which
+# the band inverse transforms by FFT passes, next to dense ones.
 ORACLE_CASES = [
     (2, (4, 8), 0.7, 4),
     (2, (16, 16), 1.3, 8),
     (3, (4, 8, 4), 1.7, 4),
+    (2, (64, 16), 0.9, 32),
+    (3, (8, 64, 8), 1.1, 32),
 ]
 
 
@@ -110,24 +116,37 @@ def assert_rel_close(got, want, rel=1e-13):
     assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
 
 
+def held_route(data, dims, L, act):
+    """psw_integral's route: _held_spectra, act(spectra, xi_sq, grad_mult) on the box, _band_inverse."""
+    kmax, spectra = _held_spectra(_real_batch(data), dims)
+    spectra = act(spectra, *fourier._multipliers(dims, L, _held_points(dims, kmax)))
+    out = np.empty(spectra.shape[1 : -len(dims)] + dims, data.dtype)
+    for part, s in zip(_batch_parts(out), spectra):
+        _band_inverse(s, dims, kmax, part)
+    return out
+
+
 class TestFullLatticeOracle:
-    # the half-spectrum path against full complex fftn/ifftn of the same
-    # multipliers: heat damping (real even) and the gradient (i times real odd)
+    # the held box against full complex fftn/ifftn of the same multipliers:
+    # heat damping (real even), the gradient (i times real odd) and the
+    # Laplace-type multipliers
 
     @pytest.mark.parametrize("n, dims, L, kmax", ORACLE_CASES)
     def test_heat_extension(self, n, dims, L, kmax):
         xi_sq, _ = full_lattice_multipliers(dims, L)
-        damp = np.exp(-2.0 * np.pi**2 * fourier._multipliers(dims, L)[0] * 0.01)
+
+        def damp(s, box_xi_sq, _):
+            return s * np.exp(-2.0 * np.pi**2 * box_xi_sq * 0.01)
+
         for field in oracle_fields(n, dims, L, kmax, 21):
             want = full_lattice_route(field.data, np.exp(-2.0 * np.pi**2 * xi_sq * 0.01), n)
-            assert_rel_close(_through_spectrum(field.data, dims, lambda s: s * damp), want)
+            assert_rel_close(held_route(field.data, dims, L, damp), want)
 
     @pytest.mark.parametrize("n, dims, L, kmax", ORACLE_CASES)
     def test_spectral_gradient(self, n, dims, L, kmax):
         _, grad = full_lattice_multipliers(dims, L)
-        _, grad_mult = fourier._multipliers(dims, L)
         for field in oracle_fields(n, dims, L, kmax, 22):
-            got = _through_spectrum(field.data, dims, lambda s: s[:, :, None] * grad_mult)
+            got = held_route(field.data, dims, L, lambda s, _, grad_mult: s[:, :, None] * grad_mult)
             assert_rel_close(got, full_lattice_route(field.data[:, None], grad, n))
 
     @pytest.mark.parametrize("n, dims, L, kmax", ORACLE_CASES)
@@ -562,7 +581,7 @@ class TestPswBandInverse:
         g = random_band_limited(len(dims), dims, 1.3, rng, kmax=kmax, mean_zero=False)
         p = float(rng.uniform(1.3, 4.0))
         assert_psw_matches_fft(f, g, p)
-        assert_psw_matches_fft(g, 1e-20 * f, p)
+        assert_psw_matches_fft(g, f.like(1e-20 * f.data), p)
 
     def test_cosine_mode(self):
         mode = cosine_field(2, (32, 32), 1.0, [1, 0], mask=1)
@@ -588,7 +607,7 @@ class TestPswBandInverse:
         g = random_band_limited(2, (32, 32), 1.0, rng, kmax=2)
         c = 1e-20
         lhs = psw_integral(f, g, 2.5, 1.0).lhs
-        assert abs(psw_integral(c * f, g, 2.5, 1.0).lhs - c * lhs) <= 1e-14 * c * lhs
+        assert abs(psw_integral(f.like(c * f.data), g, 2.5, 1.0).lhs - c * lhs) <= 1e-14 * c * lhs
 
     def test_independent_of_blas_thread_count(self):
         # every band product runs on one OpenBLAS thread, so a

@@ -1,3 +1,9 @@
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,6 +25,8 @@ from heatforms.multipliers import (
     laplace_symbol_eval,
     laplace_symbol_eval_many,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def identity_symbol():
@@ -224,6 +232,46 @@ class TestApplyMultiplier:
         f = random_band_limited(2, (16, 16), 1.0, np.random.default_rng(5))
         g = apply_spectral_multiplier(sym, f)
         assert not np.iscomplexobj(g.data)
+
+    def test_quadrature_sees_only_the_box(self, monkeypatch):
+        # a 64^2 kmax-8 draw holds |k_a| <= 8: 41 distinct positive lambda,
+        # against 456 on the whole half lattice
+        asked = []
+
+        def counted(sym, lams, _fn=multipliers.laplace_symbol_eval_many):
+            asked.append(np.size(lams))
+            return _fn(sym, lams)
+
+        monkeypatch.setattr(multipliers, "laplace_symbol_eval_many", counted)
+        f = random_band_limited(2, (64, 64), 1.0, np.random.default_rng(6), kmax=8)
+        apply_spectral_multiplier(imaginary_power_symbol(1.3), f)
+        assert asked == [41]
+
+    def test_independent_of_blas_thread_count(self):
+        # the box is inverted by band products that run on one OpenBLAS
+        # thread (dense axes) and by FFT passes (a wide one), so a
+        # single-threaded process gets the same bits as this one
+        cases = [((256, 256), 8), ((64, 64), 30)]
+        code = (
+            "import hashlib, numpy as np\n"
+            "from heatforms.fields import random_band_limited\n"
+            "from heatforms.multipliers import apply_spectral_multiplier, imaginary_power_symbol\n"
+            f"for dims, kmax in {cases!r}:\n"
+            "    f = random_band_limited(2, dims, 1.0, np.random.default_rng(3), kmax=kmax)\n"
+            "    g = apply_spectral_multiplier(imaginary_power_symbol(1.0), f)\n"
+            "    print(hashlib.sha256(g.data).hexdigest())\n"
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+
+        def digest(dims, kmax):
+            f = random_band_limited(2, dims, 1.0, np.random.default_rng(3), kmax=kmax)
+            return hashlib.sha256(apply_spectral_multiplier(imaginary_power_symbol(1.0), f).data).hexdigest()
+
+        assert proc.stdout.split() == [digest(*case) for case in cases]
 
     def test_zero_limit_convention(self):
         f = cosine_field(2, (8, 8), 1.0, [0, 0], mask=0, amplitude=3.0)  # constant

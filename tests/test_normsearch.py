@@ -23,7 +23,7 @@ def per_candidate_search(n, p, dims, budget, seed, kmax):
             if norm_fresh <= DEGENERATE_NORM:
                 degenerate += 1
                 continue
-            candidate = best_field + (MUTATION_SCALE * norm_best / norm_fresh) * fresh
+            candidate = best_field.like(best_field.data + (MUTATION_SCALE * norm_best / norm_fresh) * fresh.data)
             kind = "mutation"
         denom = lp_norm(candidate, p)
         if denom <= DEGENERATE_NORM:
@@ -56,7 +56,7 @@ class TestNormSearch:
         rng = np.random.default_rng(0)
         f = random_band_limited(2, (16, 16), 1.0, rng)
         r1 = lp_norm(apply_beurling_ahlfors(f), 3.0) / lp_norm(f, 3.0)
-        g = 17.5 * f
+        g = f.like(17.5 * f.data)
         r2 = lp_norm(apply_beurling_ahlfors(g), 3.0) / lp_norm(g, 3.0)
         assert np.isclose(r1, r2, rtol=1e-12)
 
