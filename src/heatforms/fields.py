@@ -105,9 +105,6 @@ class FormField:
         """Field on the same grid and masks holding the given data."""
         return FormField(self.n, self.dims, self.L, self.masks, data)
 
-    def copy(self) -> "FormField":
-        return self.like(self.data.copy())
-
     def is_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.data)))
 

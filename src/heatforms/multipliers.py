@@ -127,14 +127,14 @@ def laplace_symbol_eval_many(sym: SpectralSymbol, lams):
         v, weight = _grid(h, v_lo)
         values = _profile_at(sym.profile, block, v)
         sup = sym.sup_profile if sym.sup_profile is not None else np.max(np.abs(values), axis=1)
-        cur = values @ weight.astype(complex)
+        cur = np.einsum("lv,v->l", values, weight)  # no BLAS thread pool
         for _ in range(_MAX_HALVINGS):
             h *= 0.5
             v, weight = _grid(h, v_lo)
             values = _profile_at(sym.profile, block, v[1::2])
             if sym.sup_profile is None:
                 sup = np.maximum(sup, np.max(np.abs(values), axis=1))
-            prev, cur = cur, 0.5 * cur + values @ weight[1::2].astype(complex)
+            prev, cur = cur, 0.5 * cur + np.einsum("lv,v->l", values, weight[1::2])
             scale = np.maximum(np.abs(cur), 1e-30)
             err = np.abs(cur - prev) / scale
             if np.max(err) <= _TARGET:

@@ -23,19 +23,12 @@ def _json_value(v) -> str:
         return "null"
     if isinstance(v, str):
         return json.dumps(v)
-    if isinstance(v, bool) or isinstance(v, int):
+    if isinstance(v, (int, float)):  # bool included
         return fmt_number(v)
-    if isinstance(v, float):
-        return fmt_number(v)
-    if isinstance(v, (list, tuple)):
-        return "[" + ",".join(_json_value(x) for x in v) + "]"
     if isinstance(v, dict):
         items = sorted(v.items())
         return "{" + ",".join(f"{json.dumps(str(k))}:{_json_value(x)}" for k, x in items) + "}"
-    try:
-        return fmt_number(float(v))  # numpy scalars and friends
-    except (TypeError, ValueError):
-        raise TypeError(f"cannot serialize {type(v)!r}") from None
+    raise TypeError(f"cannot serialize {type(v)!r}")
 
 
 @dataclass(frozen=True)

@@ -25,17 +25,17 @@ the terms of every component, added in step order (see TrigSeries for how
 its modes and waves are built). The bootstrap turns each resample into a
 count vector and takes both moment sums with one product.
 
-The draws run on two threads: the caller's and one helper thread, started
-on first use. Each stream is drawn whole by one thread into arrays the
-caller allocated, so every result is bitwise what one thread would draw.
-simulate_paths gives the helper every other PATH_BLOCK block; the Ito
-study has it draw the next ensemble while the caller checks the current
-one; the transform experiment has it draw the bootstrap counts, stream
-(seed, 1), while the caller runs the walk on stream (seed, 0). The helper
-calls no public function. No step of these checks calls a threaded BLAS
-routine either (TrigSeries contracts with einsum): an OpenBLAS worker
-keeps spinning on the second core after a call and would take it from the
-helper.
+The draws run on two threads: the caller's and one helper, the worker of a
+one-thread executor (see _on_helper). Each stream is drawn whole by one
+thread into arrays the caller allocated, so every result is bitwise what
+one thread would draw. simulate_paths gives the helper every other
+PATH_BLOCK block; the Ito study has it draw the next ensemble while the
+caller checks the current one; the transform experiment has it draw the
+bootstrap counts, stream (seed, 1), while the caller runs the walk on
+stream (seed, 0). The helper calls no public function. No step of these
+checks calls a threaded BLAS routine either (TrigSeries contracts with
+einsum): an OpenBLAS worker keeps spinning on the second core after a call
+and would take it from the helper.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from __future__ import annotations
 import contextlib
 import os
 import threading
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,19 +64,10 @@ def _philox(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _serve():
-    while True:
-        with _wake:
-            _wake.wait_for(lambda: _jobs)
-            job = _jobs.popleft()
-        job()
-        del job  # an idle helper keeps no array alive
-
-
 def _forget_helper():
     """A forked child has no helper thread; it starts its own."""
-    global _jobs, _wake, _helper
-    _jobs, _wake, _helper = deque(), threading.Condition(), None
+    global _lock, _helper
+    _lock, _helper = threading.Lock(), None
 
 
 _forget_helper()
@@ -87,35 +77,25 @@ if hasattr(os, "register_at_fork"):
 
 @contextlib.contextmanager
 def _on_helper(fn, *args):
-    """Run fn(*args) on the helper thread, started on first use, during the with-body.
+    """Run fn(*args) on the helper thread during the with-body.
 
-    The exit waits for the call and re-raises its exception, the same
-    object, unless the body raised one of its own.
+    The helper is the one worker of a concurrent.futures executor made on
+    first use, and anew in a forked child; the interpreter joins it at
+    exit. The exit of the with waits for the call and re-raises its
+    exception, the same object, unless the body raised one of its own.
     """
     global _helper
-    done, errors = threading.Lock(), []
-    done.acquire()
-
-    def job():
-        try:
-            fn(*args)
-        except BaseException as exc:  # handed to the caller, not lost with the thread
-            errors.append(exc)
-        finally:
-            done.release()
-
-    with _wake:
+    with _lock:
         if _helper is None:
-            _helper = threading.Thread(target=_serve, name="heatforms-draws", daemon=True)
-            _helper.start()
-        _jobs.append(job)
-        _wake.notify()
+            from concurrent.futures import ThreadPoolExecutor  # off the package import
+
+            _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="heatforms-draws")
+    job = _helper.submit(fn, *args)
     try:
         yield
     finally:
-        done.acquire()
-    if errors:
-        raise errors[0]
+        job.exception()  # waits for the call
+    job.result()
 
 
 @dataclass

@@ -105,8 +105,8 @@ class TestFormField:
         # fields hold arrays, so == compares identity and never raises
         f = FormField.zeros(2, (4, 4))
         assert (f == f) is True
-        assert (f == f.copy()) is False
-        assert (f != f.copy()) is True
+        assert (f == f.like(f.data.copy())) is False
+        assert (f != f.like(f.data.copy())) is True
 
 
 class TestRandomBandLimited:

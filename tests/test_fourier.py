@@ -327,6 +327,16 @@ class TestApply:
         with pytest.raises(ValueError):
             apply_beurling_ahlfors(f)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row", [1, -1], ids=["middle-grade", "top-grade"])
+    def test_rejects_nonfinite_transformed_rows(self, row, bad):
+        # the middle rows go through the held transform, the top row through its mean
+        f = random_band_limited(2, (8, 8), 1.0, np.random.default_rng(2))
+        f.data[row, 3, 5] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            apply_beurling_ahlfors(f)
+
     def test_matches_per_frequency_dense_multiply(self):
         # independent route: assemble M(xi) at every lattice frequency and
         # multiply the stacked coefficient vector directly; kmax >= N/2 puts
@@ -677,6 +687,16 @@ class TestPsw:
         for pair in ((h, f), (f, h), (h, h)):
             with pytest.raises(ValueError, match="real fields"):
                 psw_integral(*pair, 2.0, t_max=1.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["f", "g"])
+    def test_rejects_nonfinite_fields(self, side, bad):
+        rng = np.random.default_rng(10)
+        pair = {s: random_band_limited(2, (16, 16), 1.0, rng, kmax=2) for s in ("f", "g")}
+        pair[side].data[1, 4, 7] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            psw_integral(pair["f"], pair["g"], 2.0, t_max=1.0)
 
     @pytest.mark.parametrize("t_max", [0.0, np.inf, np.nan])
     def test_rejects_bad_t_max(self, t_max):

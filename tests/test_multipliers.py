@@ -182,6 +182,14 @@ class TestQuadrature:
 
 
 class TestApplyMultiplier:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_fields(self, bad):
+        f = random_band_limited(2, (16, 16), 1.0, np.random.default_rng(3), kmax=4)
+        f.data[2, 5, 9] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            apply_spectral_multiplier(imaginary_power_symbol(1.0), f)
+
     def test_identity_round_trip(self):
         rng = np.random.default_rng(2)
         f = random_band_limited(2, (16, 16), 1.0, rng, mean_zero=False)

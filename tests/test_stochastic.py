@@ -206,8 +206,18 @@ class TestHelperThread:
     def test_one_helper_thread(self):
         simulate_paths(2, 0.01, 3, 3 * PATH_BLOCK, seed=0)
         martingale_transform_experiment(2.0, 8, 2000, "identity", seed=0)
-        helpers = [t for t in threading.enumerate() if t.name == "heatforms-draws"]
-        assert len(helpers) == 1 and helpers[0].daemon
+        helpers = [t for t in threading.enumerate() if t.name.startswith("heatforms-draws")]
+        assert len(helpers) == 1
+
+    def test_exit_does_not_hang_on_the_idle_helper(self):
+        # the helper is no daemon thread: the interpreter joins it at exit
+        code = (
+            "from heatforms.stochastic import PATH_BLOCK, martingale_transform_experiment, simulate_paths\n"
+            "simulate_paths(2, 0.01, 3, 2 * PATH_BLOCK, seed=5)\n"
+            "martingale_transform_experiment(2.0, 8, 2000, 'identity', seed=0)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
 
     def test_public_functions_run_on_the_main_thread(self, monkeypatch):
         # a span recorder wraps public functions and its stack is not
