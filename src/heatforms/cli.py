@@ -124,10 +124,10 @@ def cmd_matrix_verify(args, report: Report):
 def cmd_apply(args, report: Report):
     field = read_ffld(args.input)
     out = apply_beurling_ahlfors(field)
-    write_ffld(out, args.output)
     report.add("components", len(field.masks))
     report.add("l2_in", lp_norm(field, 2))
     report.add("l2_out", lp_norm(out, 2))
+    write_ffld(out, args.output)  # last, so an error leaves no file
 
 
 def cmd_norm_search(args, report: Report):

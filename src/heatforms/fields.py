@@ -36,7 +36,6 @@ _MODE_TOL = 1e-12  # a mode is held when some row's |c_k| exceeds this times tha
 _GEMM_SIZE = 1 << 18  # OpenBLAS runs a product with m * n * k at most this on one thread
 _DENSE_SPAN = 8  # an axis is dense while 2K + 1 <= this * log2(d) (_band_axes), as measured on one core
 _BLOCK = 1 << 15  # points per block of lp_norm's sum and of _held_spectra's rffts, so they work in cache
-_PROBE_LINES = 4  # lines of _held_spectra's first look for a wide last axis
 
 
 def _grid(n: int, dims) -> tuple[int, ...]:
@@ -105,9 +104,6 @@ class FormField:
         """Field on the same grid and masks holding the given data."""
         return FormField(self.n, self.dims, self.L, self.masks, data)
 
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.data)))
-
 
 def lp_norm(field: FormField, p: float) -> float:
     """Riemann-sum L^p norm of the pointwise Euclidean length, finite p >= 1."""
@@ -131,9 +127,9 @@ def _power_sums(stack: np.ndarray, exponents, cell: float) -> np.ndarray:
             density = np.einsum("...ij,...ij->...j", block, block)  # sum_I |f_I(x)|^2
             sums = [total + np.sum(density ** (p / 2.0), axis=-1) for total, p in zip(sums, exponents)]
         totals = cell * np.array(sums)
-    if totals.all() and np.isfinite(totals).all():
-        return totals
-    live = np.abs(stack).max(axis=(-2, -1)) ** 2 > 0.0  # a nonzero density: some |f_I(x)|^2 > 0
+        if totals.all() and np.isfinite(totals).all():
+            return totals
+        live = np.abs(stack).max(axis=(-2, -1)) ** 2 > 0.0  # a nonzero density: some |f_I(x)|^2 > 0
     for p, total in zip(exponents, totals):
         if np.any(total == np.inf):
             raise ValueError(f"exponent {p} overflows the p-th power sum")
@@ -277,9 +273,15 @@ def _band_inverse(spectra: np.ndarray, dims: tuple, kmax, out: np.ndarray) -> np
 
 
 def _held(spectra: np.ndarray) -> np.ndarray:
-    """Modes some row (axis 0) holds: |c| > _MODE_TOL * that row's max |c|; a zero row holds none."""
+    """Modes some row (axis 0) holds: |c| > _MODE_TOL * that row's max |c|; a zero row holds none.
+
+    Raises ValueError when some |c| is not finite: a non-finite coefficient,
+    or one whose magnitude overflows although its parts do not.
+    """
     mags = np.abs(spectra)
     peak = mags.max(axis=tuple(range(1, mags.ndim)), keepdims=True)
+    if not np.isfinite(peak).all():
+        raise ValueError("field has non-finite samples or its spectrum overflows")
     return np.any(mags > _MODE_TOL * peak, axis=0)
 
 
@@ -304,28 +306,21 @@ def _held_band(spectra: np.ndarray, dims: tuple) -> tuple:
 def _rfft_sums(stack: np.ndarray, points: int) -> tuple:
     """Last-axis rffts of a real stack, and per bin the sums of |Re| and |Im| over runs of points lines.
 
-    The sums come interleaved, one row per run. The rffts go in
-    blocks of about _BLOCK samples, or the whole stack at once when it
-    fits, and each block is summed while it is in cache.
+    The sums come interleaved, one row per run. The rffts go in blocks of
+    about _BLOCK samples, each summed while it is in cache.
     """
     d = stack.shape[-1]
     lines = stack.reshape(-1, d)
     spectra = np.empty(stack.shape[:-1] + (d // 2 + 1,), complex)
     out = spectra.reshape(len(lines), -1)
     step = max(1, _BLOCK // d)  # both powers of two: a block holds whole runs or an equal part of one
-    if len(lines) <= step:
-        blocks = [(stack, spectra)]
-    else:
-        blocks = [(lines[i : i + step], out[i : i + step]) for i in range(0, len(lines), step)]
     parts = np.zeros((len(lines) // points, 2 * out.shape[1]))
     mags = np.empty((min(step, len(lines)), parts.shape[1]))
-    start = 0
-    for x, y in blocks:
-        block = np.fft.rfft(x, out=y).view(float).reshape(-1, parts.shape[1])
+    for start in range(0, len(lines), step):
+        block = np.fft.rfft(lines[start : start + step], out=out[start : start + step]).view(float)
         count = len(block)
         sums = np.abs(block, out=mags[:count]).reshape(-1, min(count, points), parts.shape[1]).sum(axis=1)
         parts[start // points : (start + count - 1) // points + 1] += sums
-        start += count
     return spectra, parts
 
 
@@ -337,10 +332,15 @@ def _last_live(parts: np.ndarray, points: int) -> int:
     coefficient of bin k in row r, and by Parseval and Cauchy-Schwarz
     floor_r = max_k S_r(k) / sqrt(2 points) is at most that row's largest
     |c|, so a bin with S_r(k) <= _MODE_TOL / 2 * floor_r in every row (zero
-    rows included) holds no mode; the half covers rounding.
+    rows included) holds no mode; the half covers rounding. A row whose
+    sums are not all finite keeps every bin, so no overflowed coefficient
+    is dropped unseen.
     """
     bound = parts[:, 0::2] + parts[:, 1::2]
-    cut = bound.max(axis=1, keepdims=True) * (0.5 * _MODE_TOL / sqrt(2 * points))  # _MODE_TOL / 2 * floor_r
+    peak = bound.max(axis=1, keepdims=True)
+    if not peak.max() < np.inf:  # an inf or nan sum
+        return bound.shape[1] - 1
+    cut = peak * (0.5 * _MODE_TOL / sqrt(2 * points))  # _MODE_TOL / 2 * floor_r
     live = np.flatnonzero((bound > cut).any(axis=0))
     return int(live[-1]) if len(live) else 0
 
@@ -352,26 +352,22 @@ def _held_spectra(stack: np.ndarray, dims: tuple) -> tuple:
     last live one are dropped when the rest leave the last axis dense, and
     the other axes' fft passes run on the kept bins only, in rfftn's
     order; every line is transformed on its own, so the box and the cut
-    spectra are those of the whole rfftn. A stack of more than one block
-    first takes the same test on about _PROBE_LINES lines of each row
-    alone, and a live bin past the dense limit there skips the bound.
+    spectra are those of the whole rfftn. It is also every caller's input
+    check: _held sees every coefficient left before the cut to the box, and
+    a non-finite sample leaves bin 0 of its line non-finite, a bin never
+    dropped. Raises ValueError on a non-finite sample or an overflowed
+    spectrum.
     """
     n, d = len(dims), dims[-1]
     points = prod(dims[:-1])
-    wide = False
-    if stack.size > _BLOCK:
-        probe = np.fft.rfft(stack.reshape(-1, points, d)[:, :: max(1, points // _PROBE_LINES)])
-        wide = _last_live(np.abs(probe.view(float)).sum(axis=1), probe.shape[1]) > _densest(d)
-    if wide:
-        spectra = np.fft.rfft(stack)
-    else:
+    with np.errstate(over="ignore", invalid="ignore"):
         spectra, parts = _rfft_sums(stack, points)
         last = _last_live(parts, points)
         if last <= _densest(d):
             spectra = np.ascontiguousarray(spectra[..., : last + 1])
-    for axis in reversed(range(spectra.ndim - n, spectra.ndim - 1)):
-        np.fft.fft(spectra, axis=axis, out=spectra)
-    return _held_band(spectra, dims)
+        for axis in reversed(range(spectra.ndim - n, spectra.ndim - 1)):
+            np.fft.fft(spectra, axis=axis, out=spectra)
+        return _held_band(spectra, dims)
 
 
 def _band_spectrum(noise: np.ndarray, dims: tuple, band: tuple, mean_zero: bool) -> np.ndarray:

@@ -245,14 +245,18 @@ def apply_beurling_ahlfors(field: FormField) -> FormField:
     fields._MODE_TOL of their row's largest, a wide one keeps all), the
     reflection there (_reflect_box) and fields._band_inverse. The symbol
     couples only components of equal grade, so a single-grade field stays
-    single-grade. The mean of every component is annihilated.
+    single-grade. The mean of every component is annihilated. Raises
+    ValueError on a non-finite sample or an overflowing spectrum: the
+    held transform checks the middle rows, and the means the edge rows.
     """
-    if not field.is_finite():
-        raise ValueError("field has non-finite samples")
     n, dims, masks, data = field.n, field.dims, field.masks, field.data
     # masks ascend, so the scalar row comes first and the top-grade row last
     lo = int(0 in masks)
     hi = len(masks) - int((1 << n) - 1 in masks)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = [data[row].mean() for row in [0] * lo + [-1] * (len(masks) - hi)]
+    if not np.isfinite(means).all():
+        raise ValueError("field has non-finite samples or its spectrum overflows")
     if lo < hi:
         kmax, spectra = _held_spectra(_real_batch(data[lo:hi]), dims)
         _reflect_box(spectra, n, dims, kmax, masks[lo:hi])
@@ -263,9 +267,9 @@ def apply_beurling_ahlfors(field: FormField) -> FormField:
         for part, s in zip(_batch_parts(out[lo:hi]), spectra):
             _band_inverse(s, dims, kmax, part)
     if lo:
-        np.subtract(data[0], data[0].mean(), out=out[0])
+        np.subtract(data[0], means[0], out=out[0])
     if hi < len(masks):
-        np.subtract(data[-1].mean(), data[-1], out=out[-1])
+        np.subtract(means[-1], data[-1], out=out[-1])
     return field.like(out)
 
 
@@ -313,7 +317,8 @@ def psw_integral(
     refined geometrically toward t = 0, where fast modes still matter.
     Each time node, and t = 0 for the tail, damps the box and inverts all
     damped gradients with fields._band_inverse, whose bits do not depend
-    on the BLAS thread count.
+    on the BLAS thread count. Raises ValueError on a non-finite sample or
+    an overflowing spectrum (fields._held_spectra).
     """
     if (field_f.n, field_f.dims, field_f.L) != (field_g.n, field_g.dims, field_g.L):
         raise ValueError("fields live on different grids")
@@ -321,8 +326,6 @@ def psw_integral(
         raise ValueError("t_max must be positive and finite")
     p = float(p)
     p_star = conjugate_exponent(p)
-    if not (field_f.is_finite() and field_g.is_finite()):
-        raise ValueError("field has non-finite samples")
     if np.iscomplexobj(field_f.data) or np.iscomplexobj(field_g.data):
         raise ValueError("psw_integral takes real fields only")
     n, dims, L = field_f.n, field_f.dims, field_f.L

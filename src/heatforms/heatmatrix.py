@@ -231,13 +231,13 @@ def grade_norm_closed_form(n: int, r: int, alpha: float) -> float:
 def _components(pattern: np.ndarray) -> np.ndarray:
     """Component label of every vertex of a symmetric boolean adjacency.
 
-    The diagonal must be set. The nonzero pairs are listed once (a flat
-    nonzero, which is far cheaper than a 2-d one). Each round gives every
-    vertex the smallest label in its closed neighbourhood, hooks its old
-    root onto that label and jumps pointers until every vertex points at a
-    root. Labels only decrease and always name a vertex of the same
-    component, so at the fixed point each component carries the index of
-    its first vertex.
+    The nonzero pairs are listed once (a flat nonzero, which is far
+    cheaper than a 2-d one). Each round gives every vertex the smallest
+    label in its closed neighbourhood (its own label included, so the
+    diagonal need not be set), hooks its old root onto that label and
+    jumps pointers until every vertex points at a root. Labels only
+    decrease and always name a vertex of the same component, so at the
+    fixed point each component carries the index of its first vertex.
     """
     rows, cols = np.divmod(np.flatnonzero(pattern), pattern.shape[0])
     label = np.arange(pattern.shape[0])
@@ -276,7 +276,6 @@ def spectral_norm(matrix) -> float:
         return float(np.linalg.norm(m, 2))
     pattern = m != 0.0
     pattern = pattern | pattern.T
-    np.fill_diagonal(pattern, True)
     label = _components(pattern)
     del pattern
     size_of = np.bincount(label)[label]

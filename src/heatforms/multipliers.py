@@ -168,10 +168,9 @@ def apply_spectral_multiplier(sym: SpectralSymbol, field: FormField) -> FormFiel
     real multipliers stacked on the one forward transform; the imaginary
     part joins only when some value has a nonzero imaginary part. The
     output is real for a real field and real multiplier values, complex
-    otherwise; a complex field keeps its imaginary part.
+    otherwise; a complex field keeps its imaginary part. Raises ValueError
+    on a non-finite sample or an overflowing spectrum (fields._held_spectra).
     """
-    if not field.is_finite():
-        raise ValueError("field has non-finite samples")
     dims, data = field.dims, field.data
     kmax, spectra = _held_spectra(_real_batch(data), dims)
     xi_sq, _ = _multipliers(dims, field.L, _held_points(dims, kmax))

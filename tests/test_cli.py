@@ -103,6 +103,19 @@ class TestApplyCommand:
         byname = {r["label"]: r["value"] for r in parse_jsonl(out)[1]}
         assert byname["l2_in"] == pytest.approx(lp_norm(f, 2))
 
+    def test_overflowing_norm_writes_nothing(self, capsys, tmp_path):
+        # the operator takes samples near 1e160, but the report's l2 norms overflow
+        f = random_band_limited(2, (16, 16), 1.0, np.random.default_rng(3))
+        src = tmp_path / "in.ffld"
+        dst = tmp_path / "out.ffld"
+        write_ffld(f.like(f.data * 1e160), src)
+        code = main(["apply", "--input", str(src), "--output", str(dst)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and "overflows" in captured.err
+        assert not dst.exists()
+
     def test_missing_file_exit_1(self, capsys, tmp_path):
         code, _ = run_cli(
             capsys, "apply", "--input", str(tmp_path / "nope.ffld"), "--output", "/tmp/x"

@@ -388,6 +388,20 @@ class TestHeldSpectra:
         assert box == (kmax,) * n
         assert seen == [bins] * (n - 1)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", ["past-the-cut", "magnitude"])
+    def test_an_overflowed_coefficient_is_seen(self, kind):
+        # past-the-cut: 1e308 next to -1e308, so bin 0 is exactly 0 and the high
+        # bins overflow; the row's sums are not finite and it keeps every bin.
+        # magnitude: bin 1 of a 5e307 cosine has finite parts but |c| > 1.8e308.
+        stack = np.zeros((1, 4, 256))
+        if kind == "past-the-cut":
+            stack[0, 0, :2] = 1e308, -1e308
+        else:
+            stack[0, 0] = 5e307 * np.cos(2 * np.pi * np.arange(256) / 256 - np.pi / 4)
+        with pytest.raises(ValueError, match="spectrum overflows"):
+            _held_spectra(stack, (4, 256))
+
 
 class TestLpNorm:
     def test_zero_field(self):
@@ -421,6 +435,9 @@ class TestLpNorm:
         with pytest.raises(ValueError, match="overflows"):
             lp_norm(f, 1e308)
         assert lp_norm(f, 1000.0) == pytest.approx(2.0)
+        # at p = 2 the density itself overflows, and so would a squared peak
+        with pytest.raises(ValueError, match="exponent 2.0 overflows"):
+            lp_norm(f.like(np.full(f.data.shape, 1e160)), 2.0)
 
     def test_rejects_underflowing_power_sum(self):
         # 0.5^2000 underflows to 0; the norm is 0.5, not 0
@@ -668,6 +685,12 @@ class TestFFLD:
 
 
 class TestTrigSeries:
+    def test_rejects_nonfinite_samples(self):
+        stack = np.ones((2, 8, 8))
+        stack[1, 2, 3] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            TrigSeries(stack, 1.0)
+
     def test_single_mode_value_and_gradient(self):
         L = 2.0
         f = cosine_field(2, (16, 16), L, [1, 0], mask=0)

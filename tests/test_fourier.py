@@ -329,12 +329,28 @@ class TestApply:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("row", [1, -1], ids=["middle-grade", "top-grade"])
+    @pytest.mark.parametrize("row", [0, 1, -1], ids=["scalar", "middle-grade", "top-grade"])
     def test_rejects_nonfinite_transformed_rows(self, row, bad):
-        # the middle rows go through the held transform, the top row through its mean
+        # the middle rows go through the held transform, the edge rows through their means
         f = random_band_limited(2, (8, 8), 1.0, np.random.default_rng(2))
         f.data[row, 3, 5] = bad
         with pytest.raises(ValueError, match="non-finite"):
+            apply_beurling_ahlfors(f)
+
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_an_overflowing_spectrum(self):
+        # every sample is finite, but the sums of the transform are not
+        f = random_band_limited(2, (16, 16), 1.0, np.random.default_rng(2))
+        with pytest.raises(ValueError, match="non-finite samples or its spectrum overflows"):
+            apply_beurling_ahlfors(f.like(f.data * 1e307))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mask", [0, 3], ids=["scalar", "top-grade"])
+    def test_rejects_an_overflowing_mean(self, mask):
+        # the edge rows take no transform; their mean overflows to inf
+        f = FormField.zeros(2, (8, 8), grades=[mask.bit_count()])
+        f.data[:] = 1.5e308
+        with pytest.raises(ValueError, match="non-finite samples or its spectrum overflows"):
             apply_beurling_ahlfors(f)
 
     def test_matches_per_frequency_dense_multiply(self):
@@ -491,9 +507,9 @@ class TestEigenGrades:
         monkeypatch.setattr(np.fft, "rfft", recorded)
         apply_beurling_ahlfors(f)
         apply_beurling_ahlfors(f.like(f.data + 1j * g.data))
-        assert len(seen) == 2
-        assert np.array_equal(seen[0], f.data[None, 1:-1])
-        assert np.array_equal(seen[1], np.stack([f.data[1:-1], g.data[1:-1]]))
+        assert len(seen) == 2  # one block of lines each
+        assert np.array_equal(seen[0], f.data[None, 1:-1].reshape(-1, dims[-1]))
+        assert np.array_equal(seen[1], np.stack([f.data[1:-1], g.data[1:-1]]).reshape(-1, dims[-1]))
         seen.clear()
         apply_beurling_ahlfors(edges)
         assert seen == []
@@ -695,6 +711,15 @@ class TestPsw:
         rng = np.random.default_rng(10)
         pair = {s: random_band_limited(2, (16, 16), 1.0, rng, kmax=2) for s in ("f", "g")}
         pair[side].data[1, 4, 7] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            psw_integral(pair["f"], pair["g"], 2.0, t_max=1.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("side", ["f", "g"])
+    def test_rejects_an_overflowing_spectrum(self, side):
+        rng = np.random.default_rng(10)
+        pair = {s: random_band_limited(2, (16, 16), 1.0, rng, kmax=2) for s in ("f", "g")}
+        pair[side] = pair[side].like(pair[side].data * 1e307)
         with pytest.raises(ValueError, match="non-finite"):
             psw_integral(pair["f"], pair["g"], 2.0, t_max=1.0)
 

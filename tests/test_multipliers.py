@@ -190,6 +190,12 @@ class TestApplyMultiplier:
         with pytest.raises(ValueError, match="non-finite"):
             apply_spectral_multiplier(imaginary_power_symbol(1.0), f)
 
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_an_overflowing_spectrum(self):
+        f = random_band_limited(2, (16, 16), 1.0, np.random.default_rng(3), kmax=4)
+        with pytest.raises(ValueError, match="non-finite"):
+            apply_spectral_multiplier(imaginary_power_symbol(1.0), f.like(f.data * 1e307))
+
     def test_identity_round_trip(self):
         rng = np.random.default_rng(2)
         f = random_band_limited(2, (16, 16), 1.0, rng, mean_zero=False)
