@@ -318,7 +318,8 @@ def psw_integral(
     Each time node, and t = 0 for the tail, damps the box and inverts all
     damped gradients with fields._band_inverse, whose bits do not depend
     on the BLAS thread count. Raises ValueError on a non-finite sample or
-    an overflowing spectrum (fields._held_spectra).
+    an overflowing spectrum (fields._held_spectra), and when lhs, the
+    tail's gradient energy or rhs overflows.
     """
     if (field_f.n, field_f.dims, field_f.L) != (field_g.n, field_g.dims, field_g.L):
         raise ValueError("fields live on different grids")
@@ -351,14 +352,17 @@ def psw_integral(
     breaks = [0.0] + [t_end * 2.0 ** (j - n_panels + 1) for j in range(n_panels)]
     nodes, weights = np.polynomial.legendre.leggauss(GL_ORDER)
     lhs = 0.0
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        lhs += half * sum(w * integrand(mid + half * x) for x, w in zip(nodes, weights))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi in zip(breaks[:-1], breaks[1:]):
+            half = 0.5 * (hi - lo)
+            mid = 0.5 * (hi + lo)
+            lhs += half * sum(w * integrand(mid + half * x) for x, w in zip(nodes, weights))
 
-    norm_f, norm_g = grad_norms_at(0.0)
-    energy = cell * np.sqrt(np.sum(norm_f**2) * np.sum(norm_g**2))
-    tail = float(np.exp(-rate_min * t_end) / rate_min * energy)
+        norm_f, norm_g = grad_norms_at(0.0)
+        energy = cell * np.sqrt(np.sum(norm_f**2) * np.sum(norm_g**2))
+        tail = float(np.exp(-rate_min * t_end) / rate_min * energy)
 
-    rhs = (p_star - 1.0) * lp_norm(field_f, p) * lp_norm(field_g, p / (p - 1.0))
+        rhs = (p_star - 1.0) * lp_norm(field_f, p) * lp_norm(field_g, p / (p - 1.0))
+    if not np.isfinite([lhs, energy, rhs]).all():
+        raise ValueError("lhs, the tail's gradient energy or rhs overflows")
     return PswResult(lhs=float(lhs), rhs=float(rhs), tail_bound=tail)

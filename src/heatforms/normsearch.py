@@ -7,16 +7,24 @@ draw fresh fields on the unit torus, every fourth perturbs the incumbent
 by a fresh field scaled to MUTATION_SCALE of its L^2 norm.
 
 Candidates come in chunks whose f and Tf hold at most CHUNK_SAMPLES
-samples (at least one candidate), one normal draw each in the stream's
-per-candidate order; twice the cap raised peak RSS by 2 MB at 64^2 and
-was no faster. A chunk's band spectra (fields._band_spectrum) and a
-reflected copy (fourier._reflect_box) give f and Tf with no forward
+samples (at least one candidate); twice the cap raised peak RSS by 2 MB
+at 64^2 and was no faster. A chunk's band spectra (fields._band_spectrum)
+and a reflected copy (fourier._reflect_box) give f and Tf with no forward
 transform, and a mutation takes T by linearity.
+
+A chunk's noise is one normal draw in the stream's per-candidate order.
+The package's helper thread draws it one chunk ahead (stochastic._one_ahead)
+while the caller filters the chunk before; one thread at a time draws, in
+order, so every result is bitwise the one-thread search's. The price is
+one more buffer of a chunk's f: the f of even and of odd chunks take turns
+in two slots around Tf's, 1.5 MiB at the cap where one chunk took 1 MiB.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
+from functools import partial
 from math import prod
 
 import numpy as np
@@ -25,6 +33,7 @@ from .errors import SearchError
 from .fields import _band_inverse, _band_spectrum, _draw_band, _power_sums, masks_for_grades
 from .fourier import _reflect_box
 from .heatmatrix import bound_constants
+from .stochastic import _one_ahead
 
 DEGENERATE_NORM = 1e-12
 MUTATION_SCALE = 0.25
@@ -51,31 +60,36 @@ def norm_search(n, p, dims, budget=200, seed=0, kmax=3) -> SearchResult:
     masks = masks_for_grades(n, range(n + 1))
     cell = prod(1.0 / d for d in dims)  # the unit torus
     best_ratio, best, best_index, best_kind, degenerate = -np.inf, None, -1, "fresh", 0  # best: (f, Tf)
-    chunk = max(1, CHUNK_SAMPLES // (2 * len(masks) * prod(dims)))
-    for start in range(0, budget, chunk):
-        pairs = np.empty((2, min(chunk, budget - start), len(masks)) + dims)  # f and Tf per candidate
-        spectra = _band_spectrum(rng.standard_normal(out=pairs[0]), dims, band, mean_zero=True)
-        _band_inverse(_reflect_box(spectra.copy(), n, dims, band, masks), dims, band, pairs[1])
-        _band_inverse(spectra, dims, band, pairs[0])  # f overwrites its noise
-        sums = _power_sums(pairs.reshape(pairs.shape[:3] + (-1,)), (p, 2.0), cell)
-        for j, i in enumerate(range(start, start + pairs.shape[1])):
-            pair, (f_p, tf_p), f_2, kind = pairs[:, j], sums[0, :, j], sums[1, 0, j], "fresh"
-            if i % 4 == 3 and best is not None:
-                norm_fresh = f_2 ** (1.0 / 2.0)
-                if norm_fresh <= DEGENERATE_NORM:
+    chunk = min(budget, max(1, CHUNK_SAMPLES // (2 * len(masks) * prod(dims))))
+    ring = np.empty((3, chunk, len(masks)) + dims)  # f of even chunks, Tf, f of odd chunks
+    starts = range(0, budget, chunk)
+    slots = (ring[0:2], ring[2:0:-1])  # (f, Tf) of even and of odd chunks
+    chunks = [slots[c % 2][:, : min(chunk, budget - start)] for c, start in enumerate(starts)]
+    jobs = ((pairs, partial(rng.standard_normal, out=pairs[0])) for pairs in chunks)
+    with contextlib.closing(_one_ahead(jobs)) as drawn:
+        for start, pairs in zip(starts, drawn):
+            spectra = _band_spectrum(pairs[0], dims, band, mean_zero=True)
+            _band_inverse(_reflect_box(spectra.copy(), n, dims, band, masks), dims, band, pairs[1])
+            _band_inverse(spectra, dims, band, pairs[0])  # f overwrites its noise
+            sums = _power_sums(pairs.reshape(pairs.shape[:3] + (-1,)), (p, 2.0), cell)
+            for j, i in enumerate(range(start, start + pairs.shape[1])):
+                pair, (f_p, tf_p), f_2, kind = pairs[:, j], sums[0, :, j], sums[1, 0, j], "fresh"
+                if i % 4 == 3 and best is not None:
+                    norm_fresh = f_2 ** (1.0 / 2.0)
+                    if norm_fresh <= DEGENERATE_NORM:
+                        degenerate += 1
+                        continue
+                    pair = best + pair * (MUTATION_SCALE * best_norm / norm_fresh)  # T by linearity
+                    (f_p, tf_p), (f_2, _) = _power_sums(pair.reshape(2, len(masks), -1), (p, 2.0), cell)
+                    kind = "mutation"
+                denom = f_p ** (1.0 / p)
+                if denom <= DEGENERATE_NORM:
                     degenerate += 1
                     continue
-                pair = best + pair * (MUTATION_SCALE * best_norm / norm_fresh)  # T by linearity
-                (f_p, tf_p), (f_2, _) = _power_sums(pair.reshape(2, len(masks), -1), (p, 2.0), cell)
-                kind = "mutation"
-            denom = f_p ** (1.0 / p)
-            if denom <= DEGENERATE_NORM:
-                degenerate += 1
-                continue
-            ratio = tf_p ** (1.0 / p) / denom
-            if ratio > best_ratio:
-                best_ratio, best_index, best_kind = ratio, i, kind
-                best, best_norm = pair.copy(), f_2 ** (1.0 / 2.0)
+                ratio = tf_p ** (1.0 / p) / denom
+                if ratio > best_ratio:
+                    best_ratio, best_index, best_kind = ratio, i, kind
+                    best, best_norm = pair.copy(), f_2 ** (1.0 / 2.0)
     if best is None:
         raise SearchError("all candidates were numerically degenerate")
     return SearchResult(

@@ -26,16 +26,19 @@ its modes and waves are built). The bootstrap turns each resample into a
 count vector and takes both moment sums with one product.
 
 The draws run on two threads: the caller's and one helper, the worker of a
-one-thread executor (see _on_helper). Each stream is drawn whole by one
-thread into arrays the caller allocated, so every result is bitwise what
-one thread would draw. simulate_paths gives the helper every other
-PATH_BLOCK block; the Ito study has it draw the next ensemble while the
-caller checks the current one; the transform experiment has it draw the
-bootstrap counts, stream (seed, 1), while the caller runs the walk on
-stream (seed, 0). The helper calls no public function. No step of these
-checks calls a threaded BLAS routine either (TrigSeries contracts with
-einsum): an OpenBLAS worker keeps spinning on the second core after a call
-and would take it from the helper.
+one-thread executor (see _on_helper) that normsearch shares. Each stream
+is drawn by one thread at a time, in order, into arrays the caller
+allocated, so every result is bitwise what one thread would draw.
+simulate_paths gives the helper every other PATH_BLOCK block; the transform
+experiment has it draw the bootstrap counts, stream (seed, 1), while the
+caller runs the walk on stream (seed, 0). _one_ahead has it fill the next
+of a sequence of buffers while the caller works on the one before: the Ito
+study's ensembles, and norm_search's chunks of noise, which costs the
+search one more chunk buffer. The helper calls no public function. No
+step of these checks calls a threaded BLAS routine either (TrigSeries
+contracts with einsum; the search's band-matrix products run in blocks
+that BLAS keeps on one thread): an OpenBLAS worker keeps spinning on the
+second core after a call and would take it from the helper.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ import contextlib
 import os
 import threading
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -170,24 +174,23 @@ def simulate_paths(n, h, steps, paths, seed, L=1.0) -> PathEnsemble:
     return ens
 
 
-def _drawn_one_ahead(n, paths, L, runs):
-    """Yield the drawn ensemble of each (h, steps, seed) in runs, in order.
+def _one_ahead(jobs):
+    """Yield the out of each (out, fill) in jobs, in order, once fill() has filled it.
 
-    While the caller works on one ensemble, the helper draws the next, so
-    at most two are alive at once; the caller draws the first itself.
+    The caller runs the first fill; the helper runs each later one while
+    the caller works on the out before it, so the fills still run one at
+    a time in order and may share a stream. jobs is read one ahead: a
+    generator of jobs keeps at most two outs alive. Close the generator
+    when the caller's work may raise, so the exit waits for the fill.
     """
-    ens = _empty_ensemble(n, *runs[0][:2], paths, L)
-    for i, (*_, seed) in enumerate(runs):
-        if i + 1 < len(runs):
-            nxt = _empty_ensemble(n, *runs[i + 1][:2], paths, L)
-            ahead = _on_helper(_draw_blocks, nxt, runs[i + 1][2])
-        else:
-            nxt, ahead = None, contextlib.nullcontext()
-        with ahead:
-            if i == 0:
-                _draw_blocks(ens, seed)
-            yield ens
-        ens = nxt
+    jobs = iter(jobs)
+    out, fill = next(jobs)
+    fill()
+    for ahead, fill in jobs:
+        with _on_helper(fill):
+            yield out
+        out = ahead
+    yield out
 
 
 @dataclass(frozen=True)
@@ -252,9 +255,10 @@ def ito_terminal_check(field: FormField, tau, ensemble: PathEnsemble) -> float:
 def ito_convergence_study(field, tau, step_counts, paths, seed, seeds_per_h=10):
     """Pooled RMS per step size and the log-log slope across them.
 
-    The helper thread draws each ensemble while the check of the one
-    before runs. Raises StatisticalPowerError for fewer than two paths,
-    whose RMS is one path's gap and cannot decide the slope.
+    The helper thread draws each ensemble after the first while the check
+    of the one before runs (_one_ahead). Raises StatisticalPowerError for
+    fewer than two paths, whose RMS is one path's gap and cannot decide
+    the slope.
     """
     if not 0 < tau < np.inf:
         raise ValueError("tau must be positive and finite")
@@ -267,18 +271,20 @@ def ito_convergence_study(field, tau, step_counts, paths, seed, seeds_per_h=10):
     if paths < 2:
         raise StatisticalPowerError("a pooled RMS needs at least two paths")
     runs = [
-        (tau / steps, steps, seed + 1000 * idx + rep)
+        (steps, seed + 1000 * idx + rep)
         for idx, steps in enumerate(step_counts)
         for rep in range(seeds_per_h)
     ]
-    ensembles = _drawn_one_ahead(field.n, paths, field.L, runs)
+    ensembles = (_empty_ensemble(field.n, tau / steps, steps, paths, field.L) for steps, _ in runs)
+    jobs = ((ens, partial(_draw_blocks, ens, s)) for ens, (_, s) in zip(ensembles, runs))
     hs, rmss = [], []
-    for steps in step_counts:
-        pooled = 0.0
-        for _ in range(seeds_per_h):
-            pooled += ito_terminal_check(field, tau, next(ensembles)) ** 2
-        hs.append(tau / steps)
-        rmss.append(np.sqrt(pooled / seeds_per_h))
+    with contextlib.closing(_one_ahead(jobs)) as drawn:
+        for steps in step_counts:
+            pooled = 0.0
+            for _ in range(seeds_per_h):
+                pooled += ito_terminal_check(field, tau, next(drawn)) ** 2
+            hs.append(tau / steps)
+            rmss.append(np.sqrt(pooled / seeds_per_h))
     slope = float(np.polyfit(np.log(hs), np.log(rmss), 1)[0])
     return np.array(hs), np.array(rmss), slope
 

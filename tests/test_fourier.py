@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -722,6 +723,21 @@ class TestPsw:
         pair[side] = pair[side].like(pair[side].data * 1e307)
         with pytest.raises(ValueError, match="non-finite"):
             psw_integral(pair["f"], pair["g"], 2.0, t_max=1.0)
+
+    @pytest.mark.parametrize("scale", [1e150, 1e200, 1e305])
+    @pytest.mark.parametrize("p", [2.0, 4.0])
+    @pytest.mark.parametrize("side", ["f", "g"])
+    def test_rejects_overflowing_gradient_products(self, side, p, scale):
+        # the spectra are finite, but the squared gradients (1e200 up), or
+        # the product of the two energies in the tail (1e150), are not; they
+        # once warned "overflow encountered in square" or "in scalar multiply"
+        rng = np.random.default_rng(10)
+        pair = {s: random_band_limited(2, (16, 16), 1.0, rng, kmax=4) for s in ("f", "g")}
+        pair[side] = pair[side].like(pair[side].data * scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                psw_integral(pair["f"], pair["g"], p, t_max=1.0)
 
     @pytest.mark.parametrize("t_max", [0.0, np.inf, np.nan])
     def test_rejects_bad_t_max(self, t_max):
