@@ -5,8 +5,9 @@ Exit codes:
 * 0: all checks passed.
 * 1: usage or I/O error: a bad argument or value (ValueError, CapError),
   including a non-finite float option or report value, a malformed
-  field file (FFLDError), or a file that cannot be read or written
-  (OSError).
+  field file or one with no components (FFLDError), a file that cannot
+  be read or written (OSError), or a size too large to allocate
+  (MemoryError).
 * 2: a numeric check failed; the report's status line says "fail".
 * 3: the computation could not decide the check: a quadrature missed its
   error target (AccuracyError), every search candidate was degenerate
@@ -345,8 +346,8 @@ def main(argv=None) -> int:
     report = Report(command=args.command, inputs=_inputs(args))
     try:
         args.func(args, report)
-    except (FFLDError, CapError, OSError, ValueError) as exc:
-        print(f"heatforms: error: {exc}", file=sys.stderr)
+    except (FFLDError, CapError, OSError, ValueError, MemoryError) as exc:
+        print(f"heatforms: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
     except (AccuracyError, SearchError, StatisticalPowerError) as exc:
         print(f"heatforms: undecided: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -9,7 +9,7 @@ Conventions used package-wide:
   of {1, ..., n}, the subset written as a bit mask. It is stored as one
   array `data` of shape (len(masks), *dims) with the ascending `masks`
   naming its rows; the set of subsets present is determined by the grades
-  of the field (all grades, one grade, or any subset of grades).
+  of the field (all grades, one grade, or any non-empty subset of grades).
   `components` is a read-only mask -> row view of `data`.
 * Fourier coefficients follow f(x) = sum_k c_k exp(i 2 pi k.x / L) with
   c_k = fftn(samples) / prod(dims), so the frequency of lattice index k is
@@ -51,9 +51,12 @@ def _grid(n: int, dims) -> tuple[int, ...]:
 
 
 def masks_for_grades(n: int, grades) -> list[int]:
-    """Ascending masks whose popcount lies in the given grade set."""
+    """Ascending masks whose popcount lies in the given grade set; ValueError if there are none."""
     gset = set(grades)
-    return [m for m in range(1 << n) if m.bit_count() in gset]
+    masks = [m for m in range(1 << n) if m.bit_count() in gset]
+    if not masks:
+        raise ValueError("a field needs at least one component")
+    return masks
 
 
 @dataclass(eq=False)
@@ -71,6 +74,8 @@ class FormField:
         if not 0 < self.L < np.inf:
             raise ValueError("period length must be positive and finite")
         self.masks = [int(m) for m in self.masks]
+        if not self.masks:
+            raise ValueError("a field needs at least one component")
         for mask in self.masks:
             if mask < 0 or mask >> self.n:
                 raise ValueError(f"component mask {mask} invalid for n={self.n}")
@@ -496,10 +501,9 @@ def _ffld_header(line: bytes) -> tuple:
     if any(not 0 <= g <= n for g in grades) or len(set(grades)) != len(grades):
         raise FFLDError("invalid grade list")
     try:
-        dims = _grid(n, dims)
+        return n, _grid(n, dims), length, masks_for_grades(n, grades)
     except ValueError as exc:
         raise FFLDError(str(exc)) from exc
-    return n, dims, length, masks_for_grades(n, grades)
 
 
 class TrigSeries:

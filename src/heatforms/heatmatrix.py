@@ -18,11 +18,11 @@ represents the same operator.
 Up to a permutation each grade block is a direct sum of small blocks:
 one out block of size r + 1 per subset of grade r + 1 (the pairs with
 i outside I) and one in block of size n - r + 1 per subset of grade
-r - 1 (the pairs with i in I). spectral_norm finds such a splitting in
-any square matrix, as the connected components of its nonzero pattern,
-and solves the blocks instead of the whole matrix. This module builds
-the blocks, knows their closed-form spectra, and derives the p-norm
-bound constants.
+r - 1 (the pairs with i in I). spectral_norm reads such a splitting off
+the closed neighbourhoods of a matrix's nonzero pattern and solves the
+blocks instead of the whole matrix (any other square matrix is solved
+whole). This module builds the blocks, knows their closed-form spectra,
+and derives the p-norm bound constants.
 """
 
 from __future__ import annotations
@@ -228,42 +228,17 @@ def grade_norm_closed_form(n: int, r: int, alpha: float) -> float:
     return max(vals)
 
 
-def _components(pattern: np.ndarray) -> np.ndarray:
-    """Component label of every vertex of a symmetric boolean adjacency.
-
-    The nonzero pairs are listed once (a flat nonzero, which is far
-    cheaper than a 2-d one). Each round gives every vertex the smallest
-    label in its closed neighbourhood (its own label included, so the
-    diagonal need not be set), hooks its old root onto that label and
-    jumps pointers until every vertex points at a root. Labels only
-    decrease and always name a vertex of the same component, so at the
-    fixed point each component carries the index of its first vertex.
-    """
-    rows, cols = np.divmod(np.flatnonzero(pattern), pattern.shape[0])
-    label = np.arange(pattern.shape[0])
-    while True:
-        low = label.copy()
-        np.minimum.at(low, rows, label[cols])
-        if np.array_equal(low, label):
-            return label
-        np.minimum.at(label, label.copy(), low)
-        while True:
-            jumped = label[label]
-            if np.array_equal(jumped, label):
-                break
-            label = jumped
-
-
 def spectral_norm(matrix) -> float:
     """Largest singular value, exact to rounding.
 
-    A square matrix is solved by components: rows and columns are grouped
-    into the connected components of the nonzero pattern of m + m^T, which
-    makes the permuted matrix block diagonal, so its singular values are
-    the union of its diagonal blocks'. The blocks of one size are solved
-    together: those symmetric within 1e-12 entrywise by a batched
-    symmetric eigensolve, the others by a batched SVD. A non-square
-    matrix goes through one SVD.
+    A square matrix that is a permuted direct sum of dense blocks is
+    solved by its blocks: each vertex of the pattern of m + m^T + I is
+    labelled by the first vertex of its closed neighbourhood, which is its
+    block exactly when every neighbourhood equals its label's. The blocks
+    of one size are solved together: those symmetric within 1e-12
+    entrywise by a batched symmetric eigensolve, the others by a batched
+    SVD. Any other square matrix (a tridiagonal one, say) is solved whole:
+    exact, but at full size. A non-square matrix goes through one SVD.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2:
@@ -276,7 +251,10 @@ def spectral_norm(matrix) -> float:
         return float(np.linalg.norm(m, 2))
     pattern = m != 0.0
     pattern = pattern | pattern.T
-    label = _components(pattern)
+    np.fill_diagonal(pattern, True)
+    label = pattern.argmax(axis=1)  # the first vertex of each closed neighbourhood
+    if not np.array_equal(pattern[label], pattern):
+        label[:] = 0  # some block is not dense: one block
     del pattern
     size_of = np.bincount(label)[label]
     order = np.lexsort((label, size_of))  # by block size, then block; rows ascending within

@@ -122,6 +122,19 @@ class TestApplyCommand:
         )
         assert code == 1
 
+    def test_field_with_no_components_exit_1(self, capsys, tmp_path):
+        src = tmp_path / "empty.ffld"
+        write_ffld(random_band_limited(2, (8, 8), 1.0, np.random.default_rng(0), grades=[1]), src)
+        header = src.read_bytes().split(b"\n", 1)[0]
+        src.write_bytes(header.replace(b'"grades": [1]', b'"grades": []') + b"\n")
+        dst = tmp_path / "out.ffld"
+        code = main(["apply", "--input", str(src), "--output", str(dst)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "at least one component" in captured.err
+        assert not dst.exists()
+
     def test_malformed_file_exit_1(self, capsys, tmp_path):
         bad = tmp_path / "bad.ffld"
         bad.write_bytes(b"FFLD1 {\"n\": 2}\n")
@@ -152,6 +165,22 @@ class TestChecksAndExitCodes:
 
 
 class TestErrorExitCodes:
+    @pytest.mark.parametrize(
+        "exc", [MemoryError(), MemoryError("Unable to allocate 8.00 EiB for an array with shape (1152921504606846976,)")]
+    )
+    def test_memory_error_exit_1(self, capsys, monkeypatch, exc):
+        # a size too large to allocate is a usage error, reported on one line
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr("heatforms.cli.ns.norm_search", fail)
+        code = main(["norm-search", "--n", "2", "--p", "4", "--grid", "8", "--budget", "4"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("heatforms: error: ")
+        assert (str(exc) or "MemoryError") in captured.err
+
     def test_wide_interval_exit_3_without_traceback(self, capsys):
         code = main(["simulate", "transform", "--trials", "50"])
         captured = capsys.readouterr()

@@ -88,6 +88,15 @@ class TestFormField:
         with pytest.raises(ValueError, match="period length"):
             FormField(2, (4, 4), L, [0], np.zeros((1, 4, 4)))
 
+    def test_rejects_no_components(self):
+        with pytest.raises(ValueError, match="at least one component"):
+            FormField.zeros(2, (8, 8), grades=[])
+        with pytest.raises(ValueError, match="at least one component"):
+            FormField.zeros(2, (8, 8), grades=[3])  # no subset of {1, 2} has grade 3
+        # the zero-component field that write_ffld once accepted can no longer be made
+        with pytest.raises(ValueError, match="at least one component"):
+            FormField(2, (8, 8), 1.0, [], np.zeros((0, 8, 8)))
+
     def test_rejects_data_shape_mismatch(self):
         for shape in ((2, 4, 4), (1, 4, 2), (4, 4)):
             with pytest.raises(ValueError, match="data shape"):
@@ -110,6 +119,13 @@ class TestFormField:
 
 
 class TestRandomBandLimited:
+    def test_rejects_no_components_before_drawing(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="at least one component"):
+            random_band_limited(2, (8, 8), 1.0, rng, grades=[])
+        assert rng.bit_generator.state == state
+
     def test_matches_per_component_full_fft_filter(self):
         # reference: one draw per component in ascending-mask order, full
         # complex FFT, filter |k_a| <= kmax, real part of the inverse
@@ -537,7 +553,7 @@ class TestLpNorm:
 def form_fields(draw):
     """Random real fields: n in 1..3, any grade subset, power-of-two dims."""
     n = draw(st.integers(1, 3))
-    grades = draw(st.sets(st.integers(0, n)))
+    grades = draw(st.sets(st.integers(0, n), min_size=1))  # a field needs at least one component
     dims = tuple(draw(st.sampled_from([2, 4, 8])) for _ in range(n))
     L = draw(st.floats(0.1, 10.0))
     masks = masks_for_grades(n, grades)
@@ -670,6 +686,14 @@ class TestFFLD:
         write_ffld(FormField.zeros(2, (4, 4)), path)
         path.write_bytes(path.read_bytes().replace(b'"L": 1.0', b'"L": Infinity'))
         with pytest.raises(FFLDError, match="period length"):
+            read_ffld(path)
+
+    def test_rejects_no_components(self, tmp_path):
+        path = tmp_path / "empty.ffld"
+        write_ffld(FormField.zeros(2, (8, 8), grades=[1]), path)
+        header = path.read_bytes().split(b"\n", 1)[0]
+        path.write_bytes(header.replace(b'"grades": [1]', b'"grades": []') + b"\n")
+        with pytest.raises(FFLDError, match="at least one component"):
             read_ffld(path)
 
     def test_payload_is_little_endian_component_major(self, tmp_path):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from heatforms.errors import CapError
 from heatforms.exterior import MultiIndex, enumerate_grade, interval_count
 from heatforms.heatmatrix import (
     HeatMatrixSpec,
-    _components,
     _grade_structure,
     bound_constants,
     build_full_matrix,
@@ -293,6 +293,20 @@ def assert_matches_svd(m):
     assert abs(spectral_norm(m) - ref) <= 1e-12 * ref
 
 
+@pytest.fixture
+def solved_shapes(monkeypatch):
+    """Shapes of the batches that spectral_norm hands to np.linalg.eigvalsh, in call order."""
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return shapes
+
+
 class TestSpectralNormByComponents:
     SIZES = [1, 2, 2, 3, 5, 5, 5, 8, 13, 1, 4]
 
@@ -308,26 +322,39 @@ class TestSpectralNormByComponents:
             m = permuted_block_diagonal(rng, self.SIZES, symmetric)
             assert_matches_svd(m)
 
-    def test_components_are_the_blocks(self):
+    def test_components_are_the_blocks(self, solved_shapes):
         rng = np.random.default_rng(13)
         sizes = [3, 1, 4, 2, 6]
-        m = permuted_block_diagonal(rng, sizes, [True] * len(sizes))
-        pattern = (m != 0) | (m != 0).T
-        np.fill_diagonal(pattern, True)
-        label = _components(pattern)
-        assert sorted(np.bincount(label)[np.bincount(label) > 0]) == sorted(sizes)
-        rows, cols = np.nonzero(pattern)
-        assert np.array_equal(label[rows], label[cols])
+        assert_matches_svd(permuted_block_diagonal(rng, sizes, [True] * len(sizes)))
+        assert solved_shapes == [(1, 1, 1), (1, 2, 2), (1, 3, 3), (1, 4, 4), (1, 6, 6)]
 
-    def test_long_path(self):
-        # a tridiagonal matrix is one component whose diameter is its size
+    def test_long_path(self, solved_shapes):
+        # a permuted tridiagonal matrix is one block that is not dense, so it is solved whole
         rng = np.random.default_rng(14)
         n = 2000
         m = np.diag(rng.standard_normal(n)) + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
-        assert_matches_svd(m)
         perm = rng.permutation(n)
-        pattern = m[np.ix_(perm, perm)] != 0
-        assert np.all(_components(pattern) == 0)
+        assert_matches_svd(m[np.ix_(perm, perm)])
+        assert solved_shapes == [(1, n, n)]
+
+    def test_blocks_that_are_not_dense_are_solved_whole(self, solved_shapes):
+        rng = np.random.default_rng(17)
+        sizes = [5, 7, 3, 9]
+        total = sum(sizes)
+        off = np.ones(total - 1)
+        off[np.cumsum(sizes)[:-1] - 1] = 0.0  # no coupling across blocks
+        m = np.diag(rng.standard_normal(total)) + np.diag(off, 1) + np.diag(off, -1)
+        perm = rng.permutation(total)
+        assert_matches_svd(m[np.ix_(perm, perm)])
+        assert solved_shapes == [(1, total, total)]
+
+    def test_zero_diagonal_clique_is_one_block(self, solved_shapes):
+        clique = np.array([[0.0, 1.0], [1.0, 0.0]])
+        assert spectral_norm(clique) == pytest.approx(1.0, rel=1e-12)
+        assert solved_shapes == [(1, 2, 2)]
+        # each vertex's closed neighbourhood holds the vertex itself, so two cliques are two blocks
+        assert spectral_norm(np.kron(np.eye(2), clique)) == pytest.approx(1.0, rel=1e-12)
+        assert solved_shapes[1:] == [(2, 2, 2)]
 
     def test_zero_rows_and_columns(self):
         rng = np.random.default_rng(15)
@@ -354,19 +381,25 @@ class TestSpectralNormByComponents:
                 for r in range(n + 1):
                     assert_matches_svd(build_grade_matrix(spec, r))
 
-    def test_grade_block_is_solved_as_its_out_and_in_blocks(self, monkeypatch):
-        shapes = []
-        eigvalsh = np.linalg.eigvalsh
-
-        def recording(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return eigvalsh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    def test_grade_block_is_solved_as_its_out_and_in_blocks(self, solved_shapes):
         block = build_grade_matrix(HeatMatrixSpec(8, (0.5,) * 9), 4)
         assert block.shape == (560, 560)
         assert spectral_norm(block) == pytest.approx(grade_norm_closed_form(8, 4, 0.5), rel=1e-12)
-        assert shapes == [(112, 5, 5)]
+        assert solved_shapes == [(112, 5, 5)]
+
+    @pytest.mark.parametrize("a", [0.0, 0.37, 1.0])
+    def test_every_grade_block_is_solved_as_its_closed_form_blocks(self, solved_shapes, a):
+        # C(n, r + 1) out blocks of size r + 1 and C(n, r - 1) in blocks of size n - r + 1;
+        # the out blocks are diagonal at alpha = 0 and the in blocks at alpha = 1, so they split into 1x1 blocks
+        for n in range(2, 9):
+            for r in range(n + 1):
+                solved_shapes.clear()
+                norm = spectral_norm(build_grade_matrix(HeatMatrixSpec(n, (a,) * (n + 1)), r))
+                out = [1] * (r + 1) if a == 0.0 else [r + 1]
+                inside = [1] * (n - r + 1) if a == 1.0 else [n - r + 1]
+                expected = out * comb(n, r + 1) + (inside * comb(n, r - 1) if r else [])
+                assert sorted(size for count, size, _ in solved_shapes for _ in range(count)) == sorted(expected)
+                assert norm == pytest.approx(grade_norm_closed_form(n, r, a), rel=1e-12)
 
 
 class TestNormSweep:
