@@ -36,6 +36,7 @@ _MODE_TOL = 1e-12  # a mode is held when some row's |c_k| exceeds this times tha
 _GEMM_SIZE = 1 << 18  # OpenBLAS runs a product with m * n * k at most this on one thread
 _DENSE_SPAN = 8  # an axis is dense while 2K + 1 <= this * log2(d) (_band_axes), as measured on one core
 _BLOCK = 1 << 15  # points per block of lp_norm's sum and of _held_spectra's rffts, so they work in cache
+CHUNK_SAMPLES = 1 << 17  # output samples per batch: the norm probe's f and Tf, psw_integral's node gradients
 
 
 def _grid(n: int, dims) -> tuple[int, ...]:

@@ -2,7 +2,8 @@
 
 The frequency-domain matrix of the Beurling-Ahlfors operator, its
 application to fields, and the bilinear gradient integral that pairs two
-heat extensions.
+heat extensions, summed over a cached plan of time nodes (t = 0, for the
+tail, last) in batches of at most fields.CHUNK_SAMPLES output samples.
 
 Every symbol takes one path. The operator, psw_integral and the
 Laplace-type multipliers in multipliers.py take one held forward
@@ -48,7 +49,8 @@ from functools import lru_cache
 import numpy as np
 
 from .exterior import enumerate_all, substitutions
-from .fields import FormField, _band_axes, _band_inverse, _frozen, _held_points, _held_spectra, lp_norm
+from .fields import CHUNK_SAMPLES, FormField, _band_axes, _band_inverse, _frozen
+from .fields import _held_points, _held_spectra, lp_norm
 from .heatmatrix import HeatMatrixSpec, build_full_matrix, conjugate_exponent
 
 GL_ORDER = 16  # Gauss-Legendre nodes per time panel
@@ -88,11 +90,8 @@ def _multipliers(dims: tuple, L: float, kmax: tuple):
     """
     ks = np.meshgrid(*(k for _, k in _band_axes(dims, kmax)), indexing="ij", sparse=True)
     xi_sq = sum((k / L) ** 2 for k in ks)
-    grad_mult = np.stack(
-        np.broadcast_arrays(
-            *(np.where(np.abs(k) == d // 2, 0.0, 1j * 2.0 * np.pi / L * k) for k, d in zip(ks, dims))
-        )
-    )
+    grads = (np.where(np.abs(k) == d // 2, 0.0, 1j * 2.0 * np.pi / L * k) for k, d in zip(ks, dims))
+    grad_mult = np.stack(np.broadcast_arrays(*grads))
     return _frozen(xi_sq), _frozen(grad_mult)
 
 
@@ -296,12 +295,39 @@ class PswResult:
     tail_bound: float
 
 
-def psw_integral(
-    field_f: FormField,
-    field_g: FormField,
-    p: float,
-    t_max: float,
-) -> PswResult:
+@lru_cache(maxsize=1)
+def _gauss_legendre():
+    return np.polynomial.legendre.leggauss(GL_ORDER)  # once per process
+
+
+@lru_cache(maxsize=32)
+def _psw_plan(L: float, kmax: tuple, t_max: float):
+    """(times, halves, weights, exp(-r T) / r) of psw_integral's time quadrature on [0, T].
+
+    GL_ORDER-point Gauss-Legendre on panels halved toward t = 0, where fast modes matter: node j of
+    panel i is times[i * GL_ORDER + j], weighted halves[i] * weights[j]; t = 0, for the tail, is last.
+    """
+    rate_min = 4.0 * np.pi**2 / L**2
+    rate_max = 4.0 * np.pi**2 * sum((K / L) * (K / L) for K in kmax)  # the box's fastest mode
+    t_end = min(t_max, _EXP_UNDERFLOW / rate_min)
+    n_panels = max(int(np.ceil(np.log2(max(rate_max * t_end, 4.0)))), _MIN_PANELS)
+    breaks = np.array([0.0] + [t_end * 2.0 ** (j - n_panels + 1) for j in range(n_panels)])
+    nodes, weights = _gauss_legendre()
+    halves = 0.5 * np.diff(breaks)
+    times = np.append(0.5 * (breaks[1:] + breaks[:-1])[:, None] + halves[:, None] * nodes, 0.0)
+    return _frozen(times), _frozen(halves), _frozen(weights), np.exp(-rate_min * t_end) / rate_min
+
+
+def _psw_norms(spectra, xi_sq, grad_mult, dims: tuple, kmax: tuple, split: int, times) -> tuple:
+    """(times, *dims) gradient lengths of the heat extensions of rows < split (f) and the rest (g)."""
+    damp = np.exp(-2.0 * np.pi**2 * xi_sq * times.reshape((-1,) + (1,) * len(dims)))
+    grads = (spectra * damp[:, None])[:, :, None] * grad_mult  # (times, rows, n, *box)
+    sq = _band_inverse(grads, dims, kmax, np.empty(grads.shape[:3] + dims))
+    sq *= sq
+    return np.sqrt(sq[:, :split].sum(axis=(1, 2))), np.sqrt(sq[:, split:].sum(axis=(1, 2)))
+
+
+def psw_integral(field_f: FormField, field_g: FormField, p: float, t_max: float) -> PswResult:
     """Bilinear integral of gradient lengths of two heat extensions.
 
     lhs integrates ||grad u(., t)|| ||grad v(., t)|| over the torus and
@@ -309,17 +335,12 @@ def psw_integral(
     past which every mode has underflowed; rhs = (p* - 1) ||f||_p ||g||_p'.
     The discarded (T, inf) part is bounded by Cauchy-Schwarz and the
     slowest nonzero mode decay: exp(-r T)/r * ||grad f||_2 ||grad g||_2.
-    Both fields must be real. One held forward transform of their stacked
-    components (fields._held_spectra) gives them on the box |k_a| <= K_a
-    of the modes the fields hold, where |xi|^2 and the gradient
-    multipliers are built. The time integral is composite Gauss-Legendre
-    on at most log2(_EXP_UNDERFLOW max|k|^2) panels, max|k|^2 the box's largest,
-    refined geometrically toward t = 0, where fast modes still matter.
-    Each time node, and t = 0 for the tail, damps the box and inverts all
-    damped gradients with fields._band_inverse, whose bits do not depend
-    on the BLAS thread count. Raises ValueError on a non-finite sample or
-    an overflowing spectrum (fields._held_spectra), and when lhs, the
-    tail's gradient energy or rhs overflows.
+    Both fields must be real; one held forward transform of both
+    (fields._held_spectra) gives the box of the modes they hold. _psw_norms
+    takes the nodes of _psw_plan, t = 0 last, in batches of at most
+    fields.CHUNK_SAMPLES output samples; no bit depends on the batch or on
+    the BLAS thread count. Raises ValueError on a non-finite sample or an
+    overflowing spectrum, and when lhs, the tail's energy or rhs overflows.
     """
     if (field_f.n, field_f.dims, field_f.L) != (field_g.n, field_g.dims, field_g.L):
         raise ValueError("fields live on different grids")
@@ -329,40 +350,19 @@ def psw_integral(
     p_star = conjugate_exponent(p)
     if np.iscomplexobj(field_f.data) or np.iscomplexobj(field_g.data):
         raise ValueError("psw_integral takes real fields only")
-    n, dims, L = field_f.n, field_f.dims, field_f.L
-    cell = field_f.cell_volume
-    split = len(field_f.masks)
+    n, dims, cell, split = field_f.n, field_f.dims, field_f.cell_volume, len(field_f.masks)
     kmax, spectra = _held_spectra(np.concatenate([field_f.data, field_g.data]), dims)
-    xi_sq, grad_mult = _multipliers(dims, L, _held_points(dims, kmax))
-
-    def grad_norms_at(t):
-        """Pointwise gradient lengths of the heat extensions of f and of g."""
-        grads = (spectra * np.exp(-2.0 * np.pi**2 * xi_sq * t))[:, None] * grad_mult
-        sq = _band_inverse(grads, dims, kmax, np.empty(grads.shape[:2] + dims)) ** 2
-        return np.sqrt(sq[:split].sum(axis=(0, 1))), np.sqrt(sq[split:].sum(axis=(0, 1)))
-
-    def integrand(t):
-        norm_f, norm_g = grad_norms_at(t)
-        return cell * float(np.sum(norm_f * norm_g))
-
-    rate_min = 4.0 * np.pi**2 / L**2
-    rate_max = 4.0 * np.pi**2 * sum((K / L) * (K / L) for K in kmax)  # the box's fastest mode
-    t_end = min(t_max, _EXP_UNDERFLOW / rate_min)
-    n_panels = max(int(np.ceil(np.log2(max(rate_max * t_end, 4.0)))), _MIN_PANELS)
-    breaks = [0.0] + [t_end * 2.0 ** (j - n_panels + 1) for j in range(n_panels)]
-    nodes, weights = np.polynomial.legendre.leggauss(GL_ORDER)
-    lhs = 0.0
+    xi_sq, grad_mult = _multipliers(dims, field_f.L, _held_points(dims, kmax))
+    times, halves, weights, tail_factor = _psw_plan(field_f.L, kmax, float(t_max))
+    batch = max(1, CHUNK_SAMPLES // (n * (field_f.data.size + field_g.data.size)))
+    values = np.empty(len(times))
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo, hi in zip(breaks[:-1], breaks[1:]):
-            half = 0.5 * (hi - lo)
-            mid = 0.5 * (hi + lo)
-            lhs += half * sum(w * integrand(mid + half * x) for x, w in zip(nodes, weights))
-
-        norm_f, norm_g = grad_norms_at(0.0)
-        energy = cell * np.sqrt(np.sum(norm_f**2) * np.sum(norm_g**2))
-        tail = float(np.exp(-rate_min * t_end) / rate_min * energy)
-
+        for i in range(0, len(times), batch):
+            norm_f, norm_g = _psw_norms(spectra, xi_sq, grad_mult, dims, kmax, split, times[i : i + batch])
+            values[i : i + batch] = [cell * float(np.sum(nf * ng)) for nf, ng in zip(norm_f, norm_g)]
+        lhs = sum(half * sum(weights * v) for half, v in zip(halves, values[:-1].reshape(-1, GL_ORDER)))
+        energy = cell * np.sqrt(np.sum(norm_f[-1] ** 2) * np.sum(norm_g[-1] ** 2))  # t = 0
         rhs = (p_star - 1.0) * lp_norm(field_f, p) * lp_norm(field_g, p / (p - 1.0))
     if not np.isfinite([lhs, energy, rhs]).all():
         raise ValueError("lhs, the tail's gradient energy or rhs overflows")
-    return PswResult(lhs=float(lhs), rhs=float(rhs), tail_bound=tail)
+    return PswResult(lhs=float(lhs), rhs=float(rhs), tail_bound=float(tail_factor * energy))

@@ -6,11 +6,11 @@ probe only brackets the norm from below. Three out of four evaluations
 draw fresh fields on the unit torus, every fourth perturbs the incumbent
 by a fresh field scaled to MUTATION_SCALE of its L^2 norm.
 
-Candidates come in chunks whose f and Tf hold at most CHUNK_SAMPLES
-samples (at least one candidate); twice the cap raised peak RSS by 2 MB
-at 64^2 and was no faster. A chunk's band spectra (fields._band_spectrum)
-and a reflected copy (fourier._reflect_box) give f and Tf with no forward
-transform, and a mutation takes T by linearity.
+Candidates come in chunks whose f and Tf hold at most fields.CHUNK_SAMPLES
+samples (at least one candidate; psw_integral's node batches share the
+cap): twice it raised peak RSS by 2 MB at 64^2 and was no faster. Band
+spectra (fields._band_spectrum) and a reflected copy (fourier._reflect_box)
+give f and Tf with no forward transform; a mutation takes T by linearity.
 
 A chunk's noise is one normal draw in the stream's per-candidate order.
 The package's helper thread draws it one chunk ahead (stochastic._one_ahead)
@@ -30,14 +30,13 @@ from math import prod
 import numpy as np
 
 from .errors import SearchError
-from .fields import _band_inverse, _band_spectrum, _draw_band, _power_sums, masks_for_grades
+from .fields import CHUNK_SAMPLES, _band_inverse, _band_spectrum, _draw_band, _power_sums, masks_for_grades
 from .fourier import _reflect_box
 from .heatmatrix import bound_constants
 from .stochastic import _one_ahead
 
 DEGENERATE_NORM = 1e-12
 MUTATION_SCALE = 0.25
-CHUNK_SAMPLES = 1 << 17  # samples of f and Tf in one chunk
 
 
 @dataclass(frozen=True)

@@ -614,6 +614,24 @@ class TestPswBandInverse:
         mode = cosine_field(2, (32, 32), 1.0, [1, 0], mask=1)
         assert_psw_matches_fft(mode, mode, 2.0)
 
+    @pytest.mark.parametrize("dims, kmax", PSW_CASES + [(None, None)])
+    def test_bits_do_not_depend_on_the_node_batch(self, monkeypatch, dims, kmax):
+        # a cap of one sample inverts one node at a time, as a per-node loop would
+        if dims is None:
+            f = g = cosine_field(2, (32, 32), 1.0, [1, 0], mask=1)
+        else:
+            rng = np.random.default_rng(30 + kmax)
+            f = random_band_limited(len(dims), dims, 1.3, rng, kmax=kmax)
+            g = random_band_limited(len(dims), dims, 1.3, rng, kmax=kmax, mean_zero=False)
+
+        def hexes():
+            res = psw_integral(f, g, 2.5, 1.0)
+            return [float.hex(v) for v in (res.lhs, res.rhs, res.tail_bound)]
+
+        batched = hexes()
+        monkeypatch.setattr(fourier, "CHUNK_SAMPLES", 1)
+        assert hexes() == batched
+
     def test_field_with_a_zero_row(self):
         rng = np.random.default_rng(31)
         f = random_band_limited(2, (16, 16), 1.0, rng, kmax=3)
@@ -757,7 +775,7 @@ class TestPsw:
     def test_panel_count_bounded_by_the_underflow_time(self, monkeypatch):
         # at most log2(745 max|k|^2) panels, max|k|^2 over the box the fields
         # hold: 10 for the (1, 0) cosine at 8^2, where max|k|^2 = 1 and the
-        # grid's is 32; each node evaluation is one band inverse
+        # grid's is 32; the band inverses' leading axes count the nodes
         calls = []
 
         def counted(*args, _fn=fourier._band_inverse):
@@ -767,7 +785,7 @@ class TestPsw:
         monkeypatch.setattr(fourier, "_band_inverse", counted)
         f = cosine_field(2, (8, 8), 1.0, [1, 0], mask=1)
         psw_integral(f, f, 2.0, t_max=1e300)
-        assert len(calls) == 10 * GL_ORDER + 1  # every node, plus t = 0 for the tail
+        assert sum(len(args[0]) for args in calls) == 10 * GL_ORDER + 1  # every node, plus t = 0 for the tail
 
     def test_one_forward_fft_and_no_inverse_fft(self, monkeypatch):
         # two all-grade 32^2 fields, t_max 1: the forward transform of the
