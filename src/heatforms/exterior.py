@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 
 @dataclass(frozen=True)
@@ -51,8 +52,9 @@ class MultiIndex:
 
 @lru_cache(maxsize=128)
 def _subsets(n: int, r: int | None) -> tuple[MultiIndex, ...]:
-    """The grade-r subsets (every subset for r None), ascending mask; cached and frozen."""
-    return tuple(MultiIndex(m, n) for m in range(1 << n) if r is None or m.bit_count() == r)
+    """Grade-r subsets from their C(n, r) combinations (all 2^n for r None), ascending mask; cached, frozen."""
+    masks = range(1 << n) if r is None else sorted(sum(1 << b for b in c) for c in combinations(range(n), r))
+    return tuple(MultiIndex(m, n) for m in masks)
 
 
 def enumerate_grade(n: int, r: int) -> list[MultiIndex]:

@@ -110,7 +110,6 @@ def _batch_parts(out: np.ndarray) -> np.ndarray:
 class SymbolMatrix:
     """Frequency-domain matrix of the operator at one frequency."""
 
-    xi: np.ndarray
     matrix: np.ndarray
 
 
@@ -158,7 +157,7 @@ def _frequency(xi, n: int) -> np.ndarray:
 def beurling_ahlfors_symbol(xi, n: int) -> SymbolMatrix:
     """Dense 2^n x 2^n multiplier matrix at a single nonzero frequency."""
     xi = _frequency(xi, n)
-    return SymbolMatrix(xi=xi, matrix=_dense_symbols(xi[None])[0])
+    return SymbolMatrix(_dense_symbols(xi[None])[0])
 
 
 def symbol_from_heat_matrix(spec: HeatMatrixSpec, xi) -> SymbolMatrix:
@@ -172,7 +171,7 @@ def symbol_from_heat_matrix(spec: HeatMatrixSpec, xi) -> SymbolMatrix:
     xi = _frequency(xi, n)
     full = build_full_matrix(spec).reshape(1 << n, n, 1 << n, n)
     m = -np.einsum("aibj,i,j->ab", full, xi, xi) / float(xi @ xi)
-    return SymbolMatrix(xi=xi, matrix=m)
+    return SymbolMatrix(m)
 
 
 @lru_cache(maxsize=64)

@@ -318,16 +318,11 @@ def bound_constants(n: int, p: float) -> BoundReport:
         raise ValueError("dimension must be at least 2")
     p = float(p)
     p_star = conjugate_exponent(p)
-    if not p_star >= 2.0:
-        raise RuntimeError(f"conjugate exponent {p_star} below 2 for p={p}")
     per_grade = tuple(
         GradeBound(r, Fraction(n - r, n), Fraction(2 * r * (n - r), n) + 1)
         for r in range(n + 1)
     )
     overall = max(g.constant for g in per_grade)
-    closed = Fraction(n, 2) + 1 - (Fraction(1, 2 * n) if n % 2 else 0)
-    if overall != closed:
-        raise RuntimeError(f"overall constant {overall} differs from the closed form {closed}")
     return BoundReport(
         n=n,
         p=p,

@@ -318,26 +318,18 @@ TRANSFORMS = {
 
 @dataclass
 class MartingalePair:
-    """A walk and its predictable transform with running variations.
-
-    base/transformed hold the terminal values U_T, Y_T; the quadratic
-    variation gap <U> - <Y> is accumulated per step and every increment is
-    checked to be nonnegative with zero tolerance while the pair is
-    built.
-    """
+    """Terminal values of a walk and of its predictable transform, subordinate to it."""
 
     base: np.ndarray  # (trials, d) terminal U
     transformed: np.ndarray  # (trials, d) terminal Y
-    base_qv: np.ndarray  # (trials,) <U>_T
-    transformed_qv: np.ndarray  # (trials,) <Y>_T
 
 
 def transform_walk(steps, trials, transform, seed, d=1) -> MartingalePair:
     """Run a Gaussian walk through a predictable transform.
 
     The transform is called per step with the running sum so far and must
-    return coefficients of modulus <= 1; any quadratic-variation increment
-    of the transformed walk exceeding the base one aborts the run.
+    return coefficients of modulus <= 1; that check, made at every step, is
+    the subordination test of Burkholder's inequality.
     """
     if steps < 1 or trials < 1:
         raise ValueError("counts must be at least 1")
@@ -346,22 +338,13 @@ def transform_walk(steps, trials, transform, seed, d=1) -> MartingalePair:
     _standard_normal_step_major(_philox(seed, 0), incs)
     u = np.zeros((trials, d))
     y = np.zeros((trials, d))
-    qv_u = np.zeros(trials)
-    qv_y = np.zeros(trials)
     for k, step in enumerate(incs):
         coeff = np.asarray(fn(k, u), dtype=float)
         if np.any(np.abs(coeff) > 1.0):
             raise ValueError("transform coefficients must have modulus <= 1")
-        scaled = coeff[..., None] * step
-        inc_u = np.einsum("td,td->t", step, step)
-        inc_y = np.einsum("td,td->t", scaled, scaled)
-        if np.any(inc_u - inc_y < 0.0):
-            raise AssertionError("quadratic variation domination violated")
-        qv_u += inc_u
-        qv_y += inc_y
         u += step
-        y += scaled
-    return MartingalePair(u, y, qv_u, qv_y)
+        y += coeff[..., None] * step
+    return MartingalePair(u, y)
 
 
 @dataclass(frozen=True)
@@ -369,7 +352,6 @@ class TransformResult:
     ratio: float
     rel_ci_half_width: float
     ceiling: float  # p* - 1
-    trials: int
 
     @property
     def passed(self) -> bool:
@@ -429,4 +411,4 @@ def martingale_transform_experiment(p, steps, trials, transform, seed) -> Transf
         raise StatisticalPowerError(
             f"relative CI half-width {rel_half:.3e} exceeds {MAX_REL_CI}; raise trials"
         )
-    return TransformResult(ratio, rel_half, p_star - 1.0, trials)
+    return TransformResult(ratio, rel_half, p_star - 1.0)

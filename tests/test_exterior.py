@@ -38,6 +38,19 @@ class TestEnumerate:
                 masks = [I.mask for I in got]
                 assert masks == sorted(masks)
 
+    def test_grades_equal_the_mask_scan(self):
+        for n in range(11):
+            for r in range(n + 1):
+                want = [MultiIndex(m, n) for m in range(1 << n) if m.bit_count() == r]
+                assert enumerate_grade(n, r) == want
+
+    def test_low_grade_of_a_large_dimension(self):
+        # built from its C(n, r) combinations: no scan of the 2^64 masks
+        got = [I.mask for I in enumerate_grade(64, 2)]
+        assert len(got) == 2016
+        assert got == sorted(set(got))
+        assert all(m.bit_count() == 2 and m >> 64 == 0 for m in got)
+
     def test_returned_lists_are_the_callers(self):
         # the subsets are cached; each call hands out a new list of them
         for enumerate_ in (lambda: enumerate_grade(4, 2), lambda: enumerate_all(3)):

@@ -3,6 +3,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from heatforms.errors import CapError
 from heatforms.exterior import MultiIndex, enumerate_grade, interval_count
@@ -483,6 +484,12 @@ class TestBoundConstants:
         with pytest.raises(ValueError):
             bound_constants(1, 2.0)
 
+    def test_overall_closed_form(self):
+        # the largest grade constant, at r = n // 2: n/2 + 1, less 1/(2n) for odd n
+        for n in range(2, 65):
+            closed = Fraction(n, 2) + 1 - Fraction(n % 2, 2 * n)
+            assert bound_constants(n, 3.0).overall_constant == closed
+
     def test_grade_constant_formula(self):
         for n in (2, 5, 9):
             b = bound_constants(n, 3.0)
@@ -497,6 +504,14 @@ class TestConjugateExponent:
         assert conjugate_exponent(1.5) == 3.0
         assert conjugate_exponent(4 / 3) == pytest.approx(4.0, rel=1e-15)
         assert conjugate_exponent(3) == 3.0
+
+    @given(st.floats(1.0, 1e300, exclude_min=True))
+    @example(float(np.nextafter(1.0, 2.0)))
+    @example(float(np.nextafter(2.0, 1.0)))
+    @example(2.0)
+    @example(float(np.nextafter(2.0, 3.0)))
+    def test_at_least_two(self, p):
+        assert conjugate_exponent(p) >= 2.0
 
     @pytest.mark.parametrize("p", [1.0, 0.5, np.inf, -np.inf, np.nan])
     def test_rejects_outside_open_interval(self, p):

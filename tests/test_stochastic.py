@@ -7,6 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heatforms import stochastic
 from heatforms.errors import StatisticalPowerError
@@ -440,15 +441,43 @@ class TestItoStudy:
 
 class TestMartingalePair:
     def test_base_variation_dominates(self):
+        # subordination: every transformed step has at most the base step's square
         for d in (1, 3):
             for name in TRANSFORMS:
-                pair = transform_walk(64, 500, name, seed=0, d=d)
-                assert np.all(pair.base_qv >= pair.transformed_qv)
+                _, _, inc_u, inc_y = _replayed_walk(64, 500, name, 0, d)
+                assert np.all(inc_u >= inc_y)
 
     def test_identity_gap_is_zero(self):
+        # +-1 coefficients keep every step's square, so both variations agree
+        for d in (1, 3):
+            for transform in (identity_transform, alternating_transform):
+                _, _, inc_u, inc_y = _replayed_walk(16, 100, transform, 1, d)
+                assert np.array_equal(inc_u, inc_y)
         pair = transform_walk(16, 100, identity_transform, seed=1)
-        assert np.array_equal(pair.base_qv, pair.transformed_qv)
         assert np.array_equal(pair.base, pair.transformed)
+
+    def test_terminal_qv_matches_increment_sums(self):
+        # the replay that the variation tests read is the walk itself, bit for bit
+        for d in (1, 3):
+            for name in TRANSFORMS:
+                u, y, inc_u, inc_y = _replayed_walk(8, 50, name, 2, d)
+                pair = transform_walk(8, 50, name, seed=2, d=d)
+                assert np.array_equal(pair.base, u)
+                assert np.array_equal(pair.transformed, y)
+                if name != "sign":
+                    assert np.array_equal(inc_u.sum(axis=0), inc_y.sum(axis=0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 3))
+    def test_scaled_square_never_exceeds_the_base_square(self, data, d):
+        # |fl(c s)| <= |s| for |c| <= 1, and squares and equal-order sums are monotone
+        trials = data.draw(st.integers(1, 8))
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        s = np.array(data.draw(st.lists(finite, min_size=trials * d, max_size=trials * d))).reshape(trials, d)
+        c = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=trials, max_size=trials)))
+        scaled = c[:, None] * s
+        with np.errstate(over="ignore"):
+            assert np.all(np.einsum("td,td->t", scaled, scaled) <= np.einsum("td,td->t", s, s))
 
     def test_oversized_coefficient_at_one_step_raises(self):
         # the modulus is checked at every step, not only on the first call
@@ -457,11 +486,6 @@ class TestMartingalePair:
 
         with pytest.raises(ValueError):
             transform_walk(16, 100, late, seed=0)
-
-    def test_terminal_qv_matches_increment_sums(self):
-        pair = transform_walk(8, 50, alternating_transform, seed=2)
-        # alternating +-1 keeps both variations identical
-        assert np.array_equal(pair.base_qv, pair.transformed_qv)
 
     def test_vector_walk(self):
         pair = transform_walk(16, 200, sign_transform, seed=3, d=3)
@@ -559,6 +583,22 @@ class TestTransformExperiment:
         assert martingale_transform_experiment(1.5, 8, 2000, "identity", seed=0).ceiling == 2.0
         assert martingale_transform_experiment(3.0, 8, 2000, "identity", seed=0).ceiling == 2.0
         assert martingale_transform_experiment(4.0, 8, 2000, "identity", seed=0).ceiling == 3.0
+
+
+def _replayed_walk(steps, trials, transform, seed, d):
+    """Terminal (U, Y) and per-step squared increments (steps, trials) of both walks, redrawn."""
+    fn = transform if callable(transform) else TRANSFORMS[transform]
+    incs = np.empty((steps, trials, d))
+    _standard_normal_step_major(_philox(seed, 0), incs)
+    u, y = np.zeros((trials, d)), np.zeros((trials, d))
+    inc_u, inc_y = np.empty((steps, trials)), np.empty((steps, trials))
+    for k, step in enumerate(incs):
+        scaled = np.asarray(fn(k, u), dtype=float)[..., None] * step
+        inc_u[k] = np.einsum("td,td->t", step, step)
+        inc_y[k] = np.einsum("td,td->t", scaled, scaled)
+        u += step
+        y += scaled
+    return u, y, inc_u, inc_y
 
 
 def _reference_experiment(p, steps, trials, transform, seed, boot_rng):

@@ -2,15 +2,17 @@
 
 M(xi) is built from the direction u = xi / |xi| alone, so T anticommutes
 with the Hodge star and commutes with the pull-backs of the lattice
-isometries. The star and the pull-backs are written out here, not taken
-from the package, so the reordering signs are checked independently of
-heatforms.exterior.
+isometries, and a planar field wedged with a constant dx_J is carried as
+the planar operator carries it. The star, the pull-backs and the wedge are
+written out here, not taken from the package, so the reordering signs are
+checked independently of heatforms.exterior.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from heatforms.fields import FormField, random_band_limited
+from heatforms.fields import FormField, lp_norm, random_band_limited
 from heatforms.fourier import apply_beurling_ahlfors
 
 SIZES = {1: (8, 16, 32, 64), 2: (4, 8, 16, 32), 3: (4, 8, 16), 4: (4, 8)}
@@ -60,6 +62,17 @@ def flip_axis(f: FormField, a: int) -> FormField:
     return relabel(f, rows)
 
 
+def wedge_planar(f: FormField, n: int, J: int) -> FormField:
+    """A planar field f, constant along axes 3..n (each of length 4), with f_K dx_K moved to f_K dx_{K u J}.
+
+    J holds axes 3..n only, so every element of K is below every element
+    of J and the wedge needs no sign.
+    """
+    dims = f.dims + (4,) * (n - 2)
+    data = np.broadcast_to(f.data.reshape(f.data.shape + (1,) * (n - 2)), f.data.shape[:1] + dims)
+    return FormField(n, dims, f.L, [m | J for m in f.masks], data.copy())
+
+
 def assert_same_field(got: FormField, want: FormField, rel=1e-13):
     assert got.masks == want.masks and got.dims == want.dims
     assert np.max(np.abs(got.data - want.data)) <= rel * np.max(np.abs(want.data))
@@ -107,3 +120,18 @@ class TestSymmetries:
         a = data.draw(st.integers(0, f.n - 1))
         want = flip_axis(apply_beurling_ahlfors(f), a)
         assert_same_field(apply_beurling_ahlfors(flip_axis(f, a)), want)
+
+
+class TestPlanarEmbedding:
+    @pytest.mark.parametrize("kmax", [3, 8])  # 8 = N/2 reaches both Nyquist lines
+    def test_wedge_with_dx_J_carries_the_planar_operator(self, kmax):
+        # u lies in the plane, so u ^ and u _| leave dx_J alone: T(f ^ dx_J) = (T f) ^ dx_J
+        f = random_band_limited(2, (16, 16), 1.0, np.random.default_rng(kmax), kmax=kmax)
+        tf = apply_beurling_ahlfors(f)
+        ratio = lp_norm(tf, 4.0) / lp_norm(f, 4.0)
+        for n in (3, 4):
+            for J in range(0, 1 << n, 4):  # every subset of axes 3..n, the empty one too
+                g = wedge_planar(f, n, J)
+                tg = apply_beurling_ahlfors(g)
+                assert_same_field(tg, wedge_planar(tf, n, J))
+                assert abs(lp_norm(tg, 4.0) / lp_norm(g, 4.0) - ratio) <= 1e-13 * ratio
