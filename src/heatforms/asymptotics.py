@@ -10,9 +10,10 @@ operator bound of order that constant times (p - 1).
 The symmetric weight 1/2 is hard-wired here; projection makes the weight
 split collapse anyway.
 
-One index plan per n (_projection_plan), built once from substitutions,
-places every entry sigma[source] * sign; grouped by column group, it
-makes the projection one flat assignment and a group's block one slice.
+One index plan per n (_projection_plan), read from exterior's table of
+every substitution, places every entry sigma[source] * sign; grouped by
+column group, it makes the projection one flat assignment and a group's
+block one slice. It spans the full matrix's columns and shares its cap.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ from math import lgamma, sqrt
 
 import numpy as np
 
-from .exterior import MultiIndex, enumerate_all, substitutions
+from .errors import CapError
+from .exterior import MultiIndex, _substitution_table
 from .fields import _frozen
-from .heatmatrix import conjugate_exponent
+from .heatmatrix import FULL_MATRIX_CAP_N, conjugate_exponent
 
 
 @dataclass(frozen=True)
@@ -54,12 +56,13 @@ def _projection_plan(n: int):
     """(at, local, src, signs, start): sigma[src] * signs at flat positions at
     (local in a group's block); group J is start[J]:start[J + 1], its diagonal,
     then (k, l) per substitution J -> J\\k+l (S row by row), then (l, k)."""
-    entries = []  # (row, column, group, source, sign)
-    for J in enumerate_all(n):
-        subs = [(k - 1, l - 1, J.mask, T.mask, sign) for k, l, T, sign in substitutions(J)]
-        entries += [(i, i, J.mask, J.mask, 1 if J.mask >> i & 1 else -1) for i in range(n)]
-        entries += subs + [(l, k, *rest) for k, l, *rest in subs]
-    row, col, group, src, signs = np.array(entries, dtype=int).reshape(-1, 5).T
+    if n > FULL_MATRIX_CAP_N:
+        raise CapError(f"projection for n={n} exceeds cap n<={FULL_MATRIX_CAP_N}")
+    source, k, l, target, sign = _substitution_table(n)
+    mask, axis = np.divmod(np.arange(n << n), n)
+    diagonal = (axis, axis, mask, mask, 2 * (mask >> axis & 1) - 1)
+    entries = np.concatenate([diagonal, (k, l, source, target, sign), (l, k, source, target, sign)], axis=1)
+    row, col, group, src, signs = entries[:, np.argsort(entries[2], kind="stable")]
     at = row * (n << n) + group * n + col
     start = np.searchsorted(group, np.arange((1 << n) + 1))
     return tuple(_frozen(a) for a in (at, row * n + col, src, signs.astype(float), start))

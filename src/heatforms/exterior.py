@@ -12,6 +12,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
+import numpy as np
+
+from .fields import _frozen
+
 
 @dataclass(frozen=True)
 class MultiIndex:
@@ -102,11 +106,18 @@ def substitutions(K: MultiIndex) -> list[tuple[int, int, MultiIndex, int]]:
 
     One entry per k in K and l outside K, k ascending, then l ascending;
     target and sign come from substitute_with_sign. Every structured
-    matrix of the package (heat-matrix grade blocks, the dense symbol,
-    the sigma-projection) places its off-diagonal entries from this list.
+    matrix of the package (heat-matrix blocks, the dense symbol, the
+    sigma-projection) reads its off-diagonal entries from _substitution_table.
     """
     outside = [l for l in range(1, K.n + 1) if l not in K]
     return [(k, l, *substitute_with_sign(K, k, l)) for k in K.elements() for l in outside]
+
+
+@lru_cache(maxsize=16)
+def _substitution_table(n: int) -> tuple[np.ndarray, ...]:
+    """(source, k - 1, l - 1, target, sign) read-only int arrays: substitutions(K), K ascending by mask."""
+    rows = [(K.mask, k - 1, l - 1, T.mask, sign) for K in _subsets(n, None) for k, l, T, sign in substitutions(K)]
+    return tuple(_frozen(a) for a in np.array(rows, dtype=int).reshape(-1, 5).T)
 
 
 def wedge_reorder_oracle(seq, n: int) -> tuple[MultiIndex, int]:

@@ -36,9 +36,11 @@ and serves as the independent check of the reflection path. M depends
 only on the direction of xi; the zero frequency is annihilated by
 convention (a homogeneous symbol has no value at the origin, and
 constants carry no L^p content on the plane anyway). On the grid, a
-point with a Nyquist coordinate also stands for the lattice vector with
-that coordinate negated, and a real field sees the mean of the two
-symbols there, which is a contraction rather than a reflection.
+point with m Nyquist coordinates stands for 2^m lattice vectors. The
+symbol there is the mean of two of their symbols, the point's and that
+of the vector with every Nyquist coordinate negated (_directions): for
+m = 1 the mean over both, which a real field sees, and for m >= 2 over
+2 of the 2^m. It is a contraction rather than a reflection.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exterior import enumerate_all, substitutions
+from .exterior import _substitution_table
 from .fields import CHUNK_SAMPLES, FormField, _band_axes, _band_inverse, _frozen
 from .fields import _held_points, _held_spectra, lp_norm
 from .heatmatrix import HeatMatrixSpec, build_full_matrix, conjugate_exponent
@@ -123,8 +125,7 @@ def _symbol_structure(n: int):
     entry -2 * signs * xi_{a+1} xi_{b+1} / |xi|^2.
     """
     diag_signs = 1.0 - 2.0 * (np.arange(1 << n)[:, None] >> np.arange(n) & 1)
-    subs = [(J.mask, k - 1, l - 1, T.mask, s) for J in enumerate_all(n) for k, l, T, s in substitutions(J)]
-    mask, a, b, target, signs = np.array(subs, dtype=int).reshape(-1, 5).T
+    mask, a, b, target, signs = _substitution_table(n)
     return tuple(_frozen(arr) for arr in (diag_signs, (target << n) + mask, a, b, signs.astype(float)))
 
 
@@ -220,8 +221,8 @@ def _reflect_box(spectra: np.ndarray, n: int, dims: tuple, box: tuple, masks) ->
     if lo < hi:
         u, nyquist, u_alias = _directions(dims, _held_points(dims, box))
         lowered, plan = _reflection_plan(n, tuple(masks[lo:hi]))
-        # A Nyquist point also stands for the lattice vector with its Nyquist
-        # coordinates negated; a real field sees the mean of both symbols.
+        # A Nyquist point takes the mean of its symbol and that of the lattice
+        # vector with every Nyquist coordinate negated (see the module docstring).
         flat = spectra.reshape(spectra.shape[:2] + (-1,))[:, lo:hi]
         aliased = _reflect(flat[..., nyquist], u_alias, plan, lowered) if len(nyquist) else None
         _reflect(spectra[:, lo:hi], u, plan, lowered)

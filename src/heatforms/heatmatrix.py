@@ -10,8 +10,9 @@ independent blocks per grade r, each block a combination
 where D is the diagonal (+1 on pairs with i in I, -1 otherwise) and P_r,
 Q_r are signed substitution patterns: each substitution J -> J\\k+l of
 exterior.substitutions puts its sign into P_r at (J\\k+l, k; J, l) and
-into Q_r at (J\\k+l, l; J, k). A block is cached as those positions and
-signs, a few per row, and only the dense block for a given alpha is
+into Q_r at (J\\k+l, l; J, k). A block, and the full matrix, is cached as
+those positions and signs, read from exterior's table of every
+substitution, and only the dense matrix for given weights is
 materialized. The weight alpha in [0, 1] is free: every choice
 represents the same operator.
 
@@ -35,7 +36,7 @@ from math import comb
 import numpy as np
 
 from .errors import CapError
-from .exterior import MultiIndex, enumerate_grade, substitute_with_sign, substitutions
+from .exterior import MultiIndex, _substitution_table, enumerate_grade, substitute_with_sign
 from .fields import _frozen
 
 GRADE_BLOCK_CAP = 10_000  # max rows of one grade block
@@ -99,24 +100,26 @@ def _grade_structure(n: int, r: int):
     P entry (row (T, k), column (J, l)) and its Q entry (row (T, l),
     column (J, k)), both carrying its reordering sign.
     """
-    subsets = enumerate_grade(n, r)
-    pos = {I.mask: idx for idx, I in enumerate(subsets)}
-    size = len(subsets) * n
-    diag = np.array([1.0 if i in J else -1.0 for J in subsets for i in range(1, n + 1)])
-    subs = [(pos[T.mask], pos[J.mask], k, l, sign) for J in subsets for k, l, T, sign in substitutions(J)]
-    row_s, col_s, k, l, signs = np.array(subs, dtype=int).reshape(-1, 5).T
-    out_at = (row_s * n + k - 1) * size + col_s * n + l - 1
-    in_at = (row_s * n + l - 1) * size + col_s * n + k - 1
-    return tuple(_frozen(a) for a in (diag, out_at, in_at, signs.astype(float)))
+    source, k, l, target, signs = _substitution_table(n)
+    in_grade = np.bitwise_count(np.arange(1 << n)) == r
+    rank = np.cumsum(in_grade) - 1  # a grade-r mask's position among them
+    masks = np.flatnonzero(in_grade)
+    size = len(masks) * n
+    diag = (2.0 * (masks[:, None] >> np.arange(n) & 1) - 1.0).reshape(-1)
+    sub = in_grade[source]
+    row_s, col_s, k, l = rank[target[sub]], rank[source[sub]], k[sub], l[sub]
+    out_at = (row_s * n + k) * size + col_s * n + l
+    in_at = (row_s * n + l) * size + col_s * n + k
+    return tuple(_frozen(a) for a in (diag, out_at, in_at, signs[sub].astype(float)))
 
 
 def build_grade_matrix(spec: HeatMatrixSpec, r: int) -> np.ndarray:
-    """Dense grade-r block, rows/columns in grade_pairs order."""
+    """Dense grade-r block in grade_pairs order; every r is refused once n's middle block exceeds the cap."""
     if not 0 <= r <= spec.n:
         raise ValueError(f"grade {r} outside [0, {spec.n}]")
-    size = spec.n * comb(spec.n, r)
+    size = spec.n * comb(spec.n, spec.n // 2)
     if size > GRADE_BLOCK_CAP:
-        raise CapError(f"grade block of size {size} exceeds cap {GRADE_BLOCK_CAP}")
+        raise CapError(f"largest grade block of size {size} exceeds cap {GRADE_BLOCK_CAP}")
     diag, out_at, in_at, signs = _grade_structure(spec.n, r)
     a = spec.alpha[r]
     block = np.diag(diag)
@@ -127,18 +130,15 @@ def build_grade_matrix(spec: HeatMatrixSpec, r: int) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _full_structure(n: int):
-    """(at, scale, signs): every grade structure's P and Q entries in the full matrix.
+    """(at, scale, signs): every substitution's P and Q entries in the full matrix.
 
     Entry e is signs[e] times [2 alpha_0 .. 2 alpha_n, 2 (1 - alpha_0) .. 2 (1 - alpha_n)][scale[e]].
     """
-    parts = []
-    for r in range(n + 1):
-        _, out_at, in_at, signs = _grade_structure(n, r)
-        idx = np.array([I.mask * n + i - 1 for I, i in grade_pairs(n, r)])
-        for local, scale in ((out_at, r), (in_at, n + 1 + r)):
-            rows, cols = np.divmod(local, len(idx))
-            parts.append((idx[rows] * (n << n) + idx[cols], np.full(len(local), scale), signs))
-    return tuple(_frozen(np.concatenate(a)) for a in zip(*parts))
+    source, k, l, target, signs = _substitution_table(n)
+    grade = np.bitwise_count(source).astype(int)
+    rows, cols = target * n, source * n
+    at = np.concatenate([(rows + k) * (n << n) + cols + l, (rows + l) * (n << n) + cols + k])
+    return tuple(_frozen(a) for a in (at, np.concatenate([grade, n + 1 + grade]), np.concatenate([signs, signs])))
 
 
 def build_full_matrix(spec: HeatMatrixSpec) -> np.ndarray:

@@ -13,6 +13,7 @@ from heatforms.asymptotics import (
     sigma_dot_matrix,
     sphere_coordinate_lp_norm,
 )
+from heatforms.errors import CapError
 from heatforms.exterior import MultiIndex, enumerate_all, substitutions
 from heatforms.heatmatrix import HeatMatrixSpec, build_full_matrix, spectral_norm
 
@@ -85,6 +86,13 @@ class TestSigmaDotMatrix:
             assert np.array_equal(sigma_dot_matrix(d), np.hstack(oracle))
             for J, want in zip(enumerate_all(n), oracle):
                 assert np.array_equal(sigma_block(d, J)[0], want)
+
+    def test_refused_past_the_full_matrix_cap(self):
+        d = random_direction(11, np.random.default_rng(11))
+        with pytest.raises(CapError, match="n<=10"):
+            sigma_dot_matrix(d)
+        with pytest.raises(CapError, match="n<=10"):
+            sigma_block(d, MultiIndex(0, 11))
 
     def test_block_rejects_a_subset_of_another_dimension(self):
         d = random_direction(3, np.random.default_rng(6))

@@ -468,6 +468,22 @@ class TestNonFiniteNumbers:
 
 
 class TestLargeArguments:
+    def test_matrix_verify_past_the_cap_exits_before_any_solve(self, capsys, monkeypatch):
+        # n = 22's middle block has 22 * C(22, 11) rows; the grades under the cap are not solved first
+        calls = []
+        monkeypatch.setattr("heatforms.cli.hm.spectral_norm", lambda m: calls.append(m) or 0.0)
+        code = main(["matrix-verify", "--n", "22"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, calls) == (1, "", [])
+        assert "exceeds cap" in captured.err
+
+    @pytest.mark.parametrize("samples, expected", [("1", 1), ("0", 0)])
+    def test_asymptotics_sigma_probe_is_capped(self, capsys, samples, expected):
+        # the projection spans the full matrix's columns and shares its cap, n <= 10
+        code = main(["asymptotics", "--n", "11", "--p", "4", "--sigma-samples", samples])
+        assert code == expected
+        assert (capsys.readouterr().out == "") == (expected == 1)
+
     def test_psw_at_huge_t_max_passes(self, capsys):
         code, out = run_cli(capsys, "psw", "--cases", "1", "--grid", "8", "--tmax", "1e300")
         rows = {r["label"]: r["value"] for r in parse_jsonl(out)[1]}

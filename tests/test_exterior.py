@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from heatforms.exterior import (
     MultiIndex,
+    _substitution_table,
     enumerate_all,
     enumerate_grade,
     interval_count,
@@ -121,6 +122,15 @@ class TestSubstitute:
                         K3, s2 = substitute_with_sign(K2, l, k)
                         assert K3 == K and s2 == s
                         assert K2.grade == K.grade
+
+
+class TestSubstitutionTable:
+    def test_rows_are_the_substitution_lists(self):
+        for n in range(7):
+            want = [(K.mask, k - 1, l - 1, T.mask, s) for K in enumerate_all(n) for k, l, T, s in substitutions(K)]
+            table = _substitution_table(n)
+            assert list(zip(*(a.tolist() for a in table))) == want
+            assert all(a.dtype.kind == "i" and not a.flags.writeable for a in table)
 
 
 class TestWedgeOracle:

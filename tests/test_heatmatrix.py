@@ -91,6 +91,9 @@ class TestGradeMatrix:
         # n = 14, r = 7 has 48048 rows; the cap refuses before allocating
         with pytest.raises(CapError):
             build_grade_matrix(HeatMatrixSpec(14, (0.5,) * 15), 7)
+        # every grade of n = 30 is refused: its structure would be read from a table of 2^30 subsets
+        with pytest.raises(CapError, match="largest grade block"):
+            build_grade_matrix(HeatMatrixSpec(30, (0.5,) * 31), 1)
 
     def test_structure_is_sparse(self):
         # the cached skeleton is index arrays, not dense size x size patterns
