@@ -34,7 +34,7 @@ from . import heatmatrix as hm
 from . import multipliers as mult
 from . import normsearch as ns
 from . import stochastic as st
-from .errors import AccuracyError, CapError, FFLDError, SearchError, StatisticalPowerError
+from .errors import AccuracyError, SearchError, StatisticalPowerError
 from .fields import cosine_field, lp_norm, random_band_limited, read_ffld, write_ffld
 from .fourier import apply_beurling_ahlfors, psw_integral
 from .reporting import Report
@@ -75,10 +75,6 @@ def _common_flags(parser):
         "--threads", type=int, default=1, help="accepted but never affects results"
     )
     parser.add_argument("--format", choices=("json", "csv"), default="json")
-
-
-def _inputs(args) -> dict:
-    return {key: value for key, value in vars(args).items() if key != "func"}
 
 
 def cmd_bounds(args, report: Report):
@@ -343,10 +339,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits on usage errors and --help
         return int(exc.code or 0)
-    report = Report(command=args.command, inputs=_inputs(args))
+    report = Report(command=args.command, inputs={k: v for k, v in vars(args).items() if k != "func"})
     try:
         args.func(args, report)
-    except (FFLDError, CapError, OSError, ValueError, MemoryError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:  # FFLDError and CapError are ValueErrors
         print(f"heatforms: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
     except (AccuracyError, SearchError, StatisticalPowerError) as exc:

@@ -88,10 +88,14 @@ def _multipliers(dims: tuple, L: float, kmax: tuple):
     The points are those fields._band_axes holds, keyed like _directions.
     The gradient multipliers form one (n, *points) array; each is zeroed at
     the Nyquist index (k = -N/2), where i 2 pi k_a / L has no Hermitian
-    partner, so that real fields keep real derivatives.
+    partner, so that real fields keep real derivatives. Raises ValueError
+    if 4 pi^2 / L^2 is below the smallest normal double or 4 pi^2 max|xi|^2 overflows.
     """
     ks = np.meshgrid(*(k for _, k in _band_axes(dims, kmax)), indexing="ij", sparse=True)
-    xi_sq = sum((k / L) ** 2 for k in ks)
+    with np.errstate(over="ignore", under="ignore"):
+        xi_sq = sum((k / L) ** 2 for k in ks)
+        if not (np.square(2.0 * np.pi / L) >= np.finfo(float).tiny and np.isfinite(4.0 * np.pi**2 * xi_sq.max())):
+            raise ValueError(f"period L = {L!r} puts the decay rates 4 pi^2 |xi|^2 outside the double range")
     grads = (np.where(np.abs(k) == d // 2, 0.0, 1j * 2.0 * np.pi / L * k) for k, d in zip(ks, dims))
     grad_mult = np.stack(np.broadcast_arrays(*grads))
     return _frozen(xi_sq), _frozen(grad_mult)
@@ -210,17 +214,17 @@ def _reflect(spectra: np.ndarray, u, plan, lowered: int) -> np.ndarray:
     return spectra
 
 
-def _reflect_box(spectra: np.ndarray, n: int, dims: tuple, box: tuple, masks) -> np.ndarray:
+def _reflect_box(spectra: np.ndarray, dims: tuple, box: tuple, masks) -> np.ndarray:
     """M(xi) applied in place to contiguous (batch, rows, *points) spectra, which it returns.
 
     Points as fields._band_axes holds them for the box, a row per ascending
     mask: scalar rows kept, top-grade rows negated, the others reflected,
     and the origin zeroed.
     """
-    lo, hi = int(masks[0] == 0), len(masks) - int(masks[-1] == (1 << n) - 1)
+    lo, hi = int(masks[0] == 0), len(masks) - int(masks[-1] == (1 << len(dims)) - 1)
     if lo < hi:
         u, nyquist, u_alias = _directions(dims, _held_points(dims, box))
-        lowered, plan = _reflection_plan(n, tuple(masks[lo:hi]))
+        lowered, plan = _reflection_plan(len(dims), tuple(masks[lo:hi]))
         # A Nyquist point takes the mean of its symbol and that of the lattice
         # vector with every Nyquist coordinate negated (see the module docstring).
         flat = spectra.reshape(spectra.shape[:2] + (-1,))[:, lo:hi]
@@ -229,7 +233,7 @@ def _reflect_box(spectra: np.ndarray, n: int, dims: tuple, box: tuple, masks) ->
         if aliased is not None:
             flat[..., nyquist] = 0.5 * (flat[..., nyquist] + aliased)
     np.negative(spectra[:, hi:], out=spectra[:, hi:])
-    spectra[(Ellipsis,) + (0,) * n] = 0.0
+    spectra[(Ellipsis,) + (0,) * len(dims)] = 0.0
     return spectra
 
 
@@ -258,7 +262,7 @@ def apply_beurling_ahlfors(field: FormField) -> FormField:
         raise ValueError("field has non-finite samples or its spectrum overflows")
     if lo < hi:
         kmax, spectra = _held_spectra(_real_batch(data[lo:hi]), dims)
-        _reflect_box(spectra, n, dims, kmax, masks[lo:hi])
+        _reflect_box(spectra, dims, kmax, masks[lo:hi])
     # allocated only now: allocated before the rfftn, the output raised peak
     # RSS over 30 repeated n=3 64^3 draw-apply-norm items from 91 to 104 MB
     out = np.empty(data.shape, complex if np.iscomplexobj(data) else float)
@@ -295,24 +299,20 @@ class PswResult:
     tail_bound: float
 
 
-@lru_cache(maxsize=1)
-def _gauss_legendre():
-    return np.polynomial.legendre.leggauss(GL_ORDER)  # once per process
-
-
 @lru_cache(maxsize=32)
 def _psw_plan(L: float, kmax: tuple, t_max: float):
     """(times, halves, weights, exp(-r T) / r) of psw_integral's time quadrature on [0, T].
 
-    GL_ORDER-point Gauss-Legendre on panels halved toward t = 0, where fast modes matter: node j of
-    panel i is times[i * GL_ORDER + j], weighted halves[i] * weights[j]; t = 0, for the tail, is last.
+    A GL_ORDER-point Gauss-Legendre rule, built once per plan, on panels halved toward t = 0, where fast
+    modes matter: node j of panel i is times[i * GL_ORDER + j], weighted halves[i] * weights[j]; t = 0,
+    for the tail, is last.
     """
     rate_min = 4.0 * np.pi**2 / L**2
     rate_max = 4.0 * np.pi**2 * sum((K / L) * (K / L) for K in kmax)  # the box's fastest mode
     t_end = min(t_max, _EXP_UNDERFLOW / rate_min)
     n_panels = max(int(np.ceil(np.log2(max(rate_max * t_end, 4.0)))), _MIN_PANELS)
     breaks = np.array([0.0] + [t_end * 2.0 ** (j - n_panels + 1) for j in range(n_panels)])
-    nodes, weights = _gauss_legendre()
+    nodes, weights = np.polynomial.legendre.leggauss(GL_ORDER)
     halves = 0.5 * np.diff(breaks)
     times = np.append(0.5 * (breaks[1:] + breaks[:-1])[:, None] + halves[:, None] * nodes, 0.0)
     return _frozen(times), _frozen(halves), _frozen(weights), np.exp(-rate_min * t_end) / rate_min

@@ -86,11 +86,6 @@ def entry(I: MultiIndex, i: int, J: MultiIndex, j: int, alpha: float) -> float:
     return val
 
 
-def grade_pairs(n: int, r: int) -> list[tuple[MultiIndex, int]]:
-    """Row/column order of a grade block: subsets ascending, then axis."""
-    return [(I, i) for I in enumerate_grade(n, r) for i in range(1, n + 1)]
-
-
 @lru_cache(maxsize=64)
 def _grade_structure(n: int, r: int):
     """Alpha-free skeleton of the grade-r block as index arrays.
@@ -114,7 +109,7 @@ def _grade_structure(n: int, r: int):
 
 
 def build_grade_matrix(spec: HeatMatrixSpec, r: int) -> np.ndarray:
-    """Dense grade-r block in grade_pairs order; every r is refused once n's middle block exceeds the cap."""
+    """Dense grade-r block, rows (I, i) by ascending mask of I, then axis i; refused past the cap for every r."""
     if not 0 <= r <= spec.n:
         raise ValueError(f"grade {r} outside [0, {spec.n}]")
     size = spec.n * comb(spec.n, spec.n // 2)
@@ -160,9 +155,7 @@ def build_full_matrix(spec: HeatMatrixSpec) -> np.ndarray:
 def _parity_outer(exponents: tuple[int, ...]) -> np.ndarray:
     """e e^T with e_a = (-1)**exponents[a]; read-only, callers scale a copy."""
     e = (-1.0) ** np.array(exponents, dtype=float)
-    signs = np.outer(e, e)
-    signs.flags.writeable = False
-    return signs
+    return _frozen(np.outer(e, e))
 
 
 def out_block(i_tilde: MultiIndex, alpha: float) -> np.ndarray:
@@ -297,8 +290,6 @@ class GradeBound:
 class BoundReport:
     """Norm-bound constants for dimension n and exponent p."""
 
-    n: int
-    p: float
     p_star: float
     per_grade: tuple[GradeBound, ...]
     overall_constant: Fraction
@@ -316,7 +307,6 @@ def bound_constants(n: int, p: float) -> BoundReport:
     """
     if n < 2:
         raise ValueError("dimension must be at least 2")
-    p = float(p)
     p_star = conjugate_exponent(p)
     per_grade = tuple(
         GradeBound(r, Fraction(n - r, n), Fraction(2 * r * (n - r), n) + 1)
@@ -324,8 +314,6 @@ def bound_constants(n: int, p: float) -> BoundReport:
     )
     overall = max(g.constant for g in per_grade)
     return BoundReport(
-        n=n,
-        p=p,
         p_star=p_star,
         per_grade=per_grade,
         overall_constant=overall,

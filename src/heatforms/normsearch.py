@@ -68,7 +68,7 @@ def norm_search(n, p, dims, budget=200, seed=0, kmax=3) -> SearchResult:
     with contextlib.closing(_one_ahead(jobs)) as drawn:
         for start, pairs in zip(starts, drawn):
             spectra = _band_spectrum(pairs[0], dims, band, mean_zero=True)
-            _band_inverse(_reflect_box(spectra.copy(), n, dims, band, masks), dims, band, pairs[1])
+            _band_inverse(_reflect_box(spectra.copy(), dims, band, masks), dims, band, pairs[1])
             _band_inverse(spectra, dims, band, pairs[0])  # f overwrites its noise
             sums = _power_sums(pairs.reshape(pairs.shape[:3] + (-1,)), (p, 2.0), cell)
             for j, i in enumerate(range(start, start + pairs.shape[1])):

@@ -44,7 +44,6 @@ class Report:
     inputs: dict
     rows: list = field(default_factory=list)
     status: str = "pass"
-    version: str = REPORT_VERSION
 
     def add(self, label, value, se=None):
         """Append a row; a non-finite value or se raises ValueError (no JSON for it)."""
@@ -59,7 +58,7 @@ class Report:
         lines = [
             "{"
             + f'"command":{json.dumps(self.command)},'
-            + f'"version":{json.dumps(self.version)},'
+            + f'"version":{json.dumps(REPORT_VERSION)},'
             + f'"inputs":{_json_value(self.inputs)}'
             + "}"
         ]

@@ -8,6 +8,7 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -155,6 +156,37 @@ class TestChecksAndExitCodes:
         # closed forms agree to machine precision but not to 1e-30
         assert code == 2
         assert parse_jsonl(out)[2]["status"] == "fail"
+
+    @pytest.mark.parametrize(
+        "argv, target, result",
+        [
+            (
+                ["norm-search", "--n", "2", "--p", "4"],
+                "ns.norm_search",
+                SimpleNamespace(best_ratio=7.0, best_index=0, evaluations=1, degenerate=0, ceiling=6.0),
+            ),
+            (["impow", "--s", "0.5", "--p", "4"], "mult.imaginary_power_constant", 1.0),
+            (["asymptotics", "--n", "2", "--p", "4", "--sigma-samples", "1"], "asy.aggregate_bound", -1.0),
+            (
+                ["simulate", "markov"],
+                "st.markov_identity_check",
+                SimpleNamespace(mc_value=1.0, std_error=0.1, exact_value=2.0, z_score=10.0),
+            ),
+            (
+                ["simulate", "transform"],
+                "st.martingale_transform_experiment",
+                SimpleNamespace(ratio=4.0, rel_ci_half_width=0.01, ceiling=3.0, passed=False),
+            ),
+        ],
+        ids=["norm-search", "impow", "asymptotics", "markov", "transform"],
+    )
+    def test_failed_check_exit_2(self, capsys, monkeypatch, argv, target, result):
+        # the library call is replaced by one whose result fails the command's check
+        monkeypatch.setattr(f"heatforms.cli.{target}", lambda *args, **kwargs: result)
+        monkeypatch.setattr("heatforms.cli.st.simulate_paths", lambda *args: None)  # markov's unread ensemble
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        assert out.splitlines()[-1] == '{"status":"fail"}'
 
     def test_asymptotics_values(self, capsys):
         code, out = run_cli(capsys, "asymptotics", "--n", "2", "--p", "1000")

@@ -696,6 +696,39 @@ class TestFFLD:
         with pytest.raises(FFLDError, match="at least one component"):
             read_ffld(path)
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            (b'"order": "ascending-mask"', b'"order": "descending"', "unsupported order"),
+            (b'"layout": "component-major,row-major"', b'"layout": "point-major"', "unsupported layout"),
+            (b'"dims": [4, 4]', b'"dims": [4]', "inconsistent n/dims/L"),
+            (b'"L": 1.0', b'"L": -1.0', "inconsistent n/dims/L"),
+            (b'"n": 2, "dims": [4, 4]', b'"n": 17, "dims": [' + b", ".join([b"4"] * 17) + b"]", "cap 16"),
+            (b'"grades": [1]', b'"grades": [3]', "invalid grade list"),
+            (b'"grades": [1]', b'"grades": [1, 1]', "invalid grade list"),
+        ],
+    )
+    def test_rejects_a_bad_header_field(self, tmp_path, old, new, message):
+        path = tmp_path / "h.ffld"
+        write_ffld(FormField.zeros(2, (4, 4), grades=[1]), path)
+        data = path.read_bytes()
+        assert old in data
+        path.write_bytes(data.replace(old, new))
+        with pytest.raises(FFLDError, match=message):
+            read_ffld(path)
+
+    def test_write_rejects_a_partial_grade(self, tmp_path):
+        f = FormField(2, (4, 4), 1.0, [1], np.zeros((1, 4, 4)))  # dx_1 without dx_2
+        with pytest.raises(FFLDError, match="not a full union of grades"):
+            write_ffld(f, tmp_path / "p.ffld")
+        assert not (tmp_path / "p.ffld").exists()
+
+    def test_write_rejects_a_complex_field(self, tmp_path):
+        f = FormField(2, (4, 4), 1.0, [1, 2], np.zeros((2, 4, 4), complex))
+        with pytest.raises(FFLDError, match="real fields only"):
+            write_ffld(f, tmp_path / "c.ffld")
+        assert not (tmp_path / "c.ffld").exists()
+
     def test_payload_is_little_endian_component_major(self, tmp_path):
         f = FormField.zeros(2, (2, 2), grades=[0, 1])
         f.components[0][:] = [[1.0, 2.0], [3.0, 4.0]]  # axis 1 slowest

@@ -31,7 +31,7 @@ from heatforms.fourier import (
     symbol_from_heat_matrix,
     symbol_norms_on_grid,
 )
-from heatforms.heatmatrix import HeatMatrixSpec, conjugate_exponent
+from heatforms.heatmatrix import HeatMatrixSpec, bound_constants, conjugate_exponent
 from heatforms.multipliers import (
     SpectralSymbol,
     apply_spectral_multiplier,
@@ -276,7 +276,7 @@ class TestApply:
         f = random_band_limited(n, dims, 1.0, np.random.default_rng(21), kmax, grades)
         noise = np.random.default_rng(21).standard_normal((2,) + f.data.shape)
         band = tuple(min(kmax, d // 2) for d in dims)
-        spectra = _reflect_box(_band_spectrum(noise, dims, band, True), n, dims, band, f.masks)
+        spectra = _reflect_box(_band_spectrum(noise, dims, band, True), dims, band, f.masks)
         got = _band_inverse(spectra, dims, band, np.empty(noise.shape))
         want = apply_beurling_ahlfors(f).data
         assert np.max(np.abs(got[0] - want)) <= 1e-13 * np.max(np.abs(f.data))
@@ -470,6 +470,37 @@ class TestApply:
             )
         ratio = lp_norm(apply_beurling_ahlfors(f), 2) / lp_norm(f, 2)
         assert abs(ratio - np.max(norms)) < 1e-10
+
+
+def singular_field(N, p):
+    """r^gamma chi times (cos 2 theta, sin 2 theta) at p = 4, or times dx_1, cut to |k_a| <= N/4.
+
+    gamma = -2/p + 0.02 keeps r^gamma just inside L^p near the origin, which
+    sits at a cell corner of the N^2 unit torus; chi = clip((1/4 - r)/(1/8), 0, 1)
+    cuts the field off before the torus wraps.
+    """
+    x = (np.arange(N) + 0.5) / N - 0.5
+    x1, x2 = np.meshgrid(x, x, indexing="ij")
+    r, theta = np.hypot(x1, x2), np.arctan2(x2, x1)
+    radial = r ** (-2.0 / p + 0.02) * np.clip((0.25 - r) / 0.125, 0.0, 1.0)
+    parts = [np.cos(2.0 * theta), np.sin(2.0 * theta)] if p == 4.0 else [np.ones_like(r), np.zeros_like(r)]
+    k = np.abs(np.fft.fftfreq(N) * N)
+    keep = (k[:, None] <= N // 4) & (k[None, :] <= N // 4)
+    data = np.stack([np.fft.ifft2(np.fft.fft2(radial * part) * keep).real for part in parts])
+    return FormField(2, (N, N), 1.0, [1, 2], data)
+
+
+class TestLowerBracket:
+    @pytest.mark.parametrize("p, ratio", [(4.0, 2.10373), (4.0 / 3.0, 2.05495)])
+    def test_singular_one_form_ratio(self, p, ratio):
+        # a measurement, not a theorem: ||Tf||_p / ||f||_p of a field near the
+        # L^p edge at 128^2 (64^2 read 1.9098 and 1.9324, 256^2 2.2470 and
+        # 2.1548), so the p-norm of T is at least ~2.1 on these grids, well
+        # above the norm probe's ~1.06 and below the bound (n/2 + 1)(p* - 1) = 6
+        f = singular_field(128, p)
+        got = lp_norm(apply_beurling_ahlfors(f), p) / lp_norm(f, p)
+        assert abs(got - ratio) <= 0.004
+        assert got < bound_constants(2, p).overall_bound
 
 
 FFT_NAMES = ("fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft", "rfft", "irfft")
@@ -818,3 +849,33 @@ class TestPsw:
         g = FormField.zeros(2, (16, 16))
         with pytest.raises(ValueError):
             psw_integral(f, g, 2.0, 1.0)
+
+
+class TestExtremePeriod:
+    ROUTES = {
+        "psw": lambda f, g: psw_integral(f, g, 3.0, t_max=1.0),
+        "multiplier": lambda f, g: apply_spectral_multiplier(imaginary_power_symbol(0.5), f),
+    }
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    @pytest.mark.parametrize("L", [1e-200, 1e-160, 1e160, 1e200])
+    def test_rejects_a_period_outside_the_double_range(self, route, L):
+        # 4 pi^2 |xi|^2 overflows, or its slowest rate is subnormal or zero:
+        # neither the time quadrature nor the Laplace quadrature can run
+        rng = np.random.default_rng(3)
+        f, g = (random_band_limited(2, (8, 8), L, rng, kmax=2) for _ in "fg")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="period L"):
+                self.ROUTES[route](f, g)
+
+    # at L = 1e-150 psw's gradients overflow, which it reports as such
+    @pytest.mark.parametrize(
+        "route, L", [("psw", 1e150), ("psw", 1e153), ("multiplier", 1e-150), ("multiplier", 1e150), ("multiplier", 1e153)]
+    )
+    def test_extreme_periods_inside_the_range_still_work(self, route, L):
+        rng = np.random.default_rng(3)
+        f, g = (random_band_limited(2, (8, 8), L, rng, kmax=2) for _ in "fg")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.ROUTES[route](f, g)

@@ -17,7 +17,6 @@ from heatforms.heatmatrix import (
     conjugate_exponent,
     entry,
     grade_norm_closed_form,
-    grade_pairs,
     in_block,
     out_block,
     spectral_norm,
@@ -26,6 +25,10 @@ from heatforms.heatmatrix import (
 
 def mi(elements, n):
     return MultiIndex.from_elements(elements, n)
+
+
+def block_pairs(n, r):  # build_grade_matrix's row order: I ascending by mask, then axis i
+    return [(I, i) for I in enumerate_grade(n, r) for i in range(1, n + 1)]
 
 
 class TestEntry:
@@ -49,7 +52,7 @@ class TestEntry:
                     weights[r] = a
                     spec = HeatMatrixSpec(n, tuple(weights))
                     M = build_grade_matrix(spec, r)
-                    pairs = grade_pairs(n, r)
+                    pairs = block_pairs(n, r)
                     ref = np.array(
                         [[entry(I, i, J, j, a) for J, j in pairs] for I, i in pairs]
                     )
@@ -161,7 +164,7 @@ class TestBlocks:
             spec = HeatMatrixSpec(n, (a,) * (n + 1))
             for r in range(n + 1):
                 M = build_grade_matrix(spec, r)
-                pairs = grade_pairs(n, r)
+                pairs = block_pairs(n, r)
                 index = {(I.mask, i): t for t, (I, i) in enumerate(pairs)}
                 if r < n:
                     for i_tilde in enumerate_grade(n, r + 1):
@@ -441,7 +444,7 @@ class TestNormSweep:
         spec = HeatMatrixSpec(n, tuple(rng.uniform(0.0, 1.0, n + 1)))
         want = np.zeros((n << n, n << n))
         for r in range(n + 1):
-            idx = [I.mask * n + i - 1 for I, i in grade_pairs(n, r)]
+            idx = [I.mask * n + i - 1 for I, i in block_pairs(n, r)]
             want[np.ix_(idx, idx)] = build_grade_matrix(spec, r)
         assert np.array_equal(build_full_matrix(spec), want)
 
