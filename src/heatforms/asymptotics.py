@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lgamma, sqrt
+from math import lgamma, log, log1p, sqrt
 
 import numpy as np
 
@@ -118,7 +118,10 @@ def sphere_coordinate_lp_norm(N: int, p: float) -> float:
 
     The squared coordinate is Beta(1/2, (N-1)/2) distributed, so the p-th
     moment is a ratio of Gamma values; evaluated through log-Gamma to stay
-    finite for large p. Increases to 1 as p grows.
+    finite for large p. Past N/2 = 256 the difference of lgamma(N/2) and
+    lgamma((N+p)/2), which would lose about N/2 ulps, is taken from
+    Stirling's series with log1p, exact to rounding there. Increases to 1
+    as p grows.
     """
     if N < 2:
         raise ValueError("need an ambient dimension of at least 2")
@@ -126,7 +129,16 @@ def sphere_coordinate_lp_norm(N: int, p: float) -> float:
     if p < 1:
         raise ValueError("exponent must be >= 1")
     try:
-        log_moment = lgamma((p + 1.0) / 2.0) + lgamma(N / 2.0) - lgamma((N + p) / 2.0) - lgamma(0.5)
+        a, b = N / 2.0, p / 2.0
+    except OverflowError:
+        raise ValueError(f"ambient dimension N >= 2**{N.bit_length() - 1} is not a finite double") from None
+    try:
+        if a < 256.0:
+            log_moment = lgamma((p + 1.0) / 2.0) + lgamma(a) - lgamma(a + b) - lgamma(0.5)
+        else:  # lgamma(x) = (x - 1/2) log x - x + log(2 pi) / 2 + 1/(12x) - 1/(360x^3) + ...
+            tail = [(1.0 - 1.0 / (30.0 * x * x)) / (12.0 * x) for x in (a, a + b)]
+            gap = b - (a - 0.5) * log1p(b / a) - b * log(a + b) + tail[0] - tail[1]
+            log_moment = lgamma((p + 1.0) / 2.0) + gap - lgamma(0.5)
     except OverflowError:
         raise ValueError(f"exponent {p} overflows log-Gamma") from None
     return float(np.exp(log_moment / p))
@@ -135,4 +147,6 @@ def sphere_coordinate_lp_norm(N: int, p: float) -> float:
 def asymptotic_bound(n: int, p: float) -> float:
     """Large-p operator bound: constant * (p* - 1) / sphere coordinate norm."""
     p_star = conjugate_exponent(p)
+    if n >= 1024:  # 2^n is no double; checked before 1 << n, which fills n/8 bytes or overflows
+        raise ValueError(f"ambient dimension 2**{n} is not a finite double")
     return asymptotic_constant(n) * (p_star - 1.0) / sphere_coordinate_lp_norm(1 << n, p)

@@ -205,9 +205,9 @@ def cmd_impow(args, report: Report):
 def cmd_asymptotics(args, report: Report):
     if args.sigma_samples < 0:
         raise ValueError("--sigma-samples must be nonnegative")
+    bound = asy.asymptotic_bound(args.n, args.p)  # first: it refuses an n whose 2^n is no double
     c = asy.asymptotic_constant(args.n)
     factor = asy.sphere_coordinate_lp_norm(1 << args.n, args.p)
-    bound = asy.asymptotic_bound(args.n, args.p)
     report.add("c_asym", c)
     report.add("sphere_factor", factor)
     report.add("bound", bound)

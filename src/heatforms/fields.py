@@ -115,15 +115,18 @@ def lp_norm(field: FormField, p: float) -> float:
     """Riemann-sum L^p norm of the pointwise Euclidean length, finite p >= 1."""
     if not (np.isfinite(p) and p >= 1):
         raise ValueError(f"exponent must be finite and >= 1, got {p}")
-    return float(_power_sums(field.data.reshape(len(field.masks), -1), (p,), field.cell_volume)[0] ** (1 / p))
+    return float(_lp_norms(field.data.reshape(len(field.masks), -1), (p,), field.cell_volume)[0])
 
 
-def _power_sums(stack: np.ndarray, exponents, cell: float) -> np.ndarray:
-    """cell * sum_x (sum_I |f_I(x)|^2)^(p/2) per exponent p and field of a (..., rows, points) stack.
+def _lp_norms(stack: np.ndarray, exponents, cell: float) -> np.ndarray:
+    """(cell * sum_x |f(x)|^p)^(1/p), |f(x)|^2 = sum_I |f_I(x)|^2, per p and field of a (..., rows, points) stack.
 
     Shape (len(exponents), ...). Each block of _BLOCK points is read once
-    and summed to every power in cache. Raises ValueError when a field's
-    sum overflows, or is 0 while its density is not.
+    and summed to every power in cache. A field whose sum over- or
+    underflows is summed again, over all its points at once, as |f(x)|
+    (np.hypot, which does not overflow) divided by its largest value.
+    Raises ValueError when a norm is not finite, or is 0 for a nonzero field
+    (a cell volume that underflows, say).
     """
     sums = [0.0] * len(exponents)
     with np.errstate(over="ignore"):
@@ -133,15 +136,18 @@ def _power_sums(stack: np.ndarray, exponents, cell: float) -> np.ndarray:
             density = np.einsum("...ij,...ij->...j", block, block)  # sum_I |f_I(x)|^2
             sums = [total + np.sum(density ** (p / 2.0), axis=-1) for total, p in zip(sums, exponents)]
         totals = cell * np.array(sums)
-        if totals.all() and np.isfinite(totals).all():
-            return totals
-        live = np.abs(stack).max(axis=(-2, -1)) ** 2 > 0.0  # a nonzero density: some |f_I(x)|^2 > 0
-    for p, total in zip(exponents, totals):
-        if np.any(total == np.inf):
-            raise ValueError(f"exponent {p} overflows the p-th power sum")
-        if np.any(live & (total == 0.0)):
-            raise ValueError(f"exponent {p} underflows the p-th power sum")
-    return totals
+    norms = np.array([total ** (1.0 / p) for total, p in zip(totals, exponents)])
+    redo = (totals == 0.0) | ~np.isfinite(totals)
+    if redo.any():
+        with np.errstate(over="ignore", invalid="ignore"):  # a norm that over- or underflows raises below
+            length = np.hypot.reduce(np.abs(stack), axis=-2)
+            peak = length.max(axis=-1)
+            length /= np.where(peak > 0.0, peak, 1.0)[..., None]
+            norms[redo] = np.array([peak * (cell * np.sum(length**p, axis=-1)) ** (1.0 / p) for p in exponents])[redo]
+        for p, norm in zip(exponents, norms):
+            if not (np.isfinite(norm) & ((norm > 0.0) | (peak == 0.0))).all():
+                raise ValueError(f"exponent {p}: the L^p norm of a nonzero field over- or underflows a double")
+    return norms
 
 
 def cosine_field(n, dims, L, kvec, mask, amplitude=1.0) -> FormField:

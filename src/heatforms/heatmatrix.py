@@ -228,10 +228,9 @@ def spectral_norm(matrix) -> float:
     solved by its blocks: each vertex of the pattern of m + m^T + I is
     labelled by the first vertex of its closed neighbourhood, which is its
     block exactly when every neighbourhood equals its label's. The blocks
-    of one size are solved together: those symmetric within 1e-12
-    entrywise by a batched symmetric eigensolve, the others by a batched
-    SVD. Any other square matrix (a tridiagonal one, say) is solved whole:
-    exact, but at full size. A non-square matrix goes through one SVD.
+    of one size are solved together by one batched SVD. Any other square
+    matrix (a tridiagonal one, say) is solved whole: exact, but at full
+    size. A non-square matrix goes through one SVD.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2:
@@ -258,11 +257,7 @@ def spectral_norm(matrix) -> float:
         idx = order[start : start + per_size[size]].reshape(-1, size)
         start += per_size[size]
         blocks = m[idx[:, :, None], idx[:, None, :]]
-        sym = np.max(np.abs(blocks - blocks.transpose(0, 2, 1)), axis=(1, 2)) <= 1e-12
-        if np.any(sym):
-            best = max(best, np.max(np.abs(np.linalg.eigvalsh(blocks[sym]))))
-        if not np.all(sym):
-            best = max(best, np.max(np.linalg.svd(blocks[~sym], compute_uv=False)[:, 0]))
+        best = max(best, np.max(np.linalg.svd(blocks, compute_uv=False)[:, 0]))
     return float(best)
 
 

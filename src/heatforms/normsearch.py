@@ -30,7 +30,7 @@ from math import prod
 import numpy as np
 
 from .errors import SearchError
-from .fields import CHUNK_SAMPLES, _band_inverse, _band_spectrum, _draw_band, _power_sums, masks_for_grades
+from .fields import CHUNK_SAMPLES, _band_inverse, _band_spectrum, _draw_band, _lp_norms, masks_for_grades
 from .fourier import _reflect_box
 from .heatmatrix import bound_constants
 from .stochastic import _one_ahead
@@ -70,25 +70,23 @@ def norm_search(n, p, dims, budget=200, seed=0, kmax=3) -> SearchResult:
             spectra = _band_spectrum(pairs[0], dims, band, mean_zero=True)
             _band_inverse(_reflect_box(spectra.copy(), dims, band, masks), dims, band, pairs[1])
             _band_inverse(spectra, dims, band, pairs[0])  # f overwrites its noise
-            sums = _power_sums(pairs.reshape(pairs.shape[:3] + (-1,)), (p, 2.0), cell)
+            norms = _lp_norms(pairs.reshape(pairs.shape[:3] + (-1,)), (p, 2.0), cell)
             for j, i in enumerate(range(start, start + pairs.shape[1])):
-                pair, (f_p, tf_p), f_2, kind = pairs[:, j], sums[0, :, j], sums[1, 0, j], "fresh"
+                pair, (f_p, tf_p), f_2, kind = pairs[:, j], norms[0, :, j], norms[1, 0, j], "fresh"
                 if i % 4 == 3 and best is not None:
-                    norm_fresh = f_2 ** (1.0 / 2.0)
-                    if norm_fresh <= DEGENERATE_NORM:
+                    if f_2 <= DEGENERATE_NORM:
                         degenerate += 1
                         continue
-                    pair = best + pair * (MUTATION_SCALE * best_norm / norm_fresh)  # T by linearity
-                    (f_p, tf_p), (f_2, _) = _power_sums(pair.reshape(2, len(masks), -1), (p, 2.0), cell)
+                    pair = best + pair * (MUTATION_SCALE * best_norm / f_2)  # T by linearity
+                    (f_p, tf_p), (f_2, _) = _lp_norms(pair.reshape(2, len(masks), -1), (p, 2.0), cell)
                     kind = "mutation"
-                denom = f_p ** (1.0 / p)
-                if denom <= DEGENERATE_NORM:
+                if f_p <= DEGENERATE_NORM:
                     degenerate += 1
                     continue
-                ratio = tf_p ** (1.0 / p) / denom
+                ratio = tf_p / f_p
                 if ratio > best_ratio:
                     best_ratio, best_index, best_kind = ratio, i, kind
-                    best, best_norm = pair.copy(), f_2 ** (1.0 / 2.0)
+                    best, best_norm = pair.copy(), f_2
     if best is None:
         raise SearchError("all candidates were numerically degenerate")
     return SearchResult(

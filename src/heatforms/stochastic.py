@@ -155,7 +155,7 @@ def _draw_blocks(ens: PathEnsemble, seed, first=0, stride=1):
 def simulate_paths(n, h, steps, paths, seed, L=1.0) -> PathEnsemble:
     """Euler ensemble: N(0, h I) increments, uniform starts, torus wrap.
 
-    Past one PATH_BLOCK, the helper thread draws every other block.
+    The helper thread draws every other PATH_BLOCK block, from the second.
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
@@ -166,11 +166,8 @@ def simulate_paths(n, h, steps, paths, seed, L=1.0) -> PathEnsemble:
     if steps < 1 or paths < 1:
         raise ValueError("counts must be at least 1")
     ens = _empty_ensemble(n, h, steps, paths, L)
-    if paths <= PATH_BLOCK:
-        _draw_blocks(ens, seed)
-    else:
-        with _on_helper(_draw_blocks, ens, seed, 1, 2):
-            _draw_blocks(ens, seed, 0, 2)
+    with _on_helper(_draw_blocks, ens, seed, 1, 2):
+        _draw_blocks(ens, seed, 0, 2)
     return ens
 
 
@@ -213,8 +210,11 @@ def markov_identity_check(grid, L, t, ensemble: PathEnsemble) -> MarkovCheck:
     is the exact value of the space average at every time.
 
     Raises StatisticalPowerError for fewer than two paths, which leave the
-    standard error undefined.
+    standard error undefined, and ValueError unless L is the ensemble's
+    torus length: the paths are uniform only on their own torus.
     """
+    if L != ensemble.L:
+        raise ValueError(f"grid period {L} differs from the ensemble's torus length {ensemble.L}")
     k = round(t / ensemble.h)
     if abs(k * ensemble.h - t) > 1e-9 * max(t, ensemble.h):
         raise ValueError("t must be an integer multiple of the step size")

@@ -183,6 +183,36 @@ class TestSphereNorm:
         with pytest.raises(ValueError, match="overflows"):
             sphere_coordinate_lp_norm(4, 1e308)
 
+    # mpmath at 60+ digits; the log-Gamma difference of N/2 and (N + p)/2 once lost ~N/2 ulps
+    @pytest.mark.parametrize(
+        "n, p, value",
+        [
+            (20, 4.0, 0.0012852279154299299),
+            (30, 4.0 / 3.0, 2.6558058072483858e-5),
+            (40, 4.0, 1.2551059846419277e-6),
+            (60, 4.0, 1.2256894381274399e-9),
+            (60, 1000.0, 1.7869128335611027e-8),
+            (1000, 4.0, 4.0205223592254189e-151),
+            (1023, 1000.0, 2.0237667474409904e-153),
+        ],
+    )
+    def test_large_dimensions_match_mpmath(self, n, p, value):
+        assert sphere_coordinate_lp_norm(2**n, p) == pytest.approx(value, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1024, 1100])
+    def test_rejects_a_dimension_past_the_largest_double(self, n):
+        with pytest.raises(ValueError, match=f"ambient dimension N >= 2\\*\\*{n} "):
+            sphere_coordinate_lp_norm(2**n, 4.0)
+        with pytest.raises(ValueError, match="ambient dimension"):
+            asymptotic_bound(n, 4.0)
+        assert 0.0 < asymptotic_bound(1023, 4.0) < np.inf
+
+    @pytest.mark.parametrize("n", [10**30, 10**200])
+    def test_bound_refuses_a_huge_dimension_before_building_it(self, n):
+        # 1 << 10**30 and sqrt(10**400) raise OverflowError; a smaller huge n would fill n/8 bytes
+        with pytest.raises(ValueError, match=f"ambient dimension 2\\*\\*{n} "):
+            asymptotic_bound(n, 4.0)
+
     def test_monte_carlo_oracle(self):
         rng = np.random.default_rng(4)
         samples = 200_000

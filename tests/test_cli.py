@@ -105,11 +105,11 @@ class TestApplyCommand:
         assert byname["l2_in"] == pytest.approx(lp_norm(f, 2))
 
     def test_overflowing_norm_writes_nothing(self, capsys, tmp_path):
-        # the operator takes samples near 1e160, but the report's l2 norms overflow
+        # samples near 1e307 have a finite l2 norm, but the operator's spectrum overflows
         f = random_band_limited(2, (16, 16), 1.0, np.random.default_rng(3))
         src = tmp_path / "in.ffld"
         dst = tmp_path / "out.ffld"
-        write_ffld(f.like(f.data * 1e160), src)
+        write_ffld(f.like(f.data * 1e307), src)
         code = main(["apply", "--input", str(src), "--output", str(dst)])
         captured = capsys.readouterr()
         assert code == 1
@@ -194,6 +194,26 @@ class TestChecksAndExitCodes:
         byname = {r["label"]: r["value"] for r in parse_jsonl(out)[1]}
         assert byname["c_asym"] == pytest.approx(np.sqrt(2.0))
         assert abs(byname["bound_over_p_minus_1"] - np.sqrt(2.0)) < 0.03 * np.sqrt(2.0)
+
+    def test_asymptotics_at_n_60(self, capsys):
+        # the log-Gamma difference once cancelled here and read sphere_factor 0.8667
+        code, out = run_cli(capsys, "asymptotics", "--n", "60", "--p", "4")
+        assert code == 0
+        byname = {r["label"]: r["value"] for r in parse_jsonl(out)[1]}
+        assert byname["sphere_factor"] == pytest.approx(1.2256894381274399e-9, rel=1e-12)
+
+    def test_asymptotics_names_a_dimension_past_the_largest_double(self, capsys):
+        code = main(["asymptotics", "--n", "1024", "--p", "4"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "heatforms: error: ambient dimension 2**1024 is not a finite double\n"
+
+    def test_norm_search_at_p_1000(self, capsys):
+        # the fields' p-th power sums underflow here while their norms (~0.47) do not
+        code, out = run_cli(capsys, "norm-search", "--n", "2", "--p", "1000", "--budget", "8")
+        assert code == 0
+        byname = {r["label"]: r["value"] for r in parse_jsonl(out)[1]}
+        assert 1.0 <= byname["best_ratio"] <= byname["ceiling"]
 
 
 class TestErrorExitCodes:
@@ -470,6 +490,7 @@ NON_FINITE_RUNS = {
     ],
     "transform-p-1e308": ["simulate", "transform", "--p", "1e308", "--trials", "5000"],
     "impow-s-1e3": ["impow", "--s", "1e3", "--p", "2"],
+    "asymptotics-n-1e30": ["asymptotics", "--n", str(10**30), "--p", "4"],  # refused before 1 << n
 }
 
 

@@ -24,7 +24,7 @@ from heatforms.fields import (
     _held_band,
     _held_spectra,
     _MODE_TOL,
-    _power_sums,
+    _lp_norms,
     _real_band,
     cosine_field,
     lp_norm,
@@ -445,24 +445,27 @@ class TestLpNorm:
             lp_norm(f, p)
 
     def test_rejects_overflowing_power_sum(self):
-        # |f|^p overflows where |f| > 1; a RuntimeWarning would fail the suite
+        # |f|^p overflows where |f| > 1, but only a norm past the largest double is rejected;
+        # a RuntimeWarning would fail the suite
         f = FormField.zeros(2, (8, 8), grades=[0])
         f.components[0][:] = 2.0
-        with pytest.raises(ValueError, match="overflows"):
-            lp_norm(f, 1e308)
+        assert lp_norm(f, 1e308) == 2.0
         assert lp_norm(f, 1000.0) == pytest.approx(2.0)
-        # at p = 2 the density itself overflows, and so would a squared peak
-        with pytest.raises(ValueError, match="exponent 2.0 overflows"):
-            lp_norm(f.like(np.full(f.data.shape, 1e160)), 2.0)
+        # at p = 2 the density itself overflows, and the field is summed again as its length
+        assert lp_norm(f.like(np.full(f.data.shape, 1e160)), 2.0) == pytest.approx(1e160, rel=1e-15)
+        with pytest.raises(ValueError, match="exponent 2.0: the L\\^p norm of a nonzero field over- or underflows"):
+            lp_norm(FormField.zeros(2, (8, 8)).like(np.full((4, 8, 8), 1e308)), 2.0)  # 2e308
 
     def test_rejects_underflowing_power_sum(self):
-        # 0.5^2000 underflows to 0; the norm is 0.5, not 0
+        # 0.5^2000 underflows to 0, but the norm is 0.5, not 0: the field is summed again
         f = FormField.zeros(2, (8, 8), grades=[0])
         f.components[0][:] = 0.5
-        with pytest.raises(ValueError, match="underflows"):
-            lp_norm(f, 2000.0)
+        assert lp_norm(f, 2000.0) == 0.5
         assert lp_norm(f, 1000.0) == pytest.approx(0.5)
         assert lp_norm(FormField.zeros(2, (8, 8)), 2000.0) == 0.0
+        # on a torus of length 1e-170 the cell volume itself is 0, so no sum can give the norm
+        with pytest.raises(ValueError, match="exponent 2.0: the L\\^p norm of a nonzero field over- or underflows"):
+            lp_norm(FormField(2, (8, 8), 1e-170, [0], f.data), 2.0)
 
     def test_is_the_one_field_power_sum(self):
         rng = np.random.default_rng(12)
@@ -471,32 +474,42 @@ class TestLpNorm:
             for field in (f, f.like(f.data + 0.5j * f.data[::-1])):
                 rows = field.data.reshape(1, len(field.masks), -1)
                 for p in (1.0, 4.0 / 3.0, 2.0, 4.0, 7.5):
-                    total = _power_sums(rows, (p,), field.cell_volume)[0, 0]
-                    assert lp_norm(field, p) == float(total ** (1.0 / p))
+                    norm = _lp_norms(rows, (p,), field.cell_volume)[0, 0]
+                    assert lp_norm(field, p) == pytest.approx(float(norm), rel=4 * np.finfo(float).eps)
 
     def test_power_sums_of_a_stack_match_each_field(self):
         rng = np.random.default_rng(13)
         stack = rng.standard_normal((2, 3, 4, 64 * 32 * 32))  # two blocks of points
         exponents = (4.0, 1.0, 2.0, 4.0 / 3.0)
-        sums = _power_sums(stack, exponents, 0.5)  # the cell volume at L = 32
-        assert sums.shape == (4, 2, 3)
+        norms = _lp_norms(stack, exponents, 0.5)  # the cell volume at L = 32
+        assert norms.shape == (4, 2, 3)
         for index in np.ndindex(2, 3):
             field = FormField(3, (64, 32, 32), 32.0, [1, 2, 4, 7], stack[index].reshape(4, 64, 32, 32))
-            for p, total in zip(exponents, sums[(slice(None),) + index]):
-                assert lp_norm(field, p) == float(total ** (1.0 / p))
+            for p, norm in zip(exponents, norms[(slice(None),) + index]):
+                assert lp_norm(field, p) == pytest.approx(float(norm), rel=4 * np.finfo(float).eps)
 
-    @pytest.mark.parametrize("value, message", [(1e3, "overflows"), (1e-3, "underflows")])
-    def test_power_sums_blame_one_field_of_a_stack(self, value, message):
-        # one field of three trips the exponent 300; a RuntimeWarning would be an error here
+    @pytest.mark.parametrize("value, trips", [(1e3, "overflows"), (1e-3, "underflows")])
+    def test_power_sums_blame_one_field_of_a_stack(self, value, trips):
+        # one field of three trips the exponent 300 and alone is summed again: its norms are
+        # value times those of the all-ones field, and the others keep their bits
         stack = np.ones((3, 2, 64))
+        ones = _lp_norms(stack, (2.0, 300.0), 1.0 / 64)
         stack[1] = value
         with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=f"exponent 300.0 {message} the p-th power sum"):
-                _power_sums(stack, (2.0, 300.0), 1.0 / 64)
-            assert np.all(_power_sums(stack[[0, 2]], (2.0, 300.0), 1.0 / 64) > 0)
-            stack[1] = 0.0  # a zero field sums to 0 without underflowing
-            assert np.array_equal(_power_sums(stack, (2.0, 300.0), 1.0 / 64)[:, 1], [0.0, 0.0])
+            warnings.simplefilter("error")  # the sum that trips warns nothing
+            norms = _lp_norms(stack, (2.0, 300.0), 1.0 / 64)
+            assert np.array_equal(norms[:, [0, 2]], ones[:, [0, 2]])
+            assert norms[:, 1] == pytest.approx(value * ones[:, 1], rel=4 * np.finfo(float).eps)
+            stack[1] = 0.0  # a zero field sums to 0
+            assert np.array_equal(_lp_norms(stack, (2.0, 300.0), 1.0 / 64)[:, 1], [0.0, 0.0])
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e200])
+    @pytest.mark.parametrize("p", [4.0, 100.0, 1000.0])
+    def test_scale_identity_where_power_sums_over_or_underflow(self, scale, p):
+        # a 64^2 kmax-3 draw has |f| < 1.4, so f's sums underflow at p = 1000 and 1e-3 f's at p = 100
+        f = random_band_limited(2, (64, 64), 1.0, np.random.default_rng(0))
+        assert lp_norm(f.like(scale * f.data), p) / scale == pytest.approx(lp_norm(f, p), rel=4 * np.finfo(float).eps)
+        assert lp_norm(f, 1000.0) == pytest.approx(0.4685, abs=1e-4)
 
     @given(st.floats(0.1, 10.0), st.floats(1.0, 6.0))
     @settings(max_examples=20, deadline=None)

@@ -302,15 +302,19 @@ def assert_matches_svd(m):
 
 @pytest.fixture
 def solved_shapes(monkeypatch):
-    """Shapes of the batches that spectral_norm hands to np.linalg.eigvalsh, in call order."""
+    """Shapes of the batches that spectral_norm hands to np.linalg.svd, in call order.
+
+    Only 3-d (batched) calls are recorded: assert_matches_svd's reference is one 2-d SVD.
+    """
     shapes = []
-    eigvalsh = np.linalg.eigvalsh
+    svd = np.linalg.svd
 
     def recording(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return eigvalsh(a, *args, **kwargs)
+        if np.ndim(a) == 3:
+            shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    monkeypatch.setattr(np.linalg, "svd", recording)
     return shapes
 
 

@@ -134,16 +134,16 @@ class TestDrawAhead:
     def test_body_error_reaches_the_caller_and_the_helper_survives(self, monkeypatch):
         want = _search()
         error = RuntimeError("chunk 2 failed")
-        power_sums, chunk_calls = normsearch._power_sums, []
+        lp_norms, chunk_calls = normsearch._lp_norms, []
 
         def fail_in_chunk_2(stack, *args):
             if stack.ndim == 4:  # a chunk's (f, Tf) stack; a mutation passes one pair
                 chunk_calls.append(stack.shape)
                 if len(chunk_calls) == 3:
                     raise error
-            return power_sums(stack, *args)
+            return lp_norms(stack, *args)
 
-        monkeypatch.setattr(normsearch, "_power_sums", fail_in_chunk_2)
+        monkeypatch.setattr(normsearch, "_lp_norms", fail_in_chunk_2)
         with pytest.raises(RuntimeError) as info:
             _search()
         assert info.value is error

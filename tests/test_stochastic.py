@@ -325,6 +325,15 @@ class TestMarkovIdentity:
                 passes += 1
         assert passes >= 19
 
+    def test_grid_period_must_be_the_ensembles_torus_length(self):
+        # the paths are uniform only on their own torus: a unit-torus ensemble read with L = 2
+        # gave z = 37.1 on a field where L = 1 gave -1.7
+        g = random_band_limited(2, (16, 16), 1.0, np.random.default_rng(2), mean_zero=False).components[0]
+        with pytest.raises(ValueError, match="torus length"):
+            markov_identity_check(g, 2.0, 0.2, simulate_paths(2, 0.02, 10, 100, seed=0))
+        chk = markov_identity_check(g, 2.0, 0.2, simulate_paths(2, 0.02, 10, 20000, seed=0, L=2.0))
+        assert abs(chk.z_score) < 4.0
+
     def test_time_validation(self):
         ens = simulate_paths(2, 0.02, 10, 100, seed=0)
         with pytest.raises(ValueError):
@@ -615,6 +624,57 @@ def _reference_experiment(p, steps, trials, transform, seed, boot_rng):
         boots[b] = (y_sum / u_sum) ** (1.0 / p)
     half = float((np.quantile(boots, 0.975) - np.quantile(boots, 0.025)) / 2.0)
     return ratio, half / ratio
+
+
+def burkholder_u(p, x, y):
+    """Burkholder's majorant p(1 - 1/p*)^(p-1) (|y| - (p*-1)|x|) (|x| + |y|)^(p-1)."""
+    p_star = max(p, p / (p - 1.0))
+    x, y = np.abs(x), np.abs(y)
+    return p * (1.0 - 1.0 / p_star) ** (p - 1.0) * (y - (p_star - 1.0) * x) * (x + y) ** (p - 1.0)
+
+
+class TestBurkholderMajorant:
+    """The upper side of Burkholder's inequality E|g|^p <= (p*-1)^p E|f|^p for transforms with |eps| <= 1.
+
+    U majorizes V = |y|^p - (p*-1)^p |x|^p, is concave along every line with |dy| <= |dx|
+    (the moves of a transform's pair (f, g)) and is at most 0 where |y| <= |x|, so E V(f, g) <= 0.
+    Checked on a 601^2 grid over [-3, 3]^2; the margins sit above the measured rounding.
+    """
+
+    GRID = np.linspace(-3.0, 3.0, 601)
+
+    @pytest.fixture(params=[4.0 / 3.0, 1.5, 3.0, 4.0], ids=["p=4/3", "p=1.5", "p=3", "p=4"])
+    def case(self, request):
+        p = request.param
+        x, y = np.meshgrid(self.GRID, self.GRID, indexing="ij")
+        u = burkholder_u(p, x, y)
+        return p, x, y, u, np.abs(u).max()
+
+    def test_majorizes_v(self, case):
+        p, x, y, u, top = case
+        p_star = max(p, p / (p - 1.0))
+        v = np.abs(y) ** p - (p_star - 1.0) ** p * np.abs(x) ** p
+        assert (u - v).min() / top >= -1e-15  # measured >= -6e-17
+
+    def test_concave_along_s_and_t(self, case):
+        _, _, _, u, top = case
+        along_s = u[2:, 2:] - 2.0 * u[1:-1, 1:-1] + u[:-2, :-2]  # steps of (h, h)
+        along_t = u[2:, :-2] - 2.0 * u[1:-1, 1:-1] + u[:-2, 2:]  # steps of (h, -h)
+        assert max(along_s.max(), along_t.max()) / top <= 1e-14  # measured <= 1.9e-15
+
+    def test_concave_along_every_line_with_dy_at_most_dx(self, case):
+        p, x, y, u, top = case
+        h = self.GRID[1] - self.GRID[0]
+        for theta in np.linspace(-np.pi / 4.0, np.pi / 4.0, 41):
+            dx, dy = h * np.cos(theta), h * np.sin(theta)
+            second = burkholder_u(p, x + dx, y + dy) - 2.0 * u + burkholder_u(p, x - dx, y - dy)
+            assert second.max() / top <= 1e-14  # measured <= 9.4e-16
+
+    def test_at_most_zero_where_y_is_at_most_x(self, case):
+        p, x, y, u, _ = case
+        inside = np.abs(y) <= np.abs(x)
+        assert u[inside].max() == 0.0 == burkholder_u(p, 0.0, 0.0)
+        assert burkholder_u(p, 1.0, 1.0) < 0.0 and burkholder_u(p, 1.0, -1.0) < 0.0
 
 
 def _philox_piling_up_resample(pile):
