@@ -359,7 +359,7 @@ def psw_integral(field_f: FormField, field_g: FormField, p: float, t_max: float)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(0, len(times), batch):
             norm_f, norm_g = _psw_norms(spectra, xi_sq, grad_mult, dims, kmax, split, times[i : i + batch])
-            values[i : i + batch] = [cell * float(np.sum(nf * ng)) for nf, ng in zip(norm_f, norm_g)]
+            values[i : i + batch] = cell * np.multiply(norm_f, norm_g).reshape(len(norm_f), -1).sum(axis=1)
         lhs = sum(half * sum(weights * v) for half, v in zip(halves, values[:-1].reshape(-1, GL_ORDER)))
         energy = cell * np.sqrt(np.sum(norm_f[-1] ** 2) * np.sum(norm_g[-1] ** 2))  # t = 0
         rhs = (p_star - 1.0) * lp_norm(field_f, p) * lp_norm(field_g, p / (p - 1.0))

@@ -298,7 +298,8 @@ def bound_constants(n: int, p: float) -> BoundReport:
     expressions meet, a = 1 - r/n, giving the grade constant
     2r(n-r)/n + 1. The overall constant is the maximum over grades:
     n/2 + 1 for even n, n/2 + 1 - 1/(2n) for odd n. The operator norm is
-    then bounded by constant * (p* - 1) with p* = max(p, p/(p-1)).
+    then bounded by constant * (p* - 1) with p* = max(p, p/(p-1)); a
+    ValueError names p when that product overflows.
     """
     if n < 2:
         raise ValueError("dimension must be at least 2")
@@ -308,9 +309,7 @@ def bound_constants(n: int, p: float) -> BoundReport:
         for r in range(n + 1)
     )
     overall = max(g.constant for g in per_grade)
-    return BoundReport(
-        p_star=p_star,
-        per_grade=per_grade,
-        overall_constant=overall,
-        overall_bound=float(overall) * (p_star - 1.0),
-    )
+    overall_bound = float(overall) * (p_star - 1.0)
+    if overall_bound == np.inf:
+        raise ValueError(f"the bound {overall} * (p* - 1) overflows at p = {p}")
+    return BoundReport(p_star=p_star, per_grade=per_grade, overall_constant=overall, overall_bound=overall_bound)

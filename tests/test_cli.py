@@ -202,6 +202,18 @@ class TestChecksAndExitCodes:
         byname = {r["label"]: r["value"] for r in parse_jsonl(out)[1]}
         assert byname["sphere_factor"] == pytest.approx(1.2256894381274399e-9, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["norm-search", "--n", "2", "--p", "1e308", "--grid", "8", "--budget", "4"], ["bounds", "--n", "3", "--p", "1e308"]],
+        ids=["norm-search", "bounds"],
+    )
+    def test_overflowing_bound_names_the_exponent(self, capsys, argv):
+        # (n/2 + 1)(p* - 1) overflows; the one error line names the exponent
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.count("\n") == 1 and "overflows at p = 1e+308" in captured.err
+
     def test_asymptotics_names_a_dimension_past_the_largest_double(self, capsys):
         code = main(["asymptotics", "--n", "1024", "--p", "4"])
         captured = capsys.readouterr()

@@ -483,6 +483,12 @@ class TestBoundConstants:
         assert g1.alpha_star == Fraction(3, 4)
         assert g1.constant == Fraction(5, 2)
 
+    def test_overflowing_bound_names_the_exponent(self):
+        # 2 (p* - 1) is finite at p = 8e307 and overflows at 1e308
+        assert bound_constants(2, 8e307).overall_bound == 1.6e308
+        with pytest.raises(ValueError, match=r"overflows at p = 1e\+308"):
+            bound_constants(2, 1e308)
+
     def test_p_star(self):
         assert bound_constants(2, 2.0).p_star == 2.0
         assert np.isclose(bound_constants(2, 4 / 3).p_star, 4.0)

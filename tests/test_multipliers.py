@@ -17,6 +17,7 @@ from heatforms.multipliers import (
     _V_HI,
     _V_LO,
     SpectralSymbol,
+    _gamma_one_minus_is,
     _grid,
     _left_end,
     apply_spectral_multiplier,
@@ -295,10 +296,32 @@ class TestApplyMultiplier:
         assert np.allclose(np.abs(killed.components[0]), 0.0, atol=1e-10)
 
 
+class TestGamma:
+    def test_modulus_matches_the_reflection_formula(self):
+        # |Gamma(1 - is)|^2 = pi s / sinh(pi s), in logs: sinh overflows past s ~ 226
+        s = np.concatenate([np.geomspace(1e-6, 50.0, 301), -np.geomspace(1e-3, 50.0, 31)])
+        a = np.pi * np.abs(s)
+        log_want = np.log(2.0 * a) - a - np.log(-np.expm1(-2.0 * a))
+        got = np.array([abs(_gamma_one_minus_is(x)) for x in s])
+        assert np.max(np.abs(np.expm1(2.0 * np.log(got) - log_want))) <= 1e-13
+
+    @pytest.mark.parametrize("s", [1e-4, 0.5, 3.0, 12.7, 40.0, 300.0])
+    def test_conjugate_symmetry(self, s):
+        assert _gamma_one_minus_is(-s) == _gamma_one_minus_is(s).conjugate()
+
+    def test_matches_scipy(self):
+        special = pytest.importorskip("scipy.special")
+        s = np.linspace(-12.7, 12.7, 2541)
+        got = np.array([_gamma_one_minus_is(x) for x in s])
+        want = special.gamma(1.0 - 1j * s)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 5e-14
+
+
 class TestPowerConstant:
     def test_s_zero_exact(self):
         assert imaginary_power_constant(0.0, 2.0) == 1.0
         assert imaginary_power_constant(0.0, 4.0) == 3.0
+        assert imaginary_power_constant(-0.0, 4.0) == 3.0
 
     def test_frozen_value(self):
         # mpmath: 1/|Gamma(1-i)| = sqrt(sinh(pi)/pi) = 1.91731007152598500...
