@@ -14,13 +14,23 @@ Conventions used package-wide:
 * Fourier coefficients follow f(x) = sum_k c_k exp(i 2 pi k.x / L) with
   c_k = fftn(samples) / prod(dims), so the frequency of lattice index k is
   xi = k / L.
+
+The package has one helper thread, the worker of a one-thread executor
+made on first use (_on_helper). It lives here, in the lowest layer, so
+every layer above can share it: random_band_limited, norm_search and the
+Ito study hand it the next of a sequence of draws (_one_ahead), and the
+stochastic module the other half of its path and bootstrap draws. It runs
+only draws into arrays the caller allocated and calls no public function.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import isqrt, prod, sqrt
 from types import MappingProxyType
 
@@ -36,7 +46,7 @@ _MODE_TOL = 1e-12  # a mode is held when some row's |c_k| exceeds this times tha
 _GEMM_SIZE = 1 << 18  # OpenBLAS runs a product with m * n * k at most this on one thread
 _DENSE_SPAN = 8  # an axis is dense while 2K + 1 <= this * log2(d) (_band_axes), as measured on one core
 _BLOCK = 1 << 15  # points per block of lp_norm's sum and of _held_spectra's rffts, so they work in cache
-CHUNK_SAMPLES = 1 << 17  # output samples per batch: the norm probe's f and Tf, psw_integral's node gradients
+CHUNK_SAMPLES = 1 << 17  # samples per batch: random_band_limited's rows, the probe's f and Tf, psw's node gradients
 
 
 def _grid(n: int, dims) -> tuple[int, ...]:
@@ -416,21 +426,87 @@ def _draw_band(n, dims, kmax) -> tuple:
     return dims, tuple(min(kmax, d // 2) for d in dims)
 
 
+def _forget_helper():
+    """A forked child has no helper thread; it starts its own."""
+    global _lock, _helper
+    _lock, _helper = threading.Lock(), None
+
+
+_forget_helper()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+@contextlib.contextmanager
+def _on_helper(fn, *args):
+    """Run fn(*args) on the helper thread during the with-body.
+
+    The helper is the one worker of a concurrent.futures executor made on
+    first use, and anew in a forked child; the interpreter joins it at
+    exit. The exit of the with waits for the call and re-raises its
+    exception, the same object, unless the body raised one of its own.
+    """
+    global _helper
+    with _lock:
+        if _helper is None:
+            from concurrent.futures import ThreadPoolExecutor  # off the package import
+
+            _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="heatforms-draws")
+    job = _helper.submit(fn, *args)
+    try:
+        yield
+    finally:
+        job.exception()  # waits for the call
+    job.result()
+
+
+def _one_ahead(jobs):
+    """Yield the out of each (out, fill) in jobs, in order, once fill() has filled it.
+
+    The caller runs the first fill; the helper runs each later one while
+    the caller works on the out before it, so the fills still run one at
+    a time in order and may share a stream. jobs is read one ahead: a
+    generator of jobs keeps at most two outs alive. Close the generator
+    when the caller's work may raise, so the exit waits for the fill.
+    """
+    jobs = iter(jobs)
+    out, fill = next(jobs)
+    fill()
+    for ahead, fill in jobs:
+        with _on_helper(fill):
+            yield out
+        out = ahead
+    yield out
+
+
 def random_band_limited(n, dims, L, rng, kmax=3, grades=None, mean_zero=True) -> FormField:
     """Gaussian field filtered to lattice frequencies |k_a| <= kmax.
 
-    One normal draw fills every component, in ascending-mask order;
-    _band_spectrum filters it and _band_inverse returns. This equals a
-    full rfftn, filter and irfftn to rounding, not bitwise, and does not
-    depend on the BLAS thread count.
+    One normal draw from rng fills every component, in ascending-mask
+    order. rng must be a numpy Generator: its standard_normal fills the
+    field's own array through out=. The rows go in chunks of at most
+    CHUNK_SAMPLES samples (at least one row): the helper thread draws
+    chunk c + 1 while the caller filters chunk c (_band_spectrum) and
+    returns it (_band_inverse) into chunk c's own rows. The stream is read
+    in one draw's order, so the noise is bitwise one standard_normal of
+    the whole shape. A field of one chunk runs no helper job; in one of
+    several, the last-axis block products break at chunk edges, which
+    moves the field by rounding only (up to 4e-16 of max |f| at 64^3). It
+    equals a full rfftn, filter and irfftn to rounding, not bitwise, and
+    does not depend on the BLAS thread count.
     """
     dims, band = _draw_band(n, dims, kmax)
     masks = masks_for_grades(n, range(n + 1) if grades is None else grades)
-    noise = rng.standard_normal((len(masks),) + dims)
-    spectrum = _band_spectrum(noise, dims, band, mean_zero)
     # the field overwrites the noise: no second grid-sized array, and no
     # grid-sized hole left in the heap under the caches a first call builds
-    return FormField(n, dims, L, masks, _band_inverse(spectrum, dims, band, noise))
+    noise = np.empty((len(masks),) + dims)
+    rows = max(1, CHUNK_SAMPLES // prod(dims))
+    chunks = (noise[start : start + rows] for start in range(0, len(masks), rows))
+    jobs = ((chunk, partial(rng.standard_normal, out=chunk)) for chunk in chunks)
+    with contextlib.closing(_one_ahead(jobs)) as drawn:
+        for chunk in drawn:
+            _band_inverse(_band_spectrum(chunk, dims, band, mean_zero), dims, band, chunk)
+    return FormField(n, dims, L, masks, noise)
 
 
 def write_ffld(field: FormField, path) -> None:

@@ -296,7 +296,11 @@ def bound_constants(n: int, p: float) -> BoundReport:
 
     Each block norm max(2ar+1, 2(1-a)(n-r)+1) is minimized where the two
     expressions meet, a = 1 - r/n, giving the grade constant
-    2r(n-r)/n + 1. The overall constant is the maximum over grades:
+    2r(n-r)/n + 1. No other representation does better: A_r + B, for any
+    B whose symbol sum_{i,j} B[(I,i),(J,j)] xi_i xi_j vanishes, has norm
+    at least 2r(n-r)/n + 1, by a dual certificate symmetric in the two
+    axis indices (tests/test_heatmatrix.py::TestRepresentationOptimal,
+    exact for n <= 5). The overall constant is the maximum over grades:
     n/2 + 1 for even n, n/2 + 1 - 1/(2n) for odd n. The operator norm is
     then bounded by constant * (p* - 1) with p* = max(p, p/(p-1)); a
     ValueError names p when that product overflows.

@@ -13,11 +13,12 @@ spectra (fields._band_spectrum) and a reflected copy (fourier._reflect_box)
 give f and Tf with no forward transform; a mutation takes T by linearity.
 
 A chunk's noise is one normal draw in the stream's per-candidate order.
-The package's helper thread draws it one chunk ahead (stochastic._one_ahead)
-while the caller filters the chunk before; one thread at a time draws, in
-order, so every result is bitwise the one-thread search's. The price is
-one more buffer of a chunk's f: the f of even and of odd chunks take turns
-in two slots around Tf's, 1.5 MiB at the cap where one chunk took 1 MiB.
+The package's helper thread draws it one chunk ahead (fields._one_ahead,
+as random_band_limited draws its rows) while the caller filters the chunk
+before; one thread at a time draws, in order, so every result is bitwise
+the one-thread search's. The price is one more buffer of a chunk's f: the
+f of even and of odd chunks take turns in two slots around Tf's, 1.5 MiB
+at the cap where one chunk took 1 MiB.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ from math import prod
 import numpy as np
 
 from .errors import SearchError
-from .fields import CHUNK_SAMPLES, _band_inverse, _band_spectrum, _draw_band, _lp_norms, masks_for_grades
+from .fields import CHUNK_SAMPLES, _band_inverse, _band_spectrum, _draw_band, _lp_norms, _one_ahead
+from .fields import masks_for_grades
 from .fourier import _reflect_box
 from .heatmatrix import bound_constants
-from .stochastic import _one_ahead
 
 DEGENERATE_NORM = 1e-12
 MUTATION_SCALE = 0.25

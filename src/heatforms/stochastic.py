@@ -25,34 +25,31 @@ the terms of every component, added in step order (see TrigSeries for how
 its modes and waves are built). The bootstrap turns each resample into a
 count vector and takes both moment sums with one product.
 
-The draws run on two threads: the caller's and one helper, the worker of a
-one-thread executor (see _on_helper) that normsearch shares. Each stream
-is drawn by one thread at a time, in order, into arrays the caller
-allocated, so every result is bitwise what one thread would draw.
-simulate_paths gives the helper every other PATH_BLOCK block; the transform
-experiment has it draw the bootstrap counts, stream (seed, 1), while the
-caller runs the walk on stream (seed, 0). _one_ahead has it fill the next
-of a sequence of buffers while the caller works on the one before: the Ito
-study's ensembles, and norm_search's chunks of noise, which costs the
-search one more chunk buffer. The helper calls no public function. No
-step of these checks calls a threaded BLAS routine either (TrigSeries
-contracts with einsum; the search's band-matrix products run in blocks
-that BLAS keeps on one thread): an OpenBLAS worker keeps spinning on the
-second core after a call and would take it from the helper.
+The draws run on two threads: the caller's and the package's one helper,
+the worker of a one-thread executor (fields._on_helper) that the
+band-limited draw and normsearch share. Each stream is drawn by one
+thread at a time, in order, into arrays the caller allocated, so every
+result is bitwise what one thread would draw. simulate_paths gives the helper every other
+PATH_BLOCK block; the transform experiment has it draw the bootstrap
+counts, stream (seed, 1), while the caller runs the walk on stream
+(seed, 0). fields._one_ahead has it draw each of the Ito study's ensembles
+after the first while the caller checks the one before. The helper calls
+no public function. No step of these checks calls a threaded BLAS routine
+either (TrigSeries contracts with einsum; the band-matrix products run in
+blocks that BLAS keeps on one thread): an OpenBLAS worker keeps spinning
+on the second core after a call and would take it from the helper.
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
-import threading
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .errors import StatisticalPowerError
-from .fields import FormField, TrigSeries
+from .fields import FormField, TrigSeries, _on_helper, _one_ahead
 from .heatmatrix import conjugate_exponent
 
 PATH_BLOCK = 4096
@@ -66,40 +63,6 @@ def _philox(seed: int, stream: int) -> np.random.Generator:
     mask = (1 << 64) - 1
     key = np.array([seed & mask, stream & mask], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def _forget_helper():
-    """A forked child has no helper thread; it starts its own."""
-    global _lock, _helper
-    _lock, _helper = threading.Lock(), None
-
-
-_forget_helper()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helper)
-
-
-@contextlib.contextmanager
-def _on_helper(fn, *args):
-    """Run fn(*args) on the helper thread during the with-body.
-
-    The helper is the one worker of a concurrent.futures executor made on
-    first use, and anew in a forked child; the interpreter joins it at
-    exit. The exit of the with waits for the call and re-raises its
-    exception, the same object, unless the body raised one of its own.
-    """
-    global _helper
-    with _lock:
-        if _helper is None:
-            from concurrent.futures import ThreadPoolExecutor  # off the package import
-
-            _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="heatforms-draws")
-    job = _helper.submit(fn, *args)
-    try:
-        yield
-    finally:
-        job.exception()  # waits for the call
-    job.result()
 
 
 @dataclass
@@ -169,25 +132,6 @@ def simulate_paths(n, h, steps, paths, seed, L=1.0) -> PathEnsemble:
     with _on_helper(_draw_blocks, ens, seed, 1, 2):
         _draw_blocks(ens, seed, 0, 2)
     return ens
-
-
-def _one_ahead(jobs):
-    """Yield the out of each (out, fill) in jobs, in order, once fill() has filled it.
-
-    The caller runs the first fill; the helper runs each later one while
-    the caller works on the out before it, so the fills still run one at
-    a time in order and may share a stream. jobs is read one ahead: a
-    generator of jobs keeps at most two outs alive. Close the generator
-    when the caller's work may raise, so the exit waits for the fill.
-    """
-    jobs = iter(jobs)
-    out, fill = next(jobs)
-    fill()
-    for ahead, fill in jobs:
-        with _on_helper(fill):
-            yield out
-        out = ahead
-    yield out
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
+import contextlib
 import hashlib
 import os
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from math import prod
@@ -12,8 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from heatforms import fields
 from heatforms.errors import FFLDError
 from heatforms.fields import (
+    CHUNK_SAMPLES,
     FormField,
     TrigSeries,
     _band_axes,
@@ -116,6 +120,14 @@ class TestFormField:
         assert (f == f) is True
         assert (f == f.like(f.data.copy())) is False
         assert (f != f.like(f.data.copy())) is True
+
+
+# draws of several chunks: eight one-row chunks at 64^3, two two-row chunks at 256^2
+MULTI_CHUNK = [(3, (64, 64, 64), 4), (2, (256, 256), 8)]
+
+
+def _no_job(*args):
+    raise AssertionError("queued a helper job")
 
 
 class TestRandomBandLimited:
@@ -237,6 +249,91 @@ class TestRandomBandLimited:
         for one, x in zip(stacked, noise):
             want = _band_spectrum(x, dims, band, mean_zero)
             assert np.max(np.abs(one - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n, dims, kmax", MULTI_CHUNK)
+    def test_chunks_match_one_whole_draw(self, n, dims, kmax):
+        # the rows go in chunks of CHUNK_SAMPLES samples: one 64^3 row, two
+        # 256^2 rows; the stream is read as one whole draw reads it
+        rng, whole = np.random.default_rng(7), np.random.default_rng(7)
+        f = random_band_limited(n, dims, 1.0, rng, kmax=kmax)
+        noise = whole.standard_normal(f.data.shape)
+        assert rng.bit_generator.state == whole.bit_generator.state
+        band = (kmax,) * n
+        want = _band_inverse(_band_spectrum(noise, dims, band, True), dims, band, np.empty_like(noise))
+        assert np.max(np.abs(f.data - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n, dims, kmax", MULTI_CHUNK)
+    def test_inline_helper_draws_the_same_bits(self, n, dims, kmax, monkeypatch):
+        # a job run inline before the with-body draws the stream the way the helper does
+        want = random_band_limited(n, dims, 1.0, np.random.default_rng(7), kmax=kmax)
+        jobs = []
+
+        @contextlib.contextmanager
+        def inline(fn, *args):
+            jobs.append(fn)
+            fn(*args)
+            yield
+
+        monkeypatch.setattr(fields, "_on_helper", inline)
+        got = random_band_limited(n, dims, 1.0, np.random.default_rng(7), kmax=kmax)
+        assert np.array_equal(got.data, want.data)
+        chunks = -(-len(want.masks) // max(1, CHUNK_SAMPLES // prod(dims)))
+        assert chunks > 1 and len(jobs) == chunks - 1  # every chunk but the first
+
+    def test_one_chunk_runs_no_job(self, monkeypatch):
+        monkeypatch.setattr(fields, "_on_helper", _no_job)
+        f = random_band_limited(2, (256, 256), 1.0, np.random.default_rng(7), kmax=8, grades=[0, 2])
+        assert f.data.size == CHUNK_SAMPLES  # the largest draw of one chunk
+
+    def test_error_in_a_chunk_reaches_the_caller(self, monkeypatch):
+        # the third chunk's filter raises while the helper draws the fourth:
+        # the exit waits for that draw, and the helper survives
+        args = (3, (64, 64, 64), 1.0)
+        want = random_band_limited(*args, np.random.default_rng(7), kmax=4)
+        error = RuntimeError("chunk 2 failed")
+        band_spectrum, calls = fields._band_spectrum, []
+
+        def fail_in_chunk_2(*spectrum_args):
+            calls.append(len(calls))
+            if len(calls) == 3:
+                raise error
+            return band_spectrum(*spectrum_args)
+
+        monkeypatch.setattr(fields, "_band_spectrum", fail_in_chunk_2)
+        rng, whole = np.random.default_rng(7), np.random.default_rng(7)
+        with pytest.raises(RuntimeError) as info:
+            random_band_limited(*args, rng, kmax=4)
+        assert info.value is error
+        whole.standard_normal((4, 64, 64, 64))
+        assert rng.bit_generator.state == whole.bit_generator.state
+        monkeypatch.undo()
+        helpers = [t for t in threading.enumerate() if t.name.startswith("heatforms-draws")]
+        assert len(helpers) == 1
+        got = random_band_limited(*args, np.random.default_rng(7), kmax=4)
+        assert np.array_equal(got.data, want.data)
+
+    def test_concurrent_callers_get_the_lone_draw(self):
+        # more caller threads than cores queue their chunks on the one helper
+        want = random_band_limited(2, (256, 256), 1.0, np.random.default_rng(7), kmax=8)
+        results = []
+
+        def call():
+            for _ in range(3):
+                results.append(random_band_limited(2, (256, 256), 1.0, np.random.default_rng(7), kmax=8))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call) for _ in range(3)]
+            for c in callers:
+                c.start()
+            for c in callers:
+                c.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(c.is_alive() for c in callers)
+        assert len(results) == 9
+        assert all(np.array_equal(got.data, want.data) for got in results)
 
     def test_rejects_negative_kmax(self):
         with pytest.raises(ValueError, match="kmax"):

@@ -513,6 +513,85 @@ class TestBoundConstants:
                 assert g.constant == Fraction(2 * g.r * (n - g.r), n) + 1
 
 
+def scaled_grade_block(n, r):
+    """n A_r(1 - r/n) as a matrix of Python ints: n times D, 2(n - r) on P_r's entries, 2r on Q_r's."""
+    diag, out_at, in_at, signs = _grade_structure(n, r)
+    block = np.zeros((len(diag), len(diag)), dtype=object)
+    block.flat[:: len(diag) + 1] = [n * int(d) for d in diag]
+    block.flat[out_at] = [2 * (n - r) * int(s) for s in signs]
+    block.flat[in_at] = [2 * r * int(s) for s in signs]
+    return block
+
+
+def optimal_spec(n):
+    return HeatMatrixSpec(n, tuple(1.0 - s / n for s in range(n + 1)))
+
+
+def swap_axes(z, n):
+    """z with the two axis indices swapped: [(I, i), (J, j)] -> [(I, j), (J, i)]."""
+    m = len(z) // n
+    return z.reshape(m, n, m, n).transpose(0, 3, 2, 1).reshape(z.shape)
+
+
+class TestRepresentationOptimal:
+    """No matrix with the symbol of A_r has a smaller norm than c_r = 2r(n - r)/n + 1.
+
+    A_r = A_r(1 - r/n) has the three eigenvalues -c_r, mu = (n - 2r)/n and
+    c_r. With P+ and P- its projectors on c_r and -c_r (by Lagrange
+    interpolation on the three), Z = (r/n) P+ / C(n, r-1) - ((n-r)/n) P- /
+    C(n, r+1) has nuclear norm 1 and <Z, A_r> = c_r, and it is symmetric
+    under swapping the two axis indices. A matrix B whose symbol sum_{i,j}
+    B[(I,i),(J,j)] xi_i xi_j vanishes is antisymmetric under that swap, so
+    <Z, B> = 0, and trace duality gives ||A_r + B|| >= <Z, A_r + B> = c_r.
+    """
+
+    @pytest.mark.parametrize("n, r", [(n, r) for n in range(2, 6) for r in range(1, n)])
+    def test_exact_certificate(self, n, r):
+        c = bound_constants(n, 2.0).per_grade[r].constant
+        a = scaled_grade_block(n, r)  # n A_r, so the products stay integers
+        assert np.max(np.abs(a.astype(float) / n - build_grade_matrix(optimal_spec(n), r))) <= 1e-15
+        assert (a == a.T).all()  # so the projectors are orthogonal
+        eye = np.eye(len(a), dtype=int).astype(object)
+        top, mid = int(n * c), n - 2 * r  # n c_r and n mu, both integers
+        assert top == n * c
+        up, down = (a + top * eye) @ (a - mid * eye), (a - top * eye) @ (a - mid * eye)
+        assert not (up @ (a - top * eye)).any()  # no eigenvalue outside {-c_r, mu, c_r}
+        # P+ = up / d_plus and P- = down / d_minus: Lagrange's weights, times n^2
+        d_plus, d_minus = 2 * top * (top - mid), 2 * top * (top + mid)
+        assert (up @ up == d_plus * up).all() and (down @ down == d_minus * down).all()
+        assert not (up @ down).any()
+        assert np.trace(up) == comb(n, r - 1) * d_plus
+        assert np.trace(down) == comb(n, r + 1) * d_minus
+        z = up * Fraction(r, n * comb(n, r - 1) * d_plus) - down * Fraction(n - r, n * comb(n, r + 1) * d_minus)
+        assert (z == swap_axes(z, n)).all()
+        # the nuclear norm: the weights of two orthogonal projectors times their ranks
+        assert Fraction(r, n) + Fraction(n - r, n) == 1
+        assert np.sum(z * a) / n == c
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_float_certificate(self, n):
+        rng = np.random.default_rng(n)
+        for r in range(1, n):
+            c = float(bound_constants(n, 2.0).per_grade[r].constant)
+            mu = (n - 2 * r) / n
+            a = build_grade_matrix(optimal_spec(n), r)
+            eye = np.eye(len(a))
+            up, down = (a + c * eye) @ (a - mu * eye), (a - c * eye) @ (a - mu * eye)
+            assert np.max(np.abs(up @ (a - c * eye))) <= 1e-12
+            p_plus, p_minus = up / (2 * c * (c - mu)), down / (2 * c * (c + mu))
+            assert abs(np.trace(p_plus) - comb(n, r - 1)) <= 1e-12 * comb(n, r - 1)
+            assert abs(np.trace(p_minus) - comb(n, r + 1)) <= 1e-12 * comb(n, r + 1)
+            z = (r / n) * p_plus / comb(n, r - 1) - ((n - r) / n) * p_minus / comb(n, r + 1)
+            assert np.max(np.abs(z - swap_axes(z, n))) <= 1e-15
+            assert abs(np.linalg.svd(z, compute_uv=False).sum() - 1.0) <= 1e-12
+            assert abs(np.sum(z * a) - c) <= 1e-12 * c
+            # a random zero-symbol B does not lower the norm
+            g = rng.standard_normal(a.shape)
+            b = g - swap_axes(g, n)
+            assert abs(np.sum(z * b)) <= 1e-12 * np.max(np.abs(b)) * len(b)
+            assert spectral_norm(a + b) >= c * (1.0 - 1e-12)
+
+
 class TestConjugateExponent:
     def test_values(self):
         assert conjugate_exponent(2.0) == 2.0

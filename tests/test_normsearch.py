@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from heatforms import normsearch, stochastic
+from heatforms import fields, normsearch
 from heatforms.errors import SearchError
 from heatforms.fields import lp_norm, random_band_limited
 from heatforms.fourier import apply_beurling_ahlfors
@@ -126,7 +126,7 @@ class TestDrawAhead:
             fn(*args)
             yield
 
-        monkeypatch.setattr(stochastic, "_on_helper", inline)
+        monkeypatch.setattr(fields, "_on_helper", inline)
         assert norm_search(n, p, dims, budget=budget, seed=1, kmax=kmax) == want
         chunk = max(1, normsearch.CHUNK_SAMPLES // (2 * 2**n * int(np.prod(dims))))
         assert len(jobs) == -(-budget // chunk) - 1  # every chunk but the first

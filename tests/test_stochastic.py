@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heatforms import stochastic
+from heatforms import fields, stochastic
 from heatforms.errors import StatisticalPowerError
-from heatforms.fields import FormField, TrigSeries, cosine_field, random_band_limited
+from heatforms.fields import FormField, TrigSeries, _on_helper, cosine_field, random_band_limited
 from heatforms.stochastic import (
     _DRAW_PATHS,
     _N_BOOT,
@@ -21,7 +21,6 @@ from heatforms.stochastic import (
     _bootstrap_counts,
     _philox,
     _standard_normal_step_major,
-    _on_helper,
     alternating_transform,
     identity_transform,
     ito_convergence_study,
@@ -236,6 +235,11 @@ class TestHelperThread:
             monkeypatch.setattr(stochastic, name, on_main(getattr(stochastic, name)))
         for name in ("gradient", "value"):
             monkeypatch.setattr(TrigSeries, name, on_main(getattr(TrigSeries, name)))
+        for name in ("random_band_limited", "_band_spectrum", "_band_inverse"):
+            monkeypatch.setattr(fields, name, on_main(getattr(fields, name)))
+        # a 64^3 draw of 8 one-row chunks: the helper draws, the caller filters
+        fields.random_band_limited(3, (64, 64, 64), 1.0, np.random.default_rng(1), kmax=4)
+        assert len(threads) == 1 + 2 * 8
         f = cosine_field(2, (8, 8), 1.0, [1, 0], mask=1)
         ens = stochastic.simulate_paths(2, 0.05, 4, 3 * PATH_BLOCK, seed=2)
         markov_identity_check(np.ones((8, 8)), 1.0, 0.2, ens)
@@ -422,7 +426,7 @@ class TestItoStudy:
     def test_rejects_bad_tau_before_drawing(self, tau, monkeypatch):
         # tau = nan once escaped as LinAlgError after LAPACK wrote to stderr
         monkeypatch.setattr(stochastic, "_philox", _no_draw)
-        monkeypatch.setattr(stochastic, "_on_helper", _no_draw)
+        monkeypatch.setattr(fields, "_on_helper", _no_draw)  # _one_ahead's helper
         f = cosine_field(2, (8, 8), 1.0, [1, 0], mask=1)
         with pytest.raises(ValueError, match="tau must be positive and finite"):
             ito_convergence_study(f, tau, [8, 16], 100, seed=0)
