@@ -43,8 +43,8 @@ FFLD_ORDER = "ascending-mask"
 FFLD_LAYOUT = "component-major,row-major"
 FFLD_DTYPE = "f64le"
 _MODE_TOL = 1e-12  # a mode is held when some row's |c_k| exceeds this times that row's max |c_k| (_held)
-_GEMM_SIZE = 1 << 18  # OpenBLAS runs a product with m * n * k at most this on one thread
-_DENSE_SPAN = 8  # an axis is dense while 2K + 1 <= this * log2(d) (_band_axes), as measured on one core
+_GEMM_SIZE = 1 << 18  # OpenBLAS runs a product with m * n * k at most this on one thread; bounds a band matrix (_dense)
+_DENSE_SPAN = 8  # a dense axis has 2K + 1 <= this * log2(d) (_dense), as measured on one core
 _BLOCK = 1 << 15  # points per block of lp_norm's sum and of _held_spectra's rffts, so they work in cache
 CHUNK_SAMPLES = 1 << 17  # samples per batch: random_band_limited's rows, the probe's f and Tf, psw's node gradients
 
@@ -211,14 +211,15 @@ def _complex_band(d: int, kmax: int):
 
 
 def _blocks(outer: int, inner: int, lines: int):
-    """Block sizes (matrix side, lines side) for an (outer x inner) matrix times lines.
+    """Near-square block sizes (matrix side, lines side) for an (outer x inner) matrix times lines.
 
-    Each block product has m * n * k at most _GEMM_SIZE, so OpenBLAS runs
-    it on one thread and the bits do not depend on the thread count; near
-    square blocks keep the packing cost of a wide band low.
+    Each block product has m * n * k at most _GEMM_SIZE (inner is: _dense
+    bounds every band matrix): a gemm OpenBLAS runs on one thread, so its
+    bits do not depend on the thread count. A block of one row or one line
+    is a gemv or a dot, which OpenBLAS threads from far fewer entries.
     """
-    side = min(outer, max(1, isqrt(_GEMM_SIZE // inner)))
-    return side, min(lines, max(1, _GEMM_SIZE // (inner * side)))
+    side = min(outer, isqrt(_GEMM_SIZE // inner))
+    return side, min(lines, _GEMM_SIZE // (inner * side))
 
 
 def _last_axis(x: np.ndarray, m: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -245,42 +246,40 @@ def _middle_axis(m: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
     return out.reshape(x.shape[:axis] + (m.shape[0],) + x.shape[axis + 1 :])
 
 
-def _densest(d: int) -> int:
-    """The largest K for which a d-point axis is dense: 2K + 1 <= _DENSE_SPAN log2(d), K <= d/2."""
-    return min(d // 2, (_DENSE_SPAN * (d.bit_length() - 1) - 1) // 2)
+def _dense(d: int, K: int) -> bool:
+    """Per-axis rule: a d-point axis is dense for |k| <= K while b = 2K + 1 <= _DENSE_SPAN log2 d, b d <= _GEMM_SIZE."""
+    b = 2 * min(K, d // 2) + 1
+    return b <= _DENSE_SPAN * (d.bit_length() - 1) and b * d <= _GEMM_SIZE
 
 
 @lru_cache(maxsize=64)
 def _band_axes(dims: tuple, kmax: tuple) -> tuple:
     """Per axis, (index, k): the half-lattice points held for the box |k_a| <= kmax[a].
 
-    The band layer's one per-axis rule: a d-point axis with 2K + 1 <=
-    _DENSE_SPAN log2(d) is dense, holds its band (index, in _complex_band's
+    An axis _dense calls dense holds its band (index, in _complex_band's
     order; rfft bins 0..K on the last axis) and is transformed by the band
-    matrices; a wider one holds every point (index None) and is transformed
+    matrices; a wide one holds every point (index None) and is transformed
     by in-place FFT passes. k holds the integer frequencies held.
     """
     axes = []
     for a, (d, K) in enumerate(zip(dims, kmax)):
         k = np.rint(np.fft.fftfreq(d) * d).astype(int)[: d // 2 + 1 if a == len(dims) - 1 else d]
-        index = _frozen(np.flatnonzero(np.abs(k) <= K)) if min(K, d // 2) <= _densest(d) else None
+        index = _frozen(np.flatnonzero(np.abs(k) <= K)) if _dense(d, K) else None
         axes.append((index, _frozen(k if index is None else k[index])))
     return tuple(axes)
 
 
 def _held_points(dims: tuple, kmax) -> tuple:
     """kmax with every wide axis set to d // 2: boxes that hold the same points share one cache key."""
-    return tuple(K if min(K, d // 2) <= _densest(d) else d // 2 for d, K in zip(dims, kmax))
+    return tuple(K if _dense(d, K) else d // 2 for d, K in zip(dims, kmax))
 
 
 def _band_inverse(spectra: np.ndarray, dims: tuple, kmax, out: np.ndarray) -> np.ndarray:
     """Real grids, written into out, from spectra on the points _band_axes holds for kmax.
 
     Passes in irfftn's order, the last axis last: a dense axis takes
-    _complex_band's back matrix (_real_band's on the last) in blocks that
-    OpenBLAS runs on one thread, a wide one an ifft pass in place over
-    spectra (an irfft into out on the last), so no bit depends on the
-    BLAS thread count.
+    _complex_band's back matrix (_real_band's on the last) in _blocks, a
+    wide one an ifft pass in place (an irfft into out on the last).
     """
     lead = spectra.ndim - len(dims)
     axes = _band_axes(dims, tuple(kmax))
@@ -385,7 +384,7 @@ def _held_spectra(stack: np.ndarray, dims: tuple) -> tuple:
     with np.errstate(over="ignore", invalid="ignore"):
         spectra, parts = _rfft_sums(stack, points)
         last = _last_live(parts, points)
-        if last <= _densest(d):
+        if _dense(d, last):
             spectra = np.ascontiguousarray(spectra[..., : last + 1])
         for axis in reversed(range(spectra.ndim - n, spectra.ndim - 1)):
             np.fft.fft(spectra, axis=axis, out=spectra)
@@ -492,8 +491,9 @@ def random_band_limited(n, dims, L, rng, kmax=3, grades=None, mean_zero=True) ->
     the whole shape. A field of one chunk runs no helper job; in one of
     several, the last-axis block products break at chunk edges, which
     moves the field by rounding only (up to 4e-16 of max |f| at 64^3). It
-    equals a full rfftn, filter and irfftn to rounding, not bitwise, and
-    does not depend on the BLAS thread count.
+    equals a full rfftn, filter and irfftn to rounding, not bitwise. Its
+    band matrices hold at most _GEMM_SIZE entries (_dense), so it needs a
+    few times the field's memory; on the BLAS thread count see _blocks.
     """
     dims, band = _draw_band(n, dims, kmax)
     masks = masks_for_grades(n, range(n + 1) if grades is None else grades)

@@ -338,8 +338,8 @@ def psw_integral(field_f: FormField, field_g: FormField, p: float, t_max: float)
     Both fields must be real; one held forward transform of both
     (fields._held_spectra) gives the box of the modes they hold. _psw_norms
     takes the nodes of _psw_plan, t = 0 last, in batches of at most
-    fields.CHUNK_SAMPLES output samples; no bit depends on the batch or on
-    the BLAS thread count. Raises ValueError on a non-finite sample or an
+    fields.CHUNK_SAMPLES output samples; no bit depends on the batch (for the BLAS
+    thread count see fields._blocks). Raises ValueError on a non-finite sample or an
     overflowing spectrum, and when lhs, the tail's energy or rhs overflows.
     """
     if (field_f.n, field_f.dims, field_f.L) != (field_g.n, field_g.dims, field_g.L):

@@ -31,6 +31,10 @@ class TestUnitDirection:
         with pytest.raises(ValueError):
             UnitDirection(np.ones(4), 2)
 
+    def test_rejects_wrong_length(self):
+        with pytest.raises(ValueError, match="need 2\\^2 coefficients"):
+            UnitDirection(np.ones(3) / sqrt(3), 2)
+
     def test_rejects_nan(self):
         # abs(nan - 1) > 1e-12 is False, so a nan length used to pass
         with pytest.raises(ValueError):
@@ -163,6 +167,12 @@ class TestAsymptoticConstants:
 
 
 class TestSphereNorm:
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            sphere_coordinate_lp_norm(1, 4.0)
+        with pytest.raises(ValueError, match="exponent must be >= 1"):
+            sphere_coordinate_lp_norm(3, 0.5)
+
     def test_p2_closed_form(self):
         for N in (2, 3, 8, 50):
             assert np.isclose(sphere_coordinate_lp_norm(N, 2.0), 1 / sqrt(N))

@@ -496,6 +496,7 @@ NON_FINITE_RUNS = {
     "transform-p-inf": ["simulate", "transform", "--p", "inf", "--trials", "5000"],
     "apply-L-inf": ["apply"],  # files are added by the test
     "asymptotics-p-1e308": ["asymptotics", "--n", "2", "--p", "1e308"],
+    "bounds-p-abc": ["bounds", "--n", "2", "--p", "abc"],  # not a number at all
     # finite arguments whose results overflow; any RuntimeWarning fails the suite
     "norm-search-p-1e308": [
         "norm-search", "--n", "2", "--p", "1e308", "--grid", "8", "--budget", "4"
@@ -648,6 +649,14 @@ class TestReportFormatting:
         assert fmt_number(1 / 3) == "0.33333333333333331"
         assert fmt_number(2.0) == "2"
         assert fmt_number(7) == "7"
+        assert fmt_number(True) == "true" and fmt_number(False) == "false"
+
+    def test_rejects_what_it_cannot_write(self):
+        rep = Report(command="demo", inputs={"grid": [8, 8]})
+        with pytest.raises(TypeError, match="cannot serialize"):
+            rep.to_jsonl()
+        with pytest.raises(ValueError, match="unknown format 'xml'"):
+            Report(command="demo", inputs={}).render("xml")
 
     @pytest.mark.parametrize(
         "value, se", [(float("nan"), None), (float("inf"), None), (1.0, float("nan"))]

@@ -175,6 +175,10 @@ def test_substitutions_list_each_pair_once(n_mask):
 
 
 class TestMultiIndex:
+    def test_rejects_negative_dimension(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            MultiIndex(0, -1)
+
     def test_mask_encoding(self):
         I = mi([1, 3], 4)
         assert I.mask == 0b101

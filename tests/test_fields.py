@@ -25,6 +25,7 @@ from heatforms.fields import (
     _band_spectrum,
     _blocks,
     _complex_band,
+    _dense,
     _held_band,
     _held_spectra,
     _MODE_TOL,
@@ -169,17 +170,37 @@ class TestRandomBandLimited:
 
     def test_blocks(self):
         # every block product fits one OpenBLAS thread
-        shapes = [(10, 64, 32768), (258, 256, 1024), (256, 256, 129), (9, 64, 45), (2, 1 << 20, 8)]
+        # (3, 1 << 16, 8) is a largest dense band: K = 1 on a 2^16-point axis
+        shapes = [(10, 64, 32768), (258, 256, 1024), (256, 256, 129), (9, 64, 45), (3, 1 << 16, 8)]
         for outer, inner, lines in shapes:
             side, step = _blocks(outer, inner, lines)
             assert 1 <= side <= outer and 1 <= step <= lines
-            assert side * step * inner <= 1 << 18 or side == step == 1
+            assert side * step * inner <= 1 << 18
         # blocks that do not divide their side: 201 band rows over 256 points
         # split 6 x 32 + 9 and 33 lines 32 + 1; 66 band columns over 64
         # points split 64 + 2; 48 rows split 32 + 16, 258 columns 8 x 32 + 2
         assert _blocks(201, 256, 33) == (32, 32)
         assert _blocks(66, 64, 1024) == (64, 64)
         assert _blocks(258, 256, 48) == (32, 32)
+
+    @pytest.mark.parametrize("n, dims, kmax", [(1, (1 << 20,), 64), (2, (1 << 16, 2), 60)], ids=["line", "strip"])
+    def test_long_axes_are_wide(self, n, dims, kmax):
+        # no band matrix of d (2K + 1) > 2^18 entries is built: here each would take
+        # 1 GB (the line, a 16 MB field) or 127 MB (the strip, a 4 MB field)
+        tracemalloc.start()
+        f = random_band_limited(n, dims, 1.0, np.random.default_rng(0), kmax=kmax)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 4 * f.data.nbytes
+        # reference: rfftn, the band cut, the mean removed, irfftn
+        axes = tuple(range(1, n + 1))
+        spectrum = np.fft.rfftn(np.random.default_rng(0).standard_normal(f.data.shape), axes=axes)
+        for a, d in enumerate(dims):
+            k = np.abs(np.rint(np.fft.fftfreq(d) * d))[: spectrum.shape[1 + a]]
+            spectrum[(slice(None),) * (1 + a) + (k > kmax,)] = 0.0
+        spectrum[(Ellipsis,) + (0,) * n] = 0.0
+        want = np.fft.irfftn(spectrum, s=dims, axes=axes)
+        assert np.max(np.abs(f.data - want)) <= 1e-15 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("d", [2, 4, 8, 64, 256])
     def test_band_matrices_match_numpy_fft(self, d):
@@ -415,6 +436,16 @@ class TestBandInverse:
                 # a dense axis holds its band in fftfreq's order, a wide one every point
                 assert list(k) == [j for j in labels if abs(j) <= K or index is None]
                 assert list(last_k) == [j for j in labels[: d // 2 + 1] if abs(j) <= K or index is None]
+        # and while its band matrix holds at most 2^18 entries, d (2K + 1) <= 2^18: at d = 4096
+        # through K = 31 (the span allows 47), at 2^17 and 2^18 only K = 0, at 2^19 no K
+        for d, densest in ((4096, 31), (1 << 17, 0), (1 << 18, 0), (1 << 19, -1)):
+            assert [_dense(d, K) for K in range(100)] == [K <= densest for K in range(100)]
+            assert not _dense(d, d)
+            for K in {0, densest, densest + 1} - {-1}:
+                (index, k), (last_index, last_k) = _band_axes((d, d), (K, K))
+                assert (index is not None) == (last_index is not None) == (K <= densest)
+                assert len(k) == (2 * K + 1 if K <= densest else d)
+                assert len(last_k) == (K + 1 if K <= densest else d // 2 + 1)
 
 
 def held_band_of_rfftn(stack, dims):

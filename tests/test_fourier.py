@@ -175,6 +175,10 @@ class TestFullLatticeOracle:
 
 
 class TestSymbolMatrix:
+    def test_rejects_wrong_length(self):
+        with pytest.raises(ValueError, match="wrong length"):
+            beurling_ahlfors_symbol([1.0, 0.0, 0.0], 2)
+
     def test_axis_frequency(self):
         m = beurling_ahlfors_symbol([1.0, 0.0], 2).matrix
         assert m[0, 0] == 1.0  # empty set

@@ -31,6 +31,35 @@ def block_pairs(n, r):  # build_grade_matrix's row order: I ascending by mask, t
     return [(I, i) for I in enumerate_grade(n, r) for i in range(1, n + 1)]
 
 
+class TestInputChecks:
+    def test_spec(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            HeatMatrixSpec(1, (0.5, 0.5))
+        with pytest.raises(ValueError, match="need 4 weights, got 3"):
+            HeatMatrixSpec(3, (0.5,) * 3)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            HeatMatrixSpec(2, (0.5, 1.5, 0.5))
+
+    def test_entry(self):
+        with pytest.raises(ValueError, match="different ambient dimensions"):
+            entry(mi([1], 2), 1, mi([1], 3), 1, 0.5)
+        for i, j in ((0, 1), (1, 3)):
+            with pytest.raises(ValueError, match="axis index out of range"):
+                entry(mi([1], 2), i, mi([2], 2), j, 0.5)
+
+    @pytest.mark.parametrize("r", [-1, 4])
+    def test_grade_outside_range(self, r):
+        with pytest.raises(ValueError, match=f"grade {r} outside"):
+            build_grade_matrix(HeatMatrixSpec(3, (0.5,) * 4), r)
+
+    def test_out_block_of_grade_0(self):
+        with pytest.raises(ValueError, match="grade >= 1"):
+            out_block(mi([], 3), 0.5)
+
+    def test_spectral_norm_of_an_empty_matrix(self):
+        assert spectral_norm(np.zeros((0, 0))) == 0.0
+
+
 class TestEntry:
     def test_diagonal_signs(self):
         I = mi([1], 2)

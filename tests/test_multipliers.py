@@ -318,6 +318,11 @@ class TestGamma:
 
 
 class TestPowerConstant:
+    def test_overflow_raises(self):
+        # p* - 1 = 1e308 over |Gamma(1 - 10i)| ~ 1e-6 is no double
+        with pytest.raises(ValueError, match="overflows at s = 10"):
+            imaginary_power_constant(10.0, 1e308)
+
     def test_s_zero_exact(self):
         assert imaginary_power_constant(0.0, 2.0) == 1.0
         assert imaginary_power_constant(0.0, 4.0) == 3.0

@@ -74,6 +74,25 @@ class TestNormSearch:
         with pytest.raises(SearchError):
             norm_search(2, 2.0, dims=(8, 8), budget=5, seed=0, kmax=0)
 
+    def test_zero_fresh_draw_at_a_mutation_step_is_skipped(self, monkeypatch):
+        # candidate 3 is a mutation step; with its noise zeroed, its fresh field has
+        # no L^2 norm to scale by, so it counts as degenerate and is never the best
+        generator = np.random.default_rng
+
+        class ZeroFourth:
+            def __init__(self, seed):
+                self.rng = generator(seed)
+
+            def standard_normal(self, out):
+                assert len(out) == 8  # the whole budget is one chunk
+                self.rng.standard_normal(out=out)
+                out[3] = 0.0
+
+        assert norm_search(2, 4.0, dims=(16, 16), budget=8, seed=0).degenerate == 0
+        monkeypatch.setattr(normsearch.np.random, "default_rng", ZeroFourth)
+        r = norm_search(2, 4.0, dims=(16, 16), budget=8, seed=0)
+        assert r.degenerate == 1 and r.best_index != 3 and r.evaluations == 8
+
     def test_mutations_occur(self):
         r = norm_search(2, 4.0, dims=(16, 16), budget=200, seed=3)
         assert r.evaluations == 200

@@ -126,6 +126,13 @@ class TestSimulatePaths:
             assert np.array_equal(ens.starts[lo:hi], starts)
             assert np.array_equal(ens.increments[:, lo:hi], incs)
 
+    def test_positions_out_of_range(self):
+        ens = simulate_paths(2, 0.01, 3, 5, seed=0)
+        assert np.array_equal(ens.positions(0), ens.starts)
+        for step in (-1, 4):
+            with pytest.raises(ValueError, match="step out of range"):
+                ens.positions(step)
+
 
 def _no_draw(*args):
     raise AssertionError("drew or queued a job before validating")
@@ -293,6 +300,7 @@ class TestMarkovIdentity:
         chk = markov_identity_check(np.full((8, 8), 1.0), 1.0, 0.2, ens)
         assert chk.mc_value == chk.exact_value == 1.0
         assert chk.std_error == 0.0
+        assert chk.z_score == 0.0  # no spread and no gap: z = 0, not 0 / 0
 
     def test_single_path_has_no_standard_error(self):
         # one path would give std_error 0 and so z_score 0: a pass that checked nothing
@@ -430,6 +438,13 @@ class TestItoStudy:
         f = cosine_field(2, (8, 8), 1.0, [1, 0], mask=1)
         with pytest.raises(ValueError, match="tau must be positive and finite"):
             ito_convergence_study(f, tau, [8, 16], 100, seed=0)
+
+    def test_rejects_a_step_count_below_one_before_drawing(self, monkeypatch):
+        monkeypatch.setattr(stochastic, "_philox", _no_draw)
+        monkeypatch.setattr(fields, "_on_helper", _no_draw)
+        f = cosine_field(2, (8, 8), 1.0, [1, 0], mask=1)
+        with pytest.raises(ValueError, match="step counts must be positive"):
+            ito_convergence_study(f, 0.1, [0, 16], 100, seed=0)
 
     @pytest.mark.parametrize("paths", [300, PATH_BLOCK + 50])
     def test_matches_serial_loop(self, paths):
